@@ -7,8 +7,6 @@ to a single scalar quadrature whose solution reconstructs the full state.
 """
 
 from .dynamics import (
-    AState,
-    OmegaState,
     TopSystem,
     Trajectory,
     a_inverse,

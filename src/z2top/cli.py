@@ -10,6 +10,11 @@ Subcommands
 Exit codes: 0 success, 1 drift threshold exceeded, 2 usage error,
 3 blow-up, 4 step failure, 5 degenerate orbit, 6 branch failure.
 
+run and zk share one pipeline.  --drift-threshold gates both the same way,
+with or without --out: a max drift above the threshold, or a non-finite
+one, exits 1.  The drift table and the threshold line go to stdout with
+--out and to stderr without it, where the trajectory owns stdout.
+
 Identical flags and seed give byte-identical output files.  Files are
 written atomically (temp + rename), so failed runs never leave partial
 output.  Set Z2TOP_NO_COLOR to disable ANSI color on the summary line.
@@ -28,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import geometry
-from .dynamics import TopSystem, Trajectory, guarded_horizon, integrate, trajectory_json
+from .dynamics import TopSystem, guarded_horizon, integrate, trajectory_json
 from .errors import (
     BranchError,
     DegenerateOrbitError,
@@ -36,7 +41,7 @@ from .errors import (
     UnsupportedSearchError,
 )
 from .integrate import BLOW_UP, BRANCH_FAILURE, COMPLETED, STEP_FAILURE
-from .invariants import DriftReport, drift_report
+from .invariants import drift_report
 from .reduction import compare_routes, genus
 from .zktop import ZkSystem, integrate_zk, zk_drift_report, zk_genus, zk_guarded_horizon
 
@@ -49,7 +54,6 @@ EXIT_DEGENERATE = 5
 EXIT_BRANCH = 6
 
 _TERMINATION_EXIT = {
-    COMPLETED: EXIT_OK,
     BLOW_UP: EXIT_BLOW_UP,
     STEP_FAILURE: EXIT_STEP_FAILURE,
     BRANCH_FAILURE: EXIT_BRANCH,
@@ -75,12 +79,8 @@ class RunConfig:
     drift_threshold: Optional[float]
 
 
-def _color_enabled() -> bool:
-    return os.environ.get("Z2TOP_NO_COLOR") is None and sys.stdout.isatty()
-
-
-def _status_line(ok: bool, text: str) -> str:
-    if _color_enabled():
+def _status_line(ok: bool, text: str, stream) -> str:
+    if os.environ.get("Z2TOP_NO_COLOR") is None and stream.isatty():
         code = "32" if ok else "31"
         return f"\x1b[{code}m{text}\x1b[0m"
     return text
@@ -276,87 +276,67 @@ def _cmd_equations(config: RunConfig, labelling: str) -> int:
     return EXIT_OK
 
 
-def _drift_exit(config: RunConfig, report: DriftReport) -> int:
-    print(report.table())
-    if config.drift_threshold is not None:
-        ok = report.max_drift <= config.drift_threshold
-        print(
-            _status_line(
-                ok,
-                f"max drift {report.max_drift:.3e} "
-                f"{'within' if ok else 'EXCEEDS'} threshold {config.drift_threshold:.3e}",
-            )
-        )
-        if not ok:
-            return EXIT_DRIFT
-    return EXIT_OK
-
-
-def _write_run_outputs(
-    config: RunConfig, trajectory: Trajectory, report: DriftReport, metadata: dict
-) -> None:
-    if config.fmt == "csv":
-        traj_text = trajectory.to_csv()
-        suffix = "trajectory.csv"
+def _prepare(config: RunConfig) -> tuple:
+    """System, initial state and horizon of run, reduce or zk; --t-end beats the default."""
+    if config.subcommand == "zk":
+        system = ZkSystem(config.k)
+        dim, horizon = system.dim, zk_guarded_horizon
     else:
-        traj_text = trajectory_json(trajectory, **metadata)
-        suffix = "trajectory.json"
-    drift_text = _json_text(report.to_json_dict())
-    if config.out is None:
-        sys.stdout.write(traj_text)
-        print(report.table(), file=sys.stderr)
+        system = TopSystem.create(config.n)
+        dim, horizon = system.d, guarded_horizon
+    state = _initial_state(config, dim)
+    t_end = config.t_end if config.t_end is not None else horizon(system, state)
+    return system, state, t_end
+
+
+def _cmd_flow(config: RunConfig) -> int:
+    """run and zk: integrate, report drift, write, and map the outcome to an exit code.
+
+    The drift table and the threshold line go to stdout with --out and to
+    stderr without it, where the trajectory owns stdout.
+    """
+    system, state, t_end = _prepare(config)
+    args = (state, t_end, config.rel_tol, config.abs_tol)
+    if config.subcommand == "zk":
+        trajectory = integrate_zk(system, *args, sample_interval=config.sample_interval)
+        report = zk_drift_report(system, trajectory)
+        meta = {"k": config.k, "genus": zk_genus(config.k)}
     else:
-        atomic_write(f"{config.out}.{suffix}", traj_text)
-        atomic_write(f"{config.out}.drift.json", drift_text)
-
-
-def _run_metadata(config: RunConfig) -> dict:
-    meta = {
-        "rel_tol": config.rel_tol,
-        "abs_tol": config.abs_tol,
-        "seed": config.seed,
-    }
+        trajectory = integrate(system, "omega", *args, sample_interval=config.sample_interval)
+        report = drift_report(system, trajectory)
+        meta = {"n": config.n}
+    meta.update(rel_tol=config.rel_tol, abs_tol=config.abs_tol, seed=config.seed, t_end=t_end)
     if config.omega0 is not None:
         meta["omega0"] = list(config.omega0)
-    return meta
 
+    if config.fmt == "csv":
+        traj_text, suffix = trajectory.to_csv(), "trajectory.csv"
+    else:
+        traj_text, suffix = trajectory_json(trajectory, **meta), "trajectory.json"
+    if config.out is None:
+        stream = sys.stderr
+        sys.stdout.write(traj_text)
+    else:
+        stream = sys.stdout
+        atomic_write(f"{config.out}.{suffix}", traj_text)
+        atomic_write(f"{config.out}.drift.json", _json_text(report.to_json_dict()))
+    print(report.table(), file=stream)
 
-def _cmd_run(config: RunConfig) -> int:
-    system = TopSystem.create(config.n)
-    omega0 = _initial_state(config, system.d)
-    t_end = config.t_end if config.t_end is not None else guarded_horizon(system, omega0)
-    trajectory = integrate(
-        system,
-        "omega",
-        omega0,
-        t_end,
-        config.rel_tol,
-        config.abs_tol,
-        sample_interval=config.sample_interval,
-    )
-    report = drift_report(system, trajectory)
-    meta = _run_metadata(config)
-    meta.update({"n": config.n, "t_end": t_end})
-    _write_run_outputs(config, trajectory, report, meta)
-    code = _TERMINATION_EXIT[trajectory.termination]
-    if code != EXIT_OK:
+    if trajectory.termination != COMPLETED:
         print(f"termination: {trajectory.termination}", file=sys.stderr)
-        return code
-    if config.out is not None:
-        return _drift_exit(config, report)
-    drift_code = EXIT_OK
-    if config.drift_threshold is not None and report.max_drift > config.drift_threshold:
-        drift_code = EXIT_DRIFT
-        print(
-            f"max drift {report.max_drift:.3e} EXCEEDS threshold", file=sys.stderr
-        )
-    return drift_code
+        return _TERMINATION_EXIT[trajectory.termination]
+    if config.drift_threshold is None:
+        return EXIT_OK
+    # A NaN max drift fails the comparison, so it never passes the gate.
+    ok = report.max_drift <= config.drift_threshold
+    verdict = "within" if ok else "EXCEEDS"
+    text = f"max drift {report.max_drift:.3e} {verdict} threshold {config.drift_threshold:.3e}"
+    print(_status_line(ok, text, stream), file=stream)
+    return EXIT_OK if ok else EXIT_DRIFT
 
 
 def _cmd_reduce(config: RunConfig) -> int:
-    system = TopSystem.create(config.n)
-    omega0 = _initial_state(config, system.d)
-    t_end = config.t_end if config.t_end is not None else guarded_horizon(system, omega0)
+    system, omega0, t_end = _prepare(config)
     header = f"genus = {genus(config.n)}"
     comparison = compare_routes(
         system,
@@ -381,33 +361,6 @@ def _cmd_reduce(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_zk(config: RunConfig) -> int:
-    system = ZkSystem(config.k)
-    omega0 = _initial_state(config, system.dim)
-    t_end = (
-        config.t_end if config.t_end is not None else zk_guarded_horizon(system, omega0)
-    )
-    trajectory = integrate_zk(
-        system,
-        omega0,
-        t_end,
-        config.rel_tol,
-        config.abs_tol,
-        sample_interval=config.sample_interval,
-    )
-    report = zk_drift_report(system, trajectory)
-    meta = _run_metadata(config)
-    meta.update({"k": config.k, "t_end": t_end, "genus": zk_genus(config.k)})
-    _write_run_outputs(config, trajectory, report, meta)
-    code = _TERMINATION_EXIT[trajectory.termination]
-    if code != EXIT_OK:
-        print(f"termination: {trajectory.termination}", file=sys.stderr)
-        return code
-    if config.out is not None:
-        return _drift_exit(config, report)
-    return EXIT_OK
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = _build_parser()
@@ -419,12 +372,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_geometry(config)
         if config.subcommand == "equations":
             return _cmd_equations(config, args.labelling)
-        if config.subcommand == "run":
-            return _cmd_run(config)
+        if config.subcommand in ("run", "zk"):
+            return _cmd_flow(config)
         if config.subcommand == "reduce":
             return _cmd_reduce(config)
-        if config.subcommand == "zk":
-            return _cmd_zk(config)
         parser.error(f"unknown subcommand {config.subcommand!r}")
     except (InvalidParameterError, UnsupportedSearchError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

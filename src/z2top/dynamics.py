@@ -96,26 +96,6 @@ def a_rhs(system: TopSystem, a: Sequence[float]) -> np.ndarray:
     return a * (s - a)
 
 
-@dataclass(frozen=True)
-class OmegaState:
-    t: float
-    omega: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.omega)):
-            raise InvalidParameterError("omega entries must be finite")
-
-
-@dataclass(frozen=True)
-class AState:
-    t: float
-    a: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.a)):
-            raise InvalidParameterError("a entries must be finite")
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-ordered samples of one integration plus its termination status."""
@@ -131,11 +111,6 @@ class Trajectory:
     @property
     def completed(self) -> bool:
         return self.termination == COMPLETED
-
-    def sample(self, i: int):
-        if self.kind == "a":
-            return AState(float(self.times[i]), self.states[i])
-        return OmegaState(float(self.times[i]), self.states[i])
 
     def to_csv(self) -> str:
         buf = io.StringIO()

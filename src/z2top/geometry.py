@@ -80,9 +80,6 @@ class Line:
     def __contains__(self, p: int) -> bool:
         return p in self.points
 
-    def third(self, p: int, q: int) -> int:
-        return p ^ q
-
 
 @dataclass(frozen=True)
 class Hyperplane:
@@ -248,6 +245,23 @@ def find_collineation(
     return Collineation(n=n, perm=perm)
 
 
+def _lines_from_blocks(blocks: Sequence[frozenset], d: int) -> Optional[set[tuple[int, ...]]]:
+    """Line triples of a block design on points 1..d, or None if it has no line structure.
+
+    The points collinear with a pair are those common to every block
+    containing the pair; each such set must be a triple.
+    """
+    points = frozenset(range(1, d + 1))
+    triples = set()
+    for p in range(1, d + 1):
+        for q in range(p + 1, d + 1):
+            common = points.intersection(*[b for b in blocks if p in b and q in b])
+            if len(common) != 3:
+                return None
+            triples.add(tuple(sorted(common)))
+    return triples
+
+
 def find_hyperplane_collineation(
     n: int, target_blocks: Sequence[Iterable[int]]
 ) -> Optional[Collineation]:
@@ -276,14 +290,8 @@ def find_hyperplane_collineation(
             return None
         return Collineation.identity(2)
 
-    triples = set()
-    for p in range(1, d + 1):
-        for q in range(p + 1, d + 1):
-            common = frozenset.intersection(*[b for b in blocks if p in b and q in b])
-            if len(common) != 3:
-                return None
-            triples.add(tuple(sorted(common)))
-    if len(triples) != num_lines(n):
+    triples = _lines_from_blocks(blocks, d)
+    if triples is None or len(triples) != num_lines(n):
         return None
     perm = _search_relabelling(n, sorted(triples))
     if perm is None:
@@ -344,14 +352,7 @@ def classic_line_set(n: int) -> list[tuple[int, ...]]:
     if n == 3:
         return classic_fano_lines()
     if n == 4:
-        blocks = [frozenset(b) for b in classic_planes_15()]
-        triples = set()
-        for p in range(1, 16):
-            for q in range(p + 1, 16):
-                common = frozenset.intersection(*[b for b in blocks if p in b and q in b])
-                assert len(common) == 3
-                triples.add(tuple(sorted(common)))
-        return sorted(triples)
+        return sorted(_lines_from_blocks([frozenset(b) for b in classic_planes_15()], 15))
     raise InvalidParameterError(f"classical labelling available for n in 2..4, got {n}")
 
 

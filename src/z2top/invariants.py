@@ -29,17 +29,33 @@ def _positive_a(system: TopSystem, a: Sequence[float]) -> np.ndarray:
     return a
 
 
+def _product_root(a: np.ndarray, n: int) -> np.ndarray:
+    """T = (prod a_k)^(1 / (2^(n-1) - 1)) over the last axis of a (..., d) array."""
+    return np.prod(a, axis=-1) ** (1.0 / (2 ** (n - 1) - 1))
+
+
+def _n_block(a: np.ndarray, n: int, rows: slice, cols: slice) -> np.ndarray:
+    """N_ij = T (a_i - a_j) / (a_i a_j) for i in rows, j in cols, over (..., d) arrays."""
+    t = _product_root(a, n)[..., None, None]
+    ai = a[..., rows, None]
+    aj = a[..., None, cols]
+    return t * (ai - aj) / (ai * aj)
+
+
+def _gamma(a: np.ndarray, pair_idx: np.ndarray) -> np.ndarray:
+    """gamma_i = a_i * prod over lines {i,j,k} of (a_j - a_k), over (..., d) arrays."""
+    diffs = a[..., pair_idx[:, :, 0]] - a[..., pair_idx[:, :, 1]]
+    return a * diffs.prod(axis=-1)
+
+
 def big_T(system: TopSystem, a: Sequence[float]) -> float:
     """(prod a_k)^(1 / (2^(n-1) - 1)), real branch; requires a > 0."""
-    a = _positive_a(system, a)
-    return float(np.prod(a) ** (1.0 / (2 ** (system.n - 1) - 1)))
+    return float(_product_root(_positive_a(system, a), system.n))
 
 
 def n_matrix(system: TopSystem, a: Sequence[float]) -> np.ndarray:
     """Antisymmetric matrix N_ij = T (a_i - a_j) / (a_i a_j); requires a > 0."""
-    a = _positive_a(system, a)
-    t = np.prod(a) ** (1.0 / (2 ** (system.n - 1) - 1))
-    return t * (a[:, None] - a[None, :]) / (a[:, None] * a[None, :])
+    return _n_block(_positive_a(system, a), system.n, slice(None), slice(None))
 
 
 def gamma(system: TopSystem, a: Sequence[float]) -> np.ndarray:
@@ -47,16 +63,12 @@ def gamma(system: TopSystem, a: Sequence[float]) -> np.ndarray:
 
     Pairs are ordered j < k by canonical index, which fixes the overall sign.
     """
-    a = system.check_state(a)
-    diffs = a[system.pair_idx[:, :, 0]] - a[system.pair_idx[:, :, 1]]
-    return a * diffs.prod(axis=1)
+    return _gamma(system.check_state(a), system.pair_idx)
 
 
 def n_first_row(system: TopSystem, a: Sequence[float]) -> np.ndarray:
     """The basis integrals N_1j for j = 2..d."""
-    a = _positive_a(system, a)
-    t = np.prod(a) ** (1.0 / (2 ** (system.n - 1) - 1))
-    return t * (a[0] - a[1:]) / (a[0] * a[1:])
+    return _n_block(_positive_a(system, a), system.n, slice(0, 1), slice(1, None))[0]
 
 
 @dataclass(frozen=True)
@@ -91,7 +103,8 @@ class DriftReport:
 
     @property
     def max_drift(self) -> float:
-        return max((e.max_drift for e in self.entries), default=0.0)
+        """Largest drift of any entry; NaN when any entry is NaN, so a gate fails."""
+        return float(np.max([e.max_drift for e in self.entries], initial=0.0))
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,21 +132,23 @@ class DriftReport:
         return "\n".join(lines)
 
 
-def _series_drift(name: str, times: np.ndarray, values: np.ndarray) -> DriftEntry:
+def _series_drift(
+    names: Sequence[str], times: np.ndarray, values: np.ndarray
+) -> tuple[DriftEntry, ...]:
+    """One entry per column of values (samples x series), each against its t = 0 value."""
     v0 = values[0]
-    if abs(v0) < ABS_DRIFT_FLOOR:
-        drift = np.abs(values - v0)
-        mode = "absolute"
-    else:
-        drift = np.abs(values - v0) / abs(v0)
-        mode = "relative"
-    i = int(np.argmax(drift))
-    return DriftEntry(
-        name=name,
-        initial=float(v0),
-        max_drift=float(drift[i]),
-        t_at_max=float(times[i]),
-        mode=mode,
+    relative = ~(np.abs(v0) < ABS_DRIFT_FLOOR)  # a NaN start stays relative
+    drift = np.abs(values - v0) / np.where(relative, np.abs(v0), 1.0)
+    worst = np.argmax(drift, axis=0)
+    return tuple(
+        DriftEntry(
+            name=name,
+            initial=float(v0[j]),
+            max_drift=float(drift[i, j]),
+            t_at_max=float(times[i]),
+            mode="relative" if relative[j] else "absolute",
+        )
+        for j, (name, i) in enumerate(zip(names, worst))
     )
 
 
@@ -155,23 +170,32 @@ def drift_report(system: TopSystem, trajectory: Trajectory) -> DriftReport:
 
     times = trajectory.times
     d = system.d
-    entries: list[DriftEntry] = []
-
-    diffs = a_samples[:, system.pair_idx[:, :, 0]] - a_samples[:, system.pair_idx[:, :, 1]]
-    gammas = a_samples * diffs.prod(axis=2)
-    for i in range(d):
-        entries.append(_series_drift(f"gamma_{i + 1}", times, gammas[:, i]))
-
+    entries = _series_drift(
+        [f"gamma_{i + 1}" for i in range(d)], times, _gamma(a_samples, system.pair_idx)
+    )
     positive = np.all(a_samples > 0.0, axis=1)
     skipped = int(len(times) - positive.sum())
     if positive[0]:
-        ap = a_samples[positive]
-        tp = times[positive]
-        t_vals = np.prod(ap, axis=1) ** (1.0 / (2 ** (system.n - 1) - 1))
-        n_rows = t_vals[:, None] * (ap[:, :1] - ap[:, 1:]) / (ap[:, :1] * ap[:, 1:])
-        for j in range(d - 1):
-            entries.append(_series_drift(f"N_1_{j + 2}", tp, n_rows[:, j]))
-    return DriftReport(entries=tuple(entries), skipped_samples=skipped)
+        n_rows = _n_block(a_samples[positive], system.n, slice(0, 1), slice(1, None))[:, 0]
+        names = [f"N_1_{j + 2}" for j in range(d - 1)]
+        entries += _series_drift(names, times[positive], n_rows)
+    return DriftReport(entries=entries, skipped_samples=skipped)
+
+
+def _jacobian_rank(f, x: np.ndarray, step: float, sv_cutoff: float) -> int:
+    """Numerical rank of the Jacobian of f at x, by central differences.
+
+    Singular values below sv_cutoff * sigma_max count as zero.
+    """
+    columns = []
+    for col in range(len(x)):
+        h = step * max(1.0, abs(x[col]))
+        xp, xm = x.copy(), x.copy()
+        xp[col] += h
+        xm[col] -= h
+        columns.append((f(xp) - f(xm)) / (2 * h))
+    sv = np.linalg.svd(np.column_stack(columns), compute_uv=False)
+    return int(np.sum(sv > sv_cutoff * sv[0]))
 
 
 def independent_count(
@@ -185,16 +209,7 @@ def independent_count(
     Singular values below sv_cutoff * sigma_max count as zero.
     """
     a = _positive_a(system, a)
-    d = system.d
-    jac = np.empty((d - 1, d))
-    for col in range(d):
-        h = step * max(1.0, abs(a[col]))
-        ap, am = a.copy(), a.copy()
-        ap[col] += h
-        am[col] -= h
-        jac[:, col] = (n_first_row(system, ap) - n_first_row(system, am)) / (2 * h)
-    sv = np.linalg.svd(jac, compute_uv=False)
-    return int(np.sum(sv > sv_cutoff * sv[0]))
+    return _jacobian_rank(lambda x: n_first_row(system, x), a, step, sv_cutoff)
 
 
 def gamma_jacobian_rank(
@@ -205,13 +220,4 @@ def gamma_jacobian_rank(
 ) -> int:
     """Numerical rank of the Jacobian of the gamma_i (detects the one relation)."""
     a = system.check_state(a)
-    d = system.d
-    jac = np.empty((d, d))
-    for col in range(d):
-        h = step * max(1.0, abs(a[col]))
-        ap, am = a.copy(), a.copy()
-        ap[col] += h
-        am[col] -= h
-        jac[:, col] = (gamma(system, ap) - gamma(system, am)) / (2 * h)
-    sv = np.linalg.svd(jac, compute_uv=False)
-    return int(np.sum(sv > sv_cutoff * sv[0]))
+    return _jacobian_rank(lambda x: gamma(system, x), a, step, sv_cutoff)

@@ -50,11 +50,15 @@ def zk_rhs(system: ZkSystem, omega: Sequence[float]) -> np.ndarray:
     return out
 
 
+def _square_differences(w: np.ndarray) -> np.ndarray:
+    """omega_i^2 - omega_{i+1}^2 over the last axis of a (..., k + 1) array."""
+    sq = w * w
+    return sq[..., :-1] - sq[..., 1:]
+
+
 def zk_invariants(system: ZkSystem, omega: Sequence[float]) -> np.ndarray:
     """Adjacent differences of squares, omega_i^2 - omega_{i+1}^2, i = 1..k."""
-    w = system.check_state(omega)
-    sq = w * w
-    return sq[:-1] - sq[1:]
+    return _square_differences(system.check_state(omega))
 
 
 def zk_genus(k: int) -> int:
@@ -101,10 +105,6 @@ def zk_drift_report(system: ZkSystem, trajectory: Trajectory) -> DriftReport:
     """Drift of the pairwise square-difference integrals along a trajectory."""
     if trajectory.states.shape[1] != system.dim:
         raise InvalidParameterError("trajectory dimension does not match the system")
-    sq = trajectory.states**2
-    series = sq[:, :-1] - sq[:, 1:]
-    entries = tuple(
-        _series_drift(f"D_{i + 1}_{i + 2}", trajectory.times, series[:, i])
-        for i in range(system.k)
-    )
+    names = [f"D_{i + 1}_{i + 2}" for i in range(system.k)]
+    entries = _series_drift(names, trajectory.times, _square_differences(trajectory.states))
     return DriftReport(entries=entries, skipped_samples=0)

@@ -1,6 +1,9 @@
 import json
+import math
 import subprocess
 import sys
+
+import pytest
 
 from z2top.cli import main
 
@@ -122,12 +125,24 @@ def test_run_json_format(tmp_path, capsys):
     assert doc["n"] == 3
 
 
-def test_run_determinism_byte_identical(tmp_path, capsys):
-    args = ["run", "--n", "3", "--seed", "42", "--format", "json"]
+@pytest.mark.parametrize(
+    "args, outputs",
+    [
+        (["run", "--n", "3", "--seed", "42"], ["trajectory.csv", "drift.json"]),
+        (["run", "--n", "3", "--seed", "42", "--format", "json"], ["trajectory.json", "drift.json"]),
+        (["zk", "--k", "3", "--seed", "42"], ["trajectory.csv", "drift.json"]),
+        (["zk", "--k", "3", "--seed", "42", "--format", "json"], ["trajectory.json", "drift.json"]),
+        (["reduce", "--n", "3", "--seed", "42"], ["json"]),
+    ],
+    ids=["run-csv", "run-json", "zk-csv", "zk-json", "reduce"],
+)
+def test_run_determinism_byte_identical(args, outputs, tmp_path, capsys):
     for base in ("a", "b"):
-        code, _, _ = run_cli(args + ["--out", str(tmp_path / base)], capsys)
+        # reduce writes to the path itself; run and zk append their suffixes.
+        out = tmp_path / (f"{base}.json" if args[0] == "reduce" else base)
+        code, _, _ = run_cli(args + ["--out", str(out)], capsys)
         assert code == 0
-    for suffix in ("trajectory.json", "drift.json"):
+    for suffix in outputs:
         first = (tmp_path / f"a.{suffix}").read_bytes()
         second = (tmp_path / f"b.{suffix}").read_bytes()
         assert first == second
@@ -211,6 +226,30 @@ def test_zk_drift_threshold(tmp_path, capsys):
         capsys,
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("args", [["run", "--n", "2"], ["zk", "--k", "3"]], ids=["run", "zk"])
+def test_drift_threshold_without_out(args, capsys):
+    code, out, err = run_cli(args + ["--seed", "2", "--drift-threshold", "1e-30"], capsys)
+    assert code == 1
+    assert out.splitlines()[0].startswith("t,x_1,")  # the trajectory owns stdout
+    assert "EXCEEDS threshold 1.000e-30" in err.splitlines()[-1]
+
+
+def test_nan_drift_fails_threshold(tmp_path, capsys):
+    # At n = 8 the product root under- or overflows, so N_1j drifts are NaN.
+    base = tmp_path / "n8"
+    code, out, _ = run_cli(
+        [
+            "run", "--n", "8", "--seed", "1", "--sample-interval", "2e-3",
+            "--drift-threshold", "1e-8", "--out", str(base),
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert "max drift nan EXCEEDS" in out
+    doc = json.loads((tmp_path / "n8.drift.json").read_text())
+    assert math.isnan(doc["max_drift"])
 
 
 def test_config_file_defaults_and_precedence(tmp_path, capsys):

@@ -174,6 +174,9 @@ def test_hyperplane_collineation_rejects_garbage():
     blocks = [tuple(range(1 + i, 8 + i)) for i in range(15)]
     blocks = [tuple(((x - 1) % 15) + 1 for x in b) for b in blocks]
     assert find_hyperplane_collineation(4, blocks) is None
+    # No block holds both 1 and 2, so the pair spans no line.
+    uncovered = [(1, 3, 4), (2, 3, 4), (3, 4, 5), (3, 4, 6), (3, 4, 7), (5, 6, 7), (1, 5, 6)]
+    assert find_hyperplane_collineation(3, uncovered) is None
 
 
 def test_hyperplane_collineation_wrong_shape_raises():
