@@ -15,9 +15,9 @@ with or without --out: a max drift above the threshold, or a non-finite
 one, exits 1.  The drift table and the threshold line go to stdout with
 --out and to stderr without it, where the trajectory owns stdout.
 
-Identical flags and seed give byte-identical output files.  Files are
-written atomically (temp + rename), so failed runs never leave partial
-output.  Set Z2TOP_NO_COLOR to disable ANSI color on the summary line.
+Identical flags and seed give byte-identical output files, each written
+atomically (temp + rename); a run that stops early still writes them, the
+trajectory up to termination.  Z2TOP_NO_COLOR disables summary-line color.
 """
 
 from __future__ import annotations

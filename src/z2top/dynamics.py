@@ -34,14 +34,14 @@ RhsKind = Literal["omega", "a"]
 
 @dataclass(frozen=True, eq=False)
 class TopSystem:
-    """Immutable bundle of the line set, transform matrix and RHS index tables."""
+    """Immutable bundle of the transform matrix and the RHS index tables."""
 
     n: int
     d: int
-    lines: tuple[geometry.Line, ...]
     a_matrix: np.ndarray
-    # pair_idx[i] lists the (d+1)/2 - 1 pairs {j, k} (0-based, j < k) such
-    # that {i+1, j+1, k+1} is a line.
+    # pair_idx[i] lists the (d+1)/2 - 1 pairs {j, k} (0-based, j < k, j
+    # increasing) such that {i+1, j+1, k+1} is a line.  Its [:, :, 0] and
+    # [:, :, 1] planes are contiguous, which keeps the gathers on them fast.
     pair_idx: np.ndarray = field(repr=False)
 
     @classmethod
@@ -49,21 +49,16 @@ class TopSystem:
         if not isinstance(n, int) or n < 2 or n > MAX_N_SYSTEM:
             raise InvalidParameterError(f"n must be an integer in 2..{MAX_N_SYSTEM}, got {n!r}")
         d = geometry.num_points(n)
-        lns = tuple(geometry.lines(n))
-        a = np.zeros((d, d), dtype=np.int64)
-        for v in range(1, d + 1):
-            rv = gf2.bit_reverse(v, n)
-            for p in range(1, d + 1):
-                a[v - 1, p - 1] = gf2.dot(rv, p)
-        pairs = np.empty((d, 2 ** (n - 1) - 1, 2), dtype=np.intp)
-        for i in range(1, d + 1):
-            row = sorted(
-                (min(q, q ^ i) - 1, max(q, q ^ i) - 1)
-                for q in range(1, d + 1)
-                if q != i and q < (q ^ i)
-            )
-            pairs[i - 1] = row
-        return cls(n=n, d=d, lines=lns, a_matrix=a, pair_idx=pairs)
+        pts = np.arange(1, d + 1, dtype=np.int64)
+        rev = np.zeros_like(pts)
+        for k in range(n):
+            rev |= ((pts >> k) & 1) << (n - 1 - k)
+        a = gf2.parity(rev[:, None] & pts, n)
+        # The line through i and q is {i, q, q ^ i}; take each pair once, q < q ^ i.
+        i = pts[:, None]
+        q = np.broadcast_to(pts, (d, d))[pts < (pts ^ i)].reshape(d, 2 ** (n - 1) - 1)
+        planes = np.stack([q - 1, (q ^ i) - 1]).astype(np.intp, copy=False)
+        return cls(n=n, d=d, a_matrix=a, pair_idx=planes.transpose(1, 2, 0))
 
     def check_state(self, x: Sequence[float]) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -16,6 +16,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from . import gf2
 from .errors import InvalidParameterError, UnsupportedSearchError
 
@@ -116,11 +118,12 @@ def hyperplanes(n: int) -> list[Hyperplane]:
     """One hyperplane per nonzero normal, each with 2^(n-1) - 1 points."""
     _check_n(n, MAX_N_INCIDENCE)
     d = num_points(n)
-    out = []
-    for v in range(1, d + 1):
-        pts = tuple(p for p in range(1, d + 1) if gf2.dot(v, p) == 0)
-        out.append(Hyperplane(normal=v, points=pts))
-    return out
+    pts = np.arange(1, d + 1, dtype=np.uint16)  # 16 bits hold every n <= MAX_N_INCIDENCE
+    on = gf2.parity(pts[:, None] & pts, n) == 0
+    return [
+        Hyperplane(normal=v, points=tuple(pts[row].tolist()))
+        for v, row in enumerate(on, start=1)
+    ]
 
 
 @dataclass(frozen=True)

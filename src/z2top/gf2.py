@@ -17,12 +17,14 @@ def dot(u: int, v: int) -> int:
     return (u & v).bit_count() & 1
 
 
-def bit_reverse(v: int, n: int) -> int:
-    """Reverse the n-bit string of v (swap z_0 <-> z_{n-1} etc.)."""
-    out = 0
-    for _ in range(n):
-        out = (out << 1) | (v & 1)
-        v >>= 1
+def parity(x: np.ndarray, n: int) -> np.ndarray:
+    """Parity of the low n bits of each entry of a nonnegative integer array.
+
+    parity(u & v, n) is the GF(2) dot product of u and v, element-wise.
+    """
+    out = x & 1
+    for k in range(1, n):
+        out ^= (x >> k) & 1
     return out
 
 

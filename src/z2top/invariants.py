@@ -43,9 +43,16 @@ def _n_block(a: np.ndarray, n: int, rows: slice, cols: slice) -> np.ndarray:
 
 
 def _gamma(a: np.ndarray, pair_idx: np.ndarray) -> np.ndarray:
-    """gamma_i = a_i * prod over lines {i,j,k} of (a_j - a_k), over (..., d) arrays."""
-    diffs = a[..., pair_idx[:, :, 0]] - a[..., pair_idx[:, :, 1]]
-    return a * diffs.prod(axis=-1)
+    """gamma_i = a_i * prod over lines {i,j,k} of (a_j - a_k), over (..., d) arrays.
+
+    The product runs over the pairs in order, one (..., d) factor at a time,
+    so no temporary outgrows a.
+    """
+    j, k = pair_idx[:, :, 0], pair_idx[:, :, 1]
+    prod = a[..., j[:, 0]] - a[..., k[:, 0]]
+    for col in range(1, j.shape[1]):
+        prod *= a[..., j[:, col]] - a[..., k[:, col]]
+    return a * prod
 
 
 def big_T(system: TopSystem, a: Sequence[float]) -> float:

@@ -155,6 +155,16 @@ def test_run_blow_up_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert "blow_up" in err
+    # A run that stops early still writes its trajectory up to termination.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.drift.json", "b.trajectory.csv"]
+    rows = (tmp_path / "b.trajectory.csv").read_text().splitlines()
+    assert rows[0] == "t,x_1,x_2,x_3"
+    assert len(rows) > 2
+    assert 0.5 < float(rows[-1].split(",")[0]) < 2.0
+    drift = json.loads((tmp_path / "b.drift.json").read_text())
+    assert [e["name"] for e in drift["invariants"]] == [
+        "gamma_1", "gamma_2", "gamma_3", "N_1_2", "N_1_3"
+    ]
 
 
 def test_run_drift_threshold_exit(tmp_path, capsys):

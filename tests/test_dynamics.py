@@ -5,6 +5,8 @@ import pytest
 
 from z2top import gf2
 from z2top.dynamics import (
+    MAX_N_SYSTEM,
+    TopSystem,
     a_inverse,
     a_rhs,
     a_transform,
@@ -37,6 +39,42 @@ def test_a_matrix_symmetric_row_sums(n, systems):
     assert np.array_equal(a, a.T)
     assert np.all(a.sum(axis=0) == 2 ** (n - 1))
     assert np.all(a.sum(axis=1) == 2 ** (n - 1))
+
+
+def test_tables_match_definition():
+    # Reference loops: A[v-1, p-1] = <rev(v), p> over GF(2), and pair row i
+    # lists the sorted (min, max) pairs {q, q ^ i} with q != i.
+    for n in range(2, 9):
+        system = TopSystem.create(n)
+        d = 2**n - 1
+        a = np.zeros((d, d), dtype=np.int64)
+        for v in range(1, d + 1):
+            rv = int(format(v, f"0{n}b")[::-1], 2)
+            for p in range(1, d + 1):
+                a[v - 1, p - 1] = gf2.dot(rv, p)
+        pairs = np.array(
+            [
+                sorted({(min(q, q ^ i) - 1, max(q, q ^ i) - 1) for q in range(1, d + 1) if q != i})
+                for i in range(1, d + 1)
+            ],
+            dtype=np.intp,
+        )
+        assert system.a_matrix.dtype == np.int64
+        assert system.pair_idx.dtype == np.intp
+        assert system.pair_idx.shape == (d, 2 ** (n - 1) - 1, 2)
+        assert system.pair_idx[:, :, 0].flags.c_contiguous
+        assert system.pair_idx[:, :, 1].flags.c_contiguous
+        assert np.array_equal(system.a_matrix, a)
+        assert np.array_equal(system.pair_idx, pairs)
+
+
+def test_largest_system_tables():
+    n = MAX_N_SYSTEM
+    system = TopSystem.create(n)
+    a = system.a_matrix
+    assert np.array_equal(a, a.T)
+    assert np.all(a.sum(axis=1) == 2 ** (n - 1))
+    assert system.pair_idx.shape == (2**n - 1, 2 ** (n - 1) - 1, 2)
 
 
 def test_a_transform_examples(systems):

@@ -105,9 +105,12 @@ def test_hyperplanes_n3_are_the_lines():
 
 
 def test_hyperplane_membership_oracle():
-    for h in hyperplanes(4):
-        for p in range(1, 16):
-            assert (p in h.points) == (gf2.dot(h.normal, p) == 0)
+    for n in (4, 8):
+        d = 2**n - 1
+        hs = hyperplanes(n)
+        assert [h.normal for h in hs] == list(range(1, d + 1))
+        for h in hs:
+            assert h.points == tuple(p for p in range(1, d + 1) if gf2.dot(h.normal, p) == 0)
 
 
 def test_collineation_identity_found_for_canonical():

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from z2top.dynamics import Trajectory, a_transform, guarded_horizon, integrate
 from z2top.errors import BranchError, InvalidParameterError
 from z2top.invariants import (
+    _gamma,
     big_T,
     drift_report,
     gamma,
@@ -65,6 +68,19 @@ def test_gamma_symbolic_n2(systems):
         wv = rng.uniform(-1.0, 1.0, 3)
         av = a_transform(systems[2], wv)
         assert gamma(systems[2], av)[0] == pytest.approx(wv[2] ** 2 - wv[1] ** 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_gamma_batch_matches_reference_product(n, systems):
+    # Reference: a_i times the product of (a_j - a_k) over the pairs in
+    # table order, one state at a time; the batched route must agree exactly.
+    system = systems[n]
+    a = np.random.default_rng(n).uniform(-1.0, 1.0, (9, system.d))
+    expected = [
+        [row[i] * math.prod(row[j] - row[k] for j, k in system.pair_idx[i]) for i in range(system.d)]
+        for row in a
+    ]
+    assert np.array_equal(_gamma(a, system.pair_idx), expected)
 
 
 def test_gamma_vanishes_on_equal_pair(systems):
