@@ -24,13 +24,9 @@ from .errors import (
 )
 from .geometry import (
     Collineation,
-    Gf2Point,
-    Hyperplane,
-    Line,
     classic_fano_lines,
     classic_line_set,
     classic_planes_15,
-    enumerate_points,
     find_collineation,
     find_hyperplane_collineation,
     geometry_json,

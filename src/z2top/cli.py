@@ -112,13 +112,18 @@ def _parse_vector(text: str) -> tuple[float, ...]:
         raise InvalidParameterError(f"cannot parse vector {text!r}: {exc}") from None
 
 
-def _parse_range(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise InvalidParameterError(f"range must be LO,HI, got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
+def _parse_range(value) -> tuple[float, float]:
+    """LO,HI from the flag's string or from a --config file's two-number list."""
+    parts = value.split(",") if isinstance(value, str) else value
+    bad = InvalidParameterError(f"range must be two numbers LO,HI, got {value!r}")
+    if not isinstance(parts, list) or len(parts) != 2:
+        raise bad
+    try:
+        lo, hi = float(parts[0]), float(parts[1])
+    except (TypeError, ValueError):
+        raise bad from None
     if not lo < hi:
-        raise InvalidParameterError(f"range must satisfy LO < HI, got {text!r}")
+        raise InvalidParameterError(f"range must satisfy LO < HI, got {value!r}")
     return lo, hi
 
 
@@ -226,9 +231,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     omega0 = getattr(args, "omega0", None)
     if isinstance(omega0, str):
         omega0 = _parse_vector(omega0)
-    rrange = getattr(args, "random_range", "0.1,0.5")
-    if isinstance(rrange, str):
-        rrange = _parse_range(rrange)
+    rrange = _parse_range(getattr(args, "random_range", "0.1,0.5"))
     return RunConfig(
         subcommand=args.subcommand,
         n=getattr(args, "n", None),
@@ -255,10 +258,7 @@ def _cmd_geometry(config: RunConfig) -> int:
 
 
 def _equations_text(n: int, labelling: str) -> str:
-    if labelling == "canonical":
-        triples = [line.points for line in geometry.lines(n)]
-    else:
-        triples = geometry.classic_line_set(n)
+    triples = geometry.lines(n) if labelling == "canonical" else geometry.classic_line_set(n)
     by_point: dict[int, list[tuple[int, int]]] = {}
     for p, q, r in triples:
         by_point.setdefault(p, []).append((q, r))

@@ -5,6 +5,10 @@ nonzero bit vector whose int value is p, with coordinates (z_0, ..., z_{n-1})
 and z_{n-1} the least-significant bit.  Under it, three points form a line
 exactly when their indices XOR to zero, so line generation is branch-free.
 
+Incidence is plain ints.  ``lines(n)`` gives each line as a sorted triple
+(p, q, p ^ q) of point indices, and ``hyperplanes(n)[v - 1]`` is the sorted
+tuple of points orthogonal to the normal v.
+
 Classical labellings from the literature (the octonion triples for n = 3 and
 a classical listing of the fifteen 7-point planes for n = 4) are shipped as
 fixtures and related to the canonical labelling by a relabelling search.
@@ -21,7 +25,7 @@ import numpy as np
 from . import gf2
 from .errors import InvalidParameterError, UnsupportedSearchError
 
-#: Largest n for which points are enumerated.
+#: Largest n accepted as a point space (larger n is a usage error, not an unsupported search).
 MAX_N_POINTS = 16
 #: Largest n for which lines/hyperplanes are materialized (counts grow as 4^n).
 MAX_N_INCIDENCE = 12
@@ -42,88 +46,22 @@ def num_lines(n: int) -> int:
     return (2**n - 1) * (2 ** (n - 1) - 1) // 3
 
 
-@dataclass(frozen=True)
-class Gf2Point:
-    """A nonzero n-bit vector; its int value is the point index."""
-
-    n: int
-    index: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.index <= num_points(self.n):
-            raise InvalidParameterError(
-                f"point index {self.index} out of range 1..{num_points(self.n)}"
-            )
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        """Coordinates (z_0, ..., z_{n-1})."""
-        return gf2.bits_of(self.index, self.n)
-
-    @property
-    def bitstring(self) -> str:
-        return format(self.index, f"0{self.n}b")
-
-
-@dataclass(frozen=True)
-class Line:
-    """An unordered XOR-closed triple of distinct point indices."""
-
-    points: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        p, q, r = self.points
-        if len({p, q, r}) != 3:
-            raise InvalidParameterError(f"line points must be distinct: {self.points}")
-        if p ^ q ^ r != 0:
-            raise InvalidParameterError(f"not XOR-closed: {self.points}")
-        object.__setattr__(self, "points", tuple(sorted(self.points)))
-
-    def __contains__(self, p: int) -> bool:
-        return p in self.points
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """The points orthogonal to a nonzero normal vector."""
-
-    normal: int
-    points: tuple[int, ...]
-
-    def __contains__(self, p: int) -> bool:
-        return p in self.points
-
-
-def enumerate_points(n: int) -> list[Gf2Point]:
-    """All 2^n - 1 points, sorted by index."""
-    _check_n(n, MAX_N_POINTS)
-    return [Gf2Point(n, p) for p in range(1, num_points(n) + 1)]
-
-
-def lines(n: int) -> list[Line]:
-    """All unordered triples {p, q, p^q}, sorted."""
+def lines(n: int) -> list[tuple[int, int, int]]:
+    """All lines as sorted triples (p, q, p ^ q), ordered by p, then q."""
     _check_n(n, MAX_N_INCIDENCE)
-    d = num_points(n)
-    out = []
-    for p in range(1, d + 1):
-        for q in range(p + 1, d + 1):
-            r = p ^ q
-            if r > q:
-                out.append(Line((p, q, r)))
-    assert len(out) == num_lines(n)
-    return out
+    pts = np.arange(1, num_points(n) + 1, dtype=np.uint16)  # 16 bits hold every n <= MAX_N_INCIDENCE
+    row, col = pts[:, None], pts
+    # np.nonzero walks row-major: p first, then q.
+    p, q = (pts[i] for i in np.nonzero((row < col) & (col < (row ^ col))))
+    return list(zip(p.tolist(), q.tolist(), (p ^ q).tolist()))
 
 
-def hyperplanes(n: int) -> list[Hyperplane]:
-    """One hyperplane per nonzero normal, each with 2^(n-1) - 1 points."""
+def hyperplanes(n: int) -> list[tuple[int, ...]]:
+    """Entry v - 1 holds the 2^(n-1) - 1 points orthogonal to the normal v."""
     _check_n(n, MAX_N_INCIDENCE)
-    d = num_points(n)
-    pts = np.arange(1, d + 1, dtype=np.uint16)  # 16 bits hold every n <= MAX_N_INCIDENCE
+    pts = np.arange(1, num_points(n) + 1, dtype=np.uint16)
     on = gf2.parity(pts[:, None] & pts, n) == 0
-    return [
-        Hyperplane(normal=v, points=tuple(pts[row].tolist()))
-        for v, row in enumerate(on, start=1)
-    ]
+    return [tuple(pts[row].tolist()) for row in on]
 
 
 @dataclass(frozen=True)
@@ -138,7 +76,6 @@ class Collineation:
 
     n: int
     perm: tuple[int, ...]
-    matrix: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         d = num_points(self.n)
@@ -156,7 +93,7 @@ class Collineation:
         if len(rows) != n or not gf2.is_invertible(rows):
             raise InvalidParameterError("rows must form an invertible n x n GF(2) matrix")
         perm = tuple(gf2.mat_vec(rows, p) for p in range(1, num_points(n) + 1))
-        return cls(n=n, perm=perm, matrix=tuple(rows))
+        return cls(n=n, perm=perm)
 
     @classmethod
     def identity(cls, n: int) -> "Collineation":
@@ -205,7 +142,7 @@ def _search_relabelling(
     if third is None:
         return None
     basis = [1 << j for j in range(n)]
-    canonical = [(p, q, p ^ q) for p in range(1, d + 1) for q in range(p + 1, d + 1) if p ^ q > q]
+    canonical = lines(n)
     for frame in itertools.permutations(range(1, d + 1), n):
         perm = [0] * (d + 1)
         for b, t in zip(basis, frame):
@@ -300,7 +237,7 @@ def find_hyperplane_collineation(
     if perm is None:
         return None
     coll = Collineation(n=n, perm=perm)
-    image = {frozenset(coll.perm[p - 1] for p in h.points) for h in hyperplanes(n)}
+    image = {frozenset(coll.perm[p - 1] for p in h) for h in hyperplanes(n)}
     if image != set(blocks):
         return None
     return coll
@@ -351,7 +288,7 @@ def classic_line_set(n: int) -> list[tuple[int, ...]]:
     triple list; n = 4 is derived from the classical plane listing.
     """
     if n == 2:
-        return [line.points for line in lines(2)]
+        return lines(2)
     if n == 3:
         return classic_fano_lines()
     if n == 4:
@@ -361,26 +298,27 @@ def classic_line_set(n: int) -> list[tuple[int, ...]]:
 
 def geometry_json(n: int) -> dict:
     """Geometry dump: points as bit strings, line triples, hyperplane incidences."""
-    pts = enumerate_points(n)
+    _check_n(n, MAX_N_INCIDENCE)
     return {
         "schema_version": 1,
         "n": n,
-        "points": [p.bitstring for p in pts],
-        "lines": [list(line.points) for line in lines(n)],
+        "points": [format(p, f"0{n}b") for p in range(1, num_points(n) + 1)],
+        "lines": [list(line) for line in lines(n)],
         "hyperplanes": [
-            {"normal": h.normal, "points": list(h.points)} for h in hyperplanes(n)
+            {"normal": v, "points": list(h)} for v, h in enumerate(hyperplanes(n), start=1)
         ],
     }
 
 
 def incidence_dot(n: int) -> str:
     """Bipartite point-line incidence graph in DOT format."""
+    _check_n(n, MAX_N_INCIDENCE)
     out = [f"graph incidence_{n} {{"]
     for p in range(1, num_points(n) + 1):
         out.append(f'  p{p} [shape=circle, label="{p}"];')
     for i, line in enumerate(lines(n), start=1):
         out.append(f'  L{i} [shape=box, label="L{i}"];')
-        for p in line.points:
+        for p in line:
             out.append(f"  p{p} -- L{i};")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -28,11 +28,6 @@ def parity(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def bits_of(v: int, n: int) -> tuple[int, ...]:
-    """Coordinates (z_0, ..., z_{n-1}) of v."""
-    return tuple((v >> (n - 1 - i)) & 1 for i in range(n))
-
-
 def mat_vec(rows: Sequence[int], v: int) -> int:
     """Apply a GF(2) matrix (row bitmasks, row i = z_i output) to v."""
     n = len(rows)

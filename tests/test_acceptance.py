@@ -22,9 +22,9 @@ from z2top.dynamics import (
 from z2top.geometry import (
     classic_fano_lines,
     classic_planes_15,
-    enumerate_points,
     find_collineation,
     find_hyperplane_collineation,
+    geometry_json,
     hyperplanes,
     lines,
 )
@@ -49,11 +49,11 @@ def test_criterion_01_geometry_counts():
     for n in range(2, 7):
         d = 2**n - 1
         on_each = 2 ** (n - 1) - 1
-        pts = enumerate_points(n)
+        pts = geometry_json(n)["points"]
         lns = lines(n)
         hps = hyperplanes(n)
         ok &= len(pts) == d and len(hps) == d
-        ok &= all(len(h.points) == on_each for h in hps)
+        ok &= all(len(h) == on_each for h in hps)
         for p in range(1, d + 1):
             ok &= sum(1 for ln in lns if p in ln) == on_each
             ok &= sum(1 for h in hps if p in h) == on_each
@@ -65,12 +65,12 @@ def test_criterion_02_labelling_certification():
     coll3 = find_collineation(3, classic_fano_lines())
     ok = coll3 is not None
     if ok:
-        image = {coll3.apply_triple(ln.points) for ln in lines(3)}
+        image = {coll3.apply_triple(ln) for ln in lines(3)}
         ok &= image == {tuple(sorted(t)) for t in classic_fano_lines()}
     coll4 = find_hyperplane_collineation(4, classic_planes_15())
     ok &= coll4 is not None
     if coll4 is not None:
-        image4 = {frozenset(coll4(p) for p in h.points) for h in hyperplanes(4)}
+        image4 = {frozenset(coll4(p) for p in h) for h in hyperplanes(4)}
         ok &= image4 == {frozenset(b) for b in classic_planes_15()}
     elapsed = time.perf_counter() - start
     ok &= elapsed < 10.0

@@ -49,6 +49,12 @@ def test_geometry_bad_n(capsys):
     code, _, err = run_cli(["geometry", "--n", "1"], capsys)
     assert code == 2
     assert "error" in err
+    # n is checked before any output is built, for both formats.
+    for n in ("-3", "0", "13"):
+        for fmt in ("json", "dot"):
+            code, out, err = run_cli(["geometry", "--n", n, "--format", fmt], capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: n must be an integer")
 
 
 def test_equations_n2(capsys):
@@ -280,6 +286,16 @@ def test_config_file_defaults_and_precedence(tmp_path, capsys):
     )
     rows = (tmp_path / "c1.trajectory.csv").read_text().splitlines()
     assert rows[-1].split(",")[0] == "0.10000000000000001"
+
+
+@pytest.mark.parametrize("rrange", [[0.5], [0.5, 0.1]])
+def test_config_random_range_validated(tmp_path, capsys, rrange):
+    # A list in a --config file gets the same checks as the LO,HI flag string.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"random-range": rrange}))
+    code, out, err = run_cli(["--config", str(cfg), "run", "--n", "3", "--seed", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: range must")
 
 
 def test_parse_error_leaves_no_output(tmp_path, capsys):

@@ -7,12 +7,9 @@ from z2top import gf2
 from z2top.errors import InvalidParameterError, UnsupportedSearchError
 from z2top.geometry import (
     Collineation,
-    Gf2Point,
-    Line,
     classic_fano_lines,
     classic_line_set,
     classic_planes_15,
-    enumerate_points,
     find_collineation,
     find_hyperplane_collineation,
     geometry_json,
@@ -28,45 +25,41 @@ from classic_fixtures import CLASSIC_15_PAIRS, pairs_to_lines
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_counts(n):
-    pts = enumerate_points(n)
     lns = lines(n)
     hps = hyperplanes(n)
-    assert len(pts) == num_points(n) == 2**n - 1
+    assert len(geometry_json(n)["points"]) == num_points(n) == 2**n - 1
     assert len(hps) == 2**n - 1
     assert len(lns) == (2**n - 1) * (2 ** (n - 1) - 1) // 3
     for h in hps:
-        assert len(h.points) == 2 ** (n - 1) - 1
+        assert len(h) == 2 ** (n - 1) - 1
     for p in range(1, 2**n):
         assert sum(1 for ln in lns if p in ln) == 2 ** (n - 1) - 1
         assert sum(1 for h in hps if p in h) == 2 ** (n - 1) - 1
 
 
 def test_point_bits_bijection():
-    pts = enumerate_points(3)
-    assert [p.index for p in pts] == list(range(1, 8))
-    assert pts[0].bits == (0, 0, 1)
-    assert pts[1].bits == (0, 1, 0)
-    seen = {p.bits for p in pts}
-    assert len(seen) == 7
-    assert (0, 0, 0) not in seen
+    # Point p is written (z_0, ..., z_{n-1}) with z_{n-1} the least-significant bit.
+    pts = geometry_json(3)["points"]
+    assert [int(bits, 2) for bits in pts] == list(range(1, 8))
+    assert pts[0] == "001"
+    assert pts[1] == "010"
+    assert len(set(pts)) == 7
+    assert "000" not in pts
 
 
 def test_points_n2():
-    assert [p.bits for p in enumerate_points(2)] == [(0, 1), (1, 0), (1, 1)]
+    assert geometry_json(2)["points"] == ["01", "10", "11"]
 
 
 def test_points_out_of_range():
-    for bad in (1, 17, 0, -3):
-        with pytest.raises(InvalidParameterError):
-            enumerate_points(bad)
-    with pytest.raises(InvalidParameterError):
-        Gf2Point(3, 8)
-    with pytest.raises(InvalidParameterError):
-        Gf2Point(3, 0)
+    for bad in (1, 13, 17, 0, -3):
+        for build in (lines, geometry_json):
+            with pytest.raises(InvalidParameterError):
+                build(bad)
 
 
 def test_lines_n2_single():
-    assert [ln.points for ln in lines(2)] == [(1, 2, 3)]
+    assert lines(2) == [(1, 2, 3)]
 
 
 def test_lines_n3_match_bruteforce():
@@ -74,10 +67,18 @@ def test_lines_n3_match_bruteforce():
     expected = {
         t for t in itertools.combinations(range(1, 8), 3) if t[0] ^ t[1] ^ t[2] == 0
     }
-    assert {ln.points for ln in lines(3)} == expected
+    assert set(lines(3)) == expected
     assert expected == {
         (1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6),
     }
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_lines_match_loop_order(n):
+    # Reference: the double loop over p < q, keeping q < p ^ q, in loop order.
+    d = 2**n - 1
+    expected = [(p, q, p ^ q) for p in range(1, d + 1) for q in range(p + 1, d + 1) if p ^ q > q]
+    assert lines(n) == expected
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -87,35 +88,27 @@ def test_each_pair_on_one_line(n):
         assert sum(1 for ln in lns if p in ln and q in ln) == 1
 
 
-def test_line_validation():
-    with pytest.raises(InvalidParameterError):
-        Line((1, 2, 4))
-    with pytest.raises(InvalidParameterError):
-        Line((1, 1, 2))
-    assert Line((3, 1, 2)).points == (1, 2, 3)
-
-
 def test_hyperplanes_n2_are_singletons():
-    assert [h.points for h in hyperplanes(2)] == [(2,), (1,), (3,)]
+    assert hyperplanes(2) == [(2,), (1,), (3,)]
 
 
 def test_hyperplanes_n3_are_the_lines():
     # The 7-point plane is self-dual: hyperplane point sets = line point sets.
-    assert {h.points for h in hyperplanes(3)} == {ln.points for ln in lines(3)}
+    assert set(hyperplanes(3)) == set(lines(3))
 
 
 def test_hyperplane_membership_oracle():
     for n in (4, 8):
         d = 2**n - 1
         hs = hyperplanes(n)
-        assert [h.normal for h in hs] == list(range(1, d + 1))
-        for h in hs:
-            assert h.points == tuple(p for p in range(1, d + 1) if gf2.dot(h.normal, p) == 0)
+        assert len(hs) == d
+        for v, h in enumerate(hs, 1):
+            assert h == tuple(p for p in range(1, d + 1) if gf2.dot(v, p) == 0)
 
 
 def test_collineation_identity_found_for_canonical():
     for n in (2, 3):
-        coll = find_collineation(n, [ln.points for ln in lines(n)])
+        coll = find_collineation(n, lines(n))
         assert coll is not None
         assert coll.perm == tuple(range(1, 2**n))
 
@@ -123,7 +116,7 @@ def test_collineation_identity_found_for_canonical():
 def test_collineation_found_for_classic_fano():
     coll = find_collineation(3, classic_fano_lines())
     assert coll is not None
-    image = {coll.apply_triple(ln.points) for ln in lines(3)}
+    image = {coll.apply_triple(ln) for ln in lines(3)}
     assert image == {tuple(sorted(t)) for t in classic_fano_lines()}
 
 
@@ -139,13 +132,13 @@ def test_collineation_wrong_count_raises():
 
 def test_collineation_refuses_large_n():
     with pytest.raises(UnsupportedSearchError):
-        find_collineation(5, [ln.points for ln in lines(5)])
+        find_collineation(5, lines(5))
 
 
 def test_from_matrix_preserves_line_set():
     rng = np.random.default_rng(11)
     for n in (2, 3, 4):
-        line_set = {ln.points for ln in lines(n)}
+        line_set = set(lines(n))
         for _ in range(10):
             coll = Collineation.from_matrix(gf2.random_invertible(rng, n), n)
             assert {coll.apply_triple(t) for t in line_set} == line_set
@@ -169,7 +162,7 @@ def test_classic_planes_15_shape():
 def test_hyperplane_collineation_classic_15():
     coll = find_hyperplane_collineation(4, classic_planes_15())
     assert coll is not None
-    image = {frozenset(coll(p) for p in h.points) for h in hyperplanes(4)}
+    image = {frozenset(coll(p) for p in h) for h in hyperplanes(4)}
     assert image == {frozenset(b) for b in classic_planes_15()}
 
 
