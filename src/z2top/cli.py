@@ -15,6 +15,15 @@ with or without --out: a max drift above the threshold, or a non-finite
 one, exits 1.  The drift table and the threshold line go to stdout with
 --out and to stderr without it, where the trajectory owns stdout.
 
+--config FILE reads a JSON object keyed by flag names ("t-end", "seed",
+...).  Each value is converted and checked by the flag it names, with the
+flag's own type and choices, so a bad value is a usage error (exit 2); a
+non-string value is read from its JSON text, and "random-range" and
+"omega0" also take a list of numbers.  Keys that name no flag of the chosen
+subcommand are ignored, so one file can serve run and reduce.  Explicit
+flags beat the file, and an explicit --omega0 beats a seed from the file:
+the run's metadata then records seed null.
+
 Identical flags and seed give byte-identical output files, each written
 atomically (temp + rename); a run that stops early still writes them, the
 trajectory up to termination.  Z2TOP_NO_COLOR disables summary-line color.
@@ -27,7 +36,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,25 +68,6 @@ _TERMINATION_EXIT = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings of one seeded run; the seed fixes the initial state."""
-
-    subcommand: str
-    n: Optional[int]
-    k: Optional[int]
-    omega0: Optional[tuple[float, ...]]
-    seed: Optional[int]
-    random_range: tuple[float, float]
-    t_end: Optional[float]
-    rel_tol: float
-    abs_tol: float
-    sample_interval: Optional[float]
-    fmt: str
-    out: Optional[str]
-    drift_threshold: Optional[float]
-
-
 def _status_line(ok: bool, text: str, stream) -> str:
     if os.environ.get("Z2TOP_NO_COLOR") is None and stream.isatty():
         code = "32" if ok else "31"
@@ -105,11 +94,13 @@ def _emit(out: Optional[str], data: str) -> None:
         atomic_write(out, data)
 
 
-def _parse_vector(text: str) -> tuple[float, ...]:
+def _parse_vector(value) -> tuple[float, ...]:
+    """v1,v2,... from the flag's string or from a --config file's list."""
+    parts = value.split(",") if isinstance(value, str) else value
     try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError as exc:
-        raise InvalidParameterError(f"cannot parse vector {text!r}: {exc}") from None
+        return tuple(float(x) for x in parts)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"cannot parse vector {value!r}: {exc}") from None
 
 
 def _parse_range(value) -> tuple[float, float]:
@@ -127,18 +118,18 @@ def _parse_range(value) -> tuple[float, float]:
     return lo, hi
 
 
-def _initial_state(config: RunConfig, dim: int) -> np.ndarray:
-    if config.omega0 is not None:
-        state = np.asarray(config.omega0, dtype=float)
+def _initial_state(args: argparse.Namespace, dim: int) -> np.ndarray:
+    lo, hi = _parse_range(args.random_range)
+    if args.omega0 is not None:
+        state = np.asarray(_parse_vector(args.omega0), dtype=float)
         if state.shape != (dim,):
             raise InvalidParameterError(
                 f"--omega0 must have {dim} entries, got {state.size}"
             )
         return state
-    if config.seed is None:
+    if args.seed is None:
         raise InvalidParameterError("an initial state is required: --omega0 or --seed")
-    rng = np.random.default_rng(config.seed)
-    lo, hi = config.random_range
+    rng = np.random.default_rng(args.seed)
     return rng.uniform(lo, hi, dim)
 
 
@@ -146,7 +137,7 @@ def _json_text(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="z2top",
         description="Quadratic top flows from binary projective geometry.",
@@ -174,18 +165,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     )
     eqs.add_argument("--out")
 
-    def add_run_flags(p: argparse.ArgumentParser, with_state: bool = True) -> None:
-        if with_state:
-            # Not marked required at parse level so a --config file can
-            # supply either one; _initial_state validates the combination.
-            group = p.add_mutually_exclusive_group()
-            group.add_argument("--omega0", help="comma-separated initial state")
-            group.add_argument("--seed", type=int, help="seeded random initial state")
-            p.add_argument(
-                "--random-range",
-                default="0.1,0.5",
-                help="LO,HI range of the seeded initial state (default 0.1,0.5)",
-            )
+    def add_run_flags(p: argparse.ArgumentParser) -> None:
+        # Not marked required at parse level so a --config file can
+        # supply either one; _initial_state validates the combination.
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--omega0", help="comma-separated initial state")
+        group.add_argument("--seed", type=int, help="seeded random initial state")
+        p.add_argument(
+            "--random-range",
+            default="0.1,0.5",
+            help="LO,HI range of the seeded initial state (default 0.1,0.5)",
+        )
         p.add_argument("--t-end", type=float, help="horizon (default: guarded heuristic)")
         p.add_argument("--rel-tol", type=float, default=1e-10)
         p.add_argument("--abs-tol", type=float, default=1e-12)
@@ -208,52 +198,35 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     zk.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     zk.add_argument("--drift-threshold", type=float)
 
-    return parser, [geo, eqs, run, red, zk]
+    return parser, sub.choices
 
 
-def _apply_config_file(parsers: Sequence[argparse.ArgumentParser], argv: Sequence[str]) -> None:
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
-    if known.config is None:
-        return
-    with open(known.config) as fh:
+def _apply_config_file(sub: argparse.ArgumentParser, path: str) -> None:
+    """Make the file's values the defaults of sub, each one read as its flag reads it."""
+    with open(path) as fh:
         values = json.load(fh)
     if not isinstance(values, dict):
         raise InvalidParameterError("--config file must hold a JSON object")
-    renames = {"format": "fmt", "random-range": "random_range"}
-    defaults = {renames.get(k, k.replace("-", "_")): v for k, v in values.items()}
-    for parser in parsers:
-        parser.set_defaults(**defaults)
+    defaults = {}
+    for key, value in values.items():
+        action = sub._option_string_actions.get(f"--{key}")
+        if action is None:
+            continue  # a key for another subcommand
+        if not isinstance(value, (str, list)):
+            value = json.dumps(value)
+        try:
+            # argparse's own conversion: the flag's type, then its choices.
+            defaults[action.dest] = sub._get_values(action, [value])
+        except argparse.ArgumentError as exc:
+            sub.error(f"--config {path}: {exc}")
+    sub.set_defaults(**defaults)
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    omega0 = getattr(args, "omega0", None)
-    if isinstance(omega0, str):
-        omega0 = _parse_vector(omega0)
-    rrange = _parse_range(getattr(args, "random_range", "0.1,0.5"))
-    return RunConfig(
-        subcommand=args.subcommand,
-        n=getattr(args, "n", None),
-        k=getattr(args, "k", None),
-        omega0=omega0,
-        seed=getattr(args, "seed", None),
-        random_range=rrange,
-        t_end=getattr(args, "t_end", None),
-        rel_tol=getattr(args, "rel_tol", 1e-10),
-        abs_tol=getattr(args, "abs_tol", 1e-12),
-        sample_interval=getattr(args, "sample_interval", None),
-        fmt=getattr(args, "fmt", "csv"),
-        out=getattr(args, "out", None),
-        drift_threshold=getattr(args, "drift_threshold", None),
-    )
-
-
-def _cmd_geometry(config: RunConfig) -> int:
-    if config.fmt == "dot":
-        _emit(config.out, geometry.incidence_dot(config.n))
+def _cmd_geometry(args: argparse.Namespace) -> int:
+    if args.fmt == "dot":
+        _emit(args.out, geometry.incidence_dot(args.n))
     else:
-        _emit(config.out, _json_text(geometry.geometry_json(config.n)))
+        _emit(args.out, _json_text(geometry.geometry_json(args.n)))
     return EXIT_OK
 
 
@@ -271,88 +244,89 @@ def _equations_text(n: int, labelling: str) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _cmd_equations(config: RunConfig, labelling: str) -> int:
-    _emit(config.out, _equations_text(config.n, labelling))
+def _cmd_equations(args: argparse.Namespace) -> int:
+    _emit(args.out, _equations_text(args.n, args.labelling))
     return EXIT_OK
 
 
-def _prepare(config: RunConfig) -> tuple:
+def _prepare(args: argparse.Namespace) -> tuple:
     """System, initial state and horizon of run, reduce or zk; --t-end beats the default."""
-    if config.subcommand == "zk":
-        system = ZkSystem(config.k)
+    if args.subcommand == "zk":
+        system = ZkSystem(args.k)
         dim, horizon = system.dim, zk_guarded_horizon
     else:
-        system = TopSystem.create(config.n)
+        system = TopSystem.create(args.n)
         dim, horizon = system.d, guarded_horizon
-    state = _initial_state(config, dim)
-    t_end = config.t_end if config.t_end is not None else horizon(system, state)
+    state = _initial_state(args, dim)
+    t_end = args.t_end if args.t_end is not None else horizon(system, state)
     return system, state, t_end
 
 
-def _cmd_flow(config: RunConfig) -> int:
+def _cmd_flow(args: argparse.Namespace) -> int:
     """run and zk: integrate, report drift, write, and map the outcome to an exit code.
 
     The drift table and the threshold line go to stdout with --out and to
     stderr without it, where the trajectory owns stdout.
     """
-    system, state, t_end = _prepare(config)
-    args = (state, t_end, config.rel_tol, config.abs_tol)
-    if config.subcommand == "zk":
-        trajectory = integrate_zk(system, *args, sample_interval=config.sample_interval)
+    system, state, t_end = _prepare(args)
+    flow_args = (state, t_end, args.rel_tol, args.abs_tol)
+    if args.subcommand == "zk":
+        trajectory = integrate_zk(system, *flow_args, sample_interval=args.sample_interval)
         report = zk_drift_report(system, trajectory)
-        meta = {"k": config.k, "genus": zk_genus(config.k)}
+        meta = {"k": args.k, "genus": zk_genus(args.k)}
     else:
-        trajectory = integrate(system, "omega", *args, sample_interval=config.sample_interval)
+        trajectory = integrate(system, "omega", *flow_args, sample_interval=args.sample_interval)
         report = drift_report(system, trajectory)
-        meta = {"n": config.n}
-    meta.update(rel_tol=config.rel_tol, abs_tol=config.abs_tol, seed=config.seed, t_end=t_end)
-    if config.omega0 is not None:
-        meta["omega0"] = list(config.omega0)
+        meta = {"n": args.n}
+    meta.update(rel_tol=args.rel_tol, abs_tol=args.abs_tol, seed=args.seed, t_end=t_end)
+    if args.omega0 is not None:
+        # The explicit state picked the run, not a seed a --config file gave.
+        meta.update(seed=None, omega0=state.tolist())
 
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         traj_text, suffix = trajectory.to_csv(), "trajectory.csv"
     else:
         traj_text, suffix = trajectory_json(trajectory, **meta), "trajectory.json"
-    if config.out is None:
+    if args.out is None:
         stream = sys.stderr
         sys.stdout.write(traj_text)
     else:
         stream = sys.stdout
-        atomic_write(f"{config.out}.{suffix}", traj_text)
-        atomic_write(f"{config.out}.drift.json", _json_text(report.to_json_dict()))
+        atomic_write(f"{args.out}.{suffix}", traj_text)
+        atomic_write(f"{args.out}.drift.json", _json_text(report.to_json_dict()))
     print(report.table(), file=stream)
 
     if trajectory.termination != COMPLETED:
         print(f"termination: {trajectory.termination}", file=sys.stderr)
         return _TERMINATION_EXIT[trajectory.termination]
-    if config.drift_threshold is None:
+    if args.drift_threshold is None:
         return EXIT_OK
     # A NaN max drift fails the comparison, so it never passes the gate.
-    ok = report.max_drift <= config.drift_threshold
+    ok = report.max_drift <= args.drift_threshold
     verdict = "within" if ok else "EXCEEDS"
-    text = f"max drift {report.max_drift:.3e} {verdict} threshold {config.drift_threshold:.3e}"
+    text = f"max drift {report.max_drift:.3e} {verdict} threshold {args.drift_threshold:.3e}"
     print(_status_line(ok, text, stream), file=stream)
     return EXIT_OK if ok else EXIT_DRIFT
 
 
-def _cmd_reduce(config: RunConfig) -> int:
-    system, omega0, t_end = _prepare(config)
-    header = f"genus = {genus(config.n)}"
+def _cmd_reduce(args: argparse.Namespace) -> int:
+    system, omega0, t_end = _prepare(args)
+    header = f"genus = {genus(args.n)}"
     comparison = compare_routes(
         system,
         omega0,
         t_end,
-        config.rel_tol,
-        config.abs_tol,
-        sample_interval=config.sample_interval,
+        args.rel_tol,
+        args.abs_tol,
+        sample_interval=args.sample_interval,
     )
     text = _json_text(comparison.to_json_dict())
-    if config.out is None:
+    if args.out is None:
         print(header, file=sys.stderr)
         sys.stdout.write(text)
     else:
         print(header)
-        atomic_write(config.out, text)
+        atomic_write(args.out, text)
         print(f"max relative error {comparison.max_rel_err:.3e}")
     for termination in (comparison.omega_termination, comparison.scalar_termination):
         if termination != COMPLETED:
@@ -361,22 +335,24 @@ def _cmd_reduce(config: RunConfig) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "geometry": _cmd_geometry,
+    "equations": _cmd_equations,
+    "run": _cmd_flow,
+    "zk": _cmd_flow,
+    "reduce": _cmd_reduce,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = _build_parser()
     try:
-        _apply_config_file([parser, *subparsers], argv)
         args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        if config.subcommand == "geometry":
-            return _cmd_geometry(config)
-        if config.subcommand == "equations":
-            return _cmd_equations(config, args.labelling)
-        if config.subcommand in ("run", "zk"):
-            return _cmd_flow(config)
-        if config.subcommand == "reduce":
-            return _cmd_reduce(config)
-        parser.error(f"unknown subcommand {config.subcommand!r}")
+        if args.config is not None:
+            # Defaults from the file, then the same argv again: explicit flags win.
+            _apply_config_file(subparsers[args.subcommand], args.config)
+            args = parser.parse_args(argv)
+        return _COMMANDS[args.subcommand](args)
     except (InvalidParameterError, UnsupportedSearchError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -386,7 +362,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BranchError as exc:
         print(f"branch failure: {exc}", file=sys.stderr)
         return EXIT_BRANCH
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -29,6 +29,9 @@ from .integrate import COMPLETED, adaptive_rk
 #: Largest n for which the dense RHS index tables are built.
 MAX_N_SYSTEM = 10
 
+#: Fraction of the majorant's earliest pole time that the default horizon spans.
+HORIZON_BUDGET = 0.4
+
 RhsKind = Literal["omega", "a"]
 
 
@@ -127,18 +130,18 @@ class Trajectory:
         return out
 
 
-def guarded_horizon(system: TopSystem, omega0: Sequence[float], budget: float = 0.4) -> float:
+def guarded_horizon(system: TopSystem, omega0: Sequence[float]) -> float:
     """Pole-free default horizon for positive data.
 
     Comparison with the uniform majorant u' = (2^(n-1) - 1) u^2 puts the
-    first pole no earlier than 1 / ((2^(n-1) - 1) max omega0); the budget
+    first pole no earlier than 1 / ((2^(n-1) - 1) max omega0); HORIZON_BUDGET
     keeps a safety margin below it.
     """
     w = system.check_state(omega0)
     peak = float(np.max(np.abs(w)))
     if peak == 0.0:
-        return budget
-    return budget / ((2 ** (system.n - 1) - 1) * peak)
+        return HORIZON_BUDGET
+    return HORIZON_BUDGET / ((2 ** (system.n - 1) - 1) * peak)
 
 
 def integrate(
@@ -150,7 +153,6 @@ def integrate(
     abs_tol: float = 1e-12,
     *,
     sample_interval: Optional[float] = None,
-    blow_up_threshold: float = 1e9,
 ) -> Trajectory:
     """Adaptively integrate the flow in omega or a coordinates."""
     x0 = system.check_state(x0)
@@ -160,16 +162,9 @@ def integrate(
         rhs = lambda t, x: a_rhs(system, x)
     else:
         raise InvalidParameterError(f"rhs_kind must be 'omega' or 'a', got {rhs_kind!r}")
-    times, states, termination = adaptive_rk(
-        rhs,
-        x0,
-        t_end,
-        rel_tol,
-        abs_tol,
-        sample_interval=sample_interval,
-        blow_up_threshold=blow_up_threshold,
+    return Trajectory(
+        rhs_kind, *adaptive_rk(rhs, x0, t_end, rel_tol, abs_tol, sample_interval=sample_interval)
     )
-    return Trajectory(kind=rhs_kind, times=times, states=states, termination=termination)
 
 
 def trajectory_json(trajectory: Trajectory, **metadata) -> str:

@@ -8,7 +8,7 @@ time, so a blow-up guard and a clean termination status are part of the
 contract:
 
   completed      reached t_end
-  blow_up        max|x| crossed the blow-up threshold
+  blow_up        max|x| crossed BLOW_UP_THRESHOLD
   step_failure   the controller step underflowed (or the step budget ran out)
   branch_failure step underflow caused by the RHS raising BranchError
 """
@@ -61,6 +61,9 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _MAX_STEPS = 1_000_000
 
+#: An accepted state with max|x| at or above this ends the run as blow_up.
+BLOW_UP_THRESHOLD = 1e9
+
 
 def check_tolerances(rel_tol: float, abs_tol: float) -> None:
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
@@ -74,23 +77,22 @@ def _error_norm(err: np.ndarray, y: np.ndarray, y_new: np.ndarray,
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
-def _initial_step(f, t0, y0, f0, t_end, rel_tol, abs_tol) -> float:
-    span = t_end - t0
+def _initial_step(f, y0, f0, t_end, rel_tol, abs_tol) -> float:
     scale = abs_tol + rel_tol * np.abs(y0)
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, span)
+    h0 = min(h0, t_end)
     try:
-        f1 = f(t0 + h0, y0 + h0 * f0)
+        f1 = f(h0, y0 + h0 * f0)
     except BranchError:
-        return min(1e-6, span)
+        return min(1e-6, t_end)
     d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, span)
+    return min(100 * h0, h1, t_end)
 
 
 def adaptive_rk(
@@ -100,35 +102,33 @@ def adaptive_rk(
     rel_tol: float,
     abs_tol: float,
     *,
-    t0: float = 0.0,
     sample_interval: float | None = None,
-    blow_up_threshold: float | None = 1e9,
 ) -> tuple[np.ndarray, np.ndarray, str]:
-    """Integrate dx/dt = f(t, x) from t0 to t_end, sampling on a fixed grid.
+    """Integrate dx/dt = f(t, x) from 0 to t_end, sampling on a fixed grid.
 
-    Returns (times, states, termination).  The first sample is (t0, x0); the
+    Returns (times, states, termination).  The first sample is (0, x0); the
     last is the final accepted state regardless of termination, so a blow_up
     trajectory ends with the state that crossed the threshold.  Grid samples
     strictly inside a step come from the dense-output interpolant.
     """
     check_tolerances(rel_tol, abs_tol)
-    if not (t_end > t0) or not math.isfinite(t_end):
-        raise InvalidParameterError(f"t_end must be finite and > {t0}, got {t_end!r}")
+    if not (t_end > 0.0) or not math.isfinite(t_end):
+        raise InvalidParameterError(f"t_end must be finite and > 0.0, got {t_end!r}")
     if sample_interval is None:
-        sample_interval = (t_end - t0) / 256
-    if not (0 < sample_interval <= t_end - t0):
-        raise InvalidParameterError("sample_interval must lie in (0, t_end - t0]")
+        sample_interval = t_end / 256
+    if not (0 < sample_interval <= t_end):
+        raise InvalidParameterError("sample_interval must lie in (0, t_end]")
 
     y = np.asarray(x0, dtype=float).copy()
     if y.ndim != 1 or not np.all(np.isfinite(y)):
         raise InvalidParameterError("x0 must be a finite 1-d vector")
 
-    times = [t0]
+    times = [0.0]
     states = [y.copy()]
-    t = t0
+    t = 0.0
     k1 = f(t, y)
 
-    h = _initial_step(f, t0, y, k1, t_end, rel_tol, abs_tol)
+    h = _initial_step(f, y, k1, t_end, rel_tol, abs_tol)
     fac_old = 1e-4
     sample_idx = 1
     branch_fail = False
@@ -171,7 +171,7 @@ def adaptive_rk(
         t_new = t_end if at_end else t + h_step
         dense = None
         while True:
-            ts = min(t0 + sample_idx * sample_interval, t_end)
+            ts = min(sample_idx * sample_interval, t_end)
             if ts > t_new or ts <= t:
                 break
             if ts == t_new:
@@ -196,7 +196,7 @@ def adaptive_rk(
         h = max(h, h_step / fac) if at_end else h_step / fac
         fac_old = max(err, 1e-4)
 
-        if blow_up_threshold is not None and np.max(np.abs(y)) >= blow_up_threshold:
+        if np.max(np.abs(y)) >= BLOW_UP_THRESHOLD:
             if times[-1] != t:
                 times.append(t)
                 states.append(y.copy())

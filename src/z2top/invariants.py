@@ -34,9 +34,12 @@ def _product_root(a: np.ndarray, n: int) -> np.ndarray:
     return np.prod(a, axis=-1) ** (1.0 / (2 ** (n - 1) - 1))
 
 
-def _n_block(a: np.ndarray, n: int, rows: slice, cols: slice) -> np.ndarray:
-    """N_ij = T (a_i - a_j) / (a_i a_j) for i in rows, j in cols, over (..., d) arrays."""
-    t = _product_root(a, n)[..., None, None]
+def _n_block(a: np.ndarray, t, rows: slice, cols: slice) -> np.ndarray:
+    """N_ij = T (a_i - a_j) / (a_i a_j) for i in rows, j in cols, over (..., d) arrays.
+
+    t holds T of each state, shape (...,), as _product_root gives it.
+    """
+    t = np.asarray(t)[..., None, None]
     ai = a[..., rows, None]
     aj = a[..., None, cols]
     return t * (ai - aj) / (ai * aj)
@@ -62,7 +65,8 @@ def big_T(system: TopSystem, a: Sequence[float]) -> float:
 
 def n_matrix(system: TopSystem, a: Sequence[float]) -> np.ndarray:
     """Antisymmetric matrix N_ij = T (a_i - a_j) / (a_i a_j); requires a > 0."""
-    return _n_block(_positive_a(system, a), system.n, slice(None), slice(None))
+    a = _positive_a(system, a)
+    return _n_block(a, _product_root(a, system.n), slice(None), slice(None))
 
 
 def gamma(system: TopSystem, a: Sequence[float]) -> np.ndarray:
@@ -75,7 +79,8 @@ def gamma(system: TopSystem, a: Sequence[float]) -> np.ndarray:
 
 def n_first_row(system: TopSystem, a: Sequence[float]) -> np.ndarray:
     """The basis integrals N_1j for j = 2..d."""
-    return _n_block(_positive_a(system, a), system.n, slice(0, 1), slice(1, None))[0]
+    a = _positive_a(system, a)
+    return _n_block(a, _product_root(a, system.n), slice(0, 1), slice(1, None))[0]
 
 
 @dataclass(frozen=True)
@@ -183,7 +188,9 @@ def drift_report(system: TopSystem, trajectory: Trajectory) -> DriftReport:
     positive = np.all(a_samples > 0.0, axis=1)
     skipped = int(len(times) - positive.sum())
     if positive[0]:
-        n_rows = _n_block(a_samples[positive], system.n, slice(0, 1), slice(1, None))[:, 0]
+        a_pos = a_samples[positive]
+        t = _product_root(a_pos, system.n)
+        n_rows = _n_block(a_pos, t, slice(0, 1), slice(1, None))[:, 0]
         names = [f"N_1_{j + 2}" for j in range(d - 1)]
         entries += _series_drift(names, times[positive], n_rows)
     return DriftReport(entries=entries, skipped_samples=skipped)

@@ -21,7 +21,7 @@ import numpy as np
 from .dynamics import TopSystem, Trajectory, a_transform, integrate
 from .errors import BranchError, DegenerateOrbitError, InvalidParameterError
 from .integrate import adaptive_rk
-from .invariants import big_T, n_matrix
+from .invariants import _n_block, big_T
 
 _IDENTITY_TOL = 1e-10
 
@@ -49,7 +49,7 @@ def compute_reduction(system: TopSystem, a0: Sequence[float]) -> ReductionData:
         raise DegenerateOrbitError("a0 entries must be pairwise distinct")
     t0 = big_T(system, a0)
     u0 = float(np.mean(1.0 / a0))
-    m = n_matrix(system, a0).sum(axis=0) / system.d
+    m = _n_block(a0, t0, slice(None), slice(None)).sum(axis=0) / system.d
     r0 = t0 * u0
 
     offset = float(np.max(np.abs(1.0 / a0 - (m / t0 + u0))))
@@ -88,7 +88,6 @@ def integrate_R(
     abs_tol: float = 1e-12,
     *,
     sample_interval: Optional[float] = None,
-    blow_up_threshold: float = 1e9,
 ) -> Trajectory:
     """Integrate the scalar R equation from R0; halts on branch failure."""
     m = data.M
@@ -96,16 +95,10 @@ def integrate_R(
     def rhs(t: float, x: np.ndarray) -> np.ndarray:
         return np.array([scalar_rhs(float(x[0]), m, data.n)])
 
-    times, states, termination = adaptive_rk(
-        rhs,
-        np.array([data.r0]),
-        t_end,
-        rel_tol,
-        abs_tol,
-        sample_interval=sample_interval,
-        blow_up_threshold=blow_up_threshold,
+    x0 = np.array([data.r0])
+    return Trajectory(
+        "r", *adaptive_rk(rhs, x0, t_end, rel_tol, abs_tol, sample_interval=sample_interval)
     )
-    return Trajectory(kind="r", times=times, states=states, termination=termination)
 
 
 def reconstruct_a(r: float, data: ReductionData) -> np.ndarray:

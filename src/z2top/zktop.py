@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import HORIZON_BUDGET, Trajectory
 from .errors import InvalidParameterError
 from .integrate import adaptive_rk
 from .invariants import DriftReport, _series_drift
@@ -68,14 +68,14 @@ def zk_genus(k: int) -> int:
     return k - 1
 
 
-def zk_guarded_horizon(system: ZkSystem, omega0: Sequence[float], budget: float = 0.4) -> float:
+def zk_guarded_horizon(system: ZkSystem, omega0: Sequence[float]) -> float:
     """Pole-free default horizon: the uniform majorant u' = u^k has its pole
-    at 1 / (k - 1) / max^(k-1)."""
+    at 1 / (k - 1) / max^(k-1); HORIZON_BUDGET keeps a margin below it."""
     w = system.check_state(omega0)
     peak = float(np.max(np.abs(w)))
     if peak == 0.0:
-        return budget
-    return budget / ((system.k - 1) * peak ** (system.k - 1))
+        return HORIZON_BUDGET
+    return HORIZON_BUDGET / ((system.k - 1) * peak ** (system.k - 1))
 
 
 def integrate_zk(
@@ -86,19 +86,12 @@ def integrate_zk(
     abs_tol: float = 1e-12,
     *,
     sample_interval: Optional[float] = None,
-    blow_up_threshold: float = 1e9,
 ) -> Trajectory:
     omega0 = system.check_state(omega0)
-    times, states, termination = adaptive_rk(
-        lambda t, x: zk_rhs(system, x),
-        omega0,
-        t_end,
-        rel_tol,
-        abs_tol,
-        sample_interval=sample_interval,
-        blow_up_threshold=blow_up_threshold,
+    rhs = lambda t, x: zk_rhs(system, x)
+    return Trajectory(
+        "zk", *adaptive_rk(rhs, omega0, t_end, rel_tol, abs_tol, sample_interval=sample_interval)
     )
-    return Trajectory(kind="zk", times=times, states=states, termination=termination)
 
 
 def zk_drift_report(system: ZkSystem, trajectory: Trajectory) -> DriftReport:

@@ -288,14 +288,63 @@ def test_config_file_defaults_and_precedence(tmp_path, capsys):
     assert rows[-1].split(",")[0] == "0.10000000000000001"
 
 
-@pytest.mark.parametrize("rrange", [[0.5], [0.5, 0.1]])
-def test_config_random_range_validated(tmp_path, capsys, rrange):
-    # A list in a --config file gets the same checks as the LO,HI flag string.
+def test_config_matches_flags(tmp_path, capsys):
+    # The list form of random-range reads like the LO,HI string, and a key
+    # that names no flag of run (labelling belongs to equations) is ignored.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"random-range": rrange}))
-    code, out, err = run_cli(["--config", str(cfg), "run", "--n", "3", "--seed", "1"], capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: range must")
+    cfg.write_text(json.dumps({"seed": 3, "random-range": [0.2, 0.4], "labelling": "classic"}))
+    code, from_file, _ = run_cli(["--config", str(cfg), "run", "--n", "2"], capsys)
+    assert code == 0
+    code, from_flags, _ = run_cli(
+        ["run", "--n", "2", "--seed", "3", "--random-range", "0.2,0.4"], capsys
+    )
+    assert code == 0
+    assert from_file == from_flags
+
+
+def test_explicit_omega0_records_no_seed(tmp_path, capsys):
+    # An explicit --omega0 beats a seed from --config; the metadata must not
+    # claim that the seed picked the state.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1}))
+    base = tmp_path / "o"
+    code, _, _ = run_cli(
+        [
+            "--config", str(cfg), "run", "--n", "2", "--omega0", "0.1,0.2,0.3",
+            "--format", "json", "--out", str(base),
+        ],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads((tmp_path / "o.trajectory.json").read_text())
+    assert doc["seed"] is None
+    assert doc["omega0"] == doc["x"][0] == [0.1, 0.2, 0.3]
+
+
+@pytest.mark.parametrize(
+    "values, args",
+    [
+        ({"random-range": [0.5]}, ["--seed", "1"]),
+        ({"random-range": [0.5, 0.1]}, ["--seed", "1"]),
+        ({"t-end": [1]}, ["--seed", "1"]),
+        ({"seed": 1.5}, []),
+        ({"format": "xml"}, ["--seed", "1"]),
+    ],
+    ids=["range-short", "range-reversed", "t-end-list", "seed-float", "format-xml"],
+)
+def test_bad_config_value_is_usage_error(values, args, tmp_path, capsys):
+    # A --config value gets the conversion and checks of the flag it names.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    argv = ["--config", str(cfg), "run", "--n", "3", *args, "--out", str(tmp_path / "r")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse reports its usage errors this way
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "error: " in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_parse_error_leaves_no_output(tmp_path, capsys):

@@ -259,12 +259,13 @@ def test_integrate_bad_parameters(systems):
         integrate(systems[2], "nope", np.ones(3), 0.5)
 
 
-def test_step_failure_without_guard():
-    # With the blow-up guard disabled the pole of x' = x^2 exhausts the
-    # controller step instead.
-    times, states, termination = adaptive_rk(
-        lambda t, x: x * x, [1.0], 2.0, 1e-10, 1e-12, blow_up_threshold=None
-    )
+def test_step_failure_on_nan_rhs():
+    # Past t = 0.5 the RHS is NaN, so every step reaching beyond it is
+    # rejected and the controller step underflows just short of 0.5.
+    def rhs(t, x):
+        return x if t <= 0.5 else np.full_like(x, np.nan)
+
+    times, states, termination = adaptive_rk(rhs, [1.0], 2.0, 1e-10, 1e-12)
     assert termination == "step_failure"
     assert times[-1] < 2.0
 
