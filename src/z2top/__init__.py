@@ -37,14 +37,11 @@ from .geometry import (
 from .invariants import (
     DriftEntry,
     DriftReport,
-    InvariantSet,
     big_T,
     drift_report,
     gamma,
     gamma_jacobian_rank,
     independent_count,
-    invariant_set,
-    n_first_row,
     n_matrix,
 )
 from .reduction import (

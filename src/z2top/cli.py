@@ -18,8 +18,8 @@ one, exits 1.  The drift table and the threshold line go to stdout with
 --config FILE reads a JSON object keyed by flag names ("t-end", "seed",
 ...).  Each value is converted and checked by the flag it names, with the
 flag's own type and choices, so a bad value is a usage error (exit 2); a
-non-string value is read from its JSON text, and "random-range" and
-"omega0" also take a list of numbers.  Keys that name no flag of the chosen
+non-string value is read from its JSON text, and only "random-range" and
+"omega0" take a list of numbers.  Keys that name no flag of the chosen
 subcommand are ignored, so one file can serve run and reduce.  Explicit
 flags beat the file, and an explicit --omega0 beats a seed from the file:
 the run's metadata then records seed null.
@@ -212,6 +212,8 @@ def _apply_config_file(sub: argparse.ArgumentParser, path: str) -> None:
         action = sub._option_string_actions.get(f"--{key}")
         if action is None:
             continue  # a key for another subcommand
+        if isinstance(value, list) and key not in ("omega0", "random-range"):
+            sub.error(f"--config {path}: argument --{key}: expected one value, got a list")
         if not isinstance(value, (str, list)):
             value = json.dumps(value)
         try:

@@ -6,6 +6,10 @@ N_ij = N_1j - N_1i, so the N_1j form a basis of 2^n - 2 independent
 integrals.  The products of the N's over the lines through a point collapse
 to the polynomial integrals gamma_i = a_i * prod (a_j - a_k), which stay
 defined outside the positive orthant where T does not.
+
+T is computed in the log domain, exp(sum(log a) / (2^(n-1) - 1)), so no
+product of 2^n - 1 entries is ever formed and T and the N_ij stay finite up
+to MAX_N_SYSTEM; the reduction takes its 2^(n-1)-th root the same way.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ from .errors import BranchError, InvalidParameterError
 
 #: Initial values smaller than this are tracked by absolute drift.
 ABS_DRIFT_FLOOR = 1e-12
+#: Central-difference step of the Jacobian rank checks, relative to max(1, |x|).
+JACOBIAN_STEP = 1e-6
+#: Singular values below this fraction of the largest count as zero in a rank.
+RANK_SV_CUTOFF = 1e-8
 
 
 def _positive_a(system: TopSystem, a: Sequence[float]) -> np.ndarray:
@@ -29,17 +37,18 @@ def _positive_a(system: TopSystem, a: Sequence[float]) -> np.ndarray:
     return a
 
 
-def _product_root(a: np.ndarray, n: int) -> np.ndarray:
-    """T = (prod a_k)^(1 / (2^(n-1) - 1)) over the last axis of a (..., d) array."""
-    return np.prod(a, axis=-1) ** (1.0 / (2 ** (n - 1) - 1))
+def _product_root(x: np.ndarray, k: int) -> np.ndarray:
+    """(prod x)^(1/k) over the last axis of a positive (..., d) array.
 
-
-def _n_block(a: np.ndarray, t, rows: slice, cols: slice) -> np.ndarray:
-    """N_ij = T (a_i - a_j) / (a_i a_j) for i in rows, j in cols, over (..., d) arrays.
-
-    t holds T of each state, shape (...,), as _product_root gives it.
+    Summed in logs, exp(sum(log x) / k), so no product is formed: a plain
+    product of 2^n - 1 entries leaves the double range from n = 8 on.
     """
-    t = np.asarray(t)[..., None, None]
+    return np.exp(np.add.reduce(np.log(x), axis=-1) / k)
+
+
+def _n_block(a: np.ndarray, n: int, rows: slice, cols: slice) -> np.ndarray:
+    """N_ij = T (a_i - a_j) / (a_i a_j) for i in rows, j in cols, over (..., d) arrays."""
+    t = _product_root(a, 2 ** (n - 1) - 1)[..., None, None]
     ai = a[..., rows, None]
     aj = a[..., None, cols]
     return t * (ai - aj) / (ai * aj)
@@ -60,13 +69,12 @@ def _gamma(a: np.ndarray, pair_idx: np.ndarray) -> np.ndarray:
 
 def big_T(system: TopSystem, a: Sequence[float]) -> float:
     """(prod a_k)^(1 / (2^(n-1) - 1)), real branch; requires a > 0."""
-    return float(_product_root(_positive_a(system, a), system.n))
+    return float(_product_root(_positive_a(system, a), 2 ** (system.n - 1) - 1))
 
 
 def n_matrix(system: TopSystem, a: Sequence[float]) -> np.ndarray:
     """Antisymmetric matrix N_ij = T (a_i - a_j) / (a_i a_j); requires a > 0."""
-    a = _positive_a(system, a)
-    return _n_block(a, _product_root(a, system.n), slice(None), slice(None))
+    return _n_block(_positive_a(system, a), system.n, slice(None), slice(None))
 
 
 def gamma(system: TopSystem, a: Sequence[float]) -> np.ndarray:
@@ -75,28 +83,6 @@ def gamma(system: TopSystem, a: Sequence[float]) -> np.ndarray:
     Pairs are ordered j < k by canonical index, which fixes the overall sign.
     """
     return _gamma(system.check_state(a), system.pair_idx)
-
-
-def n_first_row(system: TopSystem, a: Sequence[float]) -> np.ndarray:
-    """The basis integrals N_1j for j = 2..d."""
-    a = _positive_a(system, a)
-    return _n_block(a, _product_root(a, system.n), slice(0, 1), slice(1, None))[0]
-
-
-@dataclass(frozen=True)
-class InvariantSet:
-    """T, the antisymmetric matrix N and the polynomials gamma at one state."""
-
-    T: float
-    N: np.ndarray
-    gamma: np.ndarray
-
-
-def invariant_set(system: TopSystem, a: Sequence[float]) -> InvariantSet:
-    """Evaluate every conserved quantity at a positive state."""
-    return InvariantSet(
-        T=big_T(system, a), N=n_matrix(system, a), gamma=gamma(system, a)
-    )
 
 
 @dataclass(frozen=True)
@@ -188,50 +174,34 @@ def drift_report(system: TopSystem, trajectory: Trajectory) -> DriftReport:
     positive = np.all(a_samples > 0.0, axis=1)
     skipped = int(len(times) - positive.sum())
     if positive[0]:
-        a_pos = a_samples[positive]
-        t = _product_root(a_pos, system.n)
-        n_rows = _n_block(a_pos, t, slice(0, 1), slice(1, None))[:, 0]
+        n_rows = _n_block(a_samples[positive], system.n, slice(0, 1), slice(1, None))[:, 0]
         names = [f"N_1_{j + 2}" for j in range(d - 1)]
         entries += _series_drift(names, times[positive], n_rows)
     return DriftReport(entries=entries, skipped_samples=skipped)
 
 
-def _jacobian_rank(f, x: np.ndarray, step: float, sv_cutoff: float) -> int:
+def _jacobian_rank(f, x: np.ndarray) -> int:
     """Numerical rank of the Jacobian of f at x, by central differences.
 
-    Singular values below sv_cutoff * sigma_max count as zero.
+    Singular values below RANK_SV_CUTOFF * sigma_max count as zero.
     """
     columns = []
     for col in range(len(x)):
-        h = step * max(1.0, abs(x[col]))
+        h = JACOBIAN_STEP * max(1.0, abs(x[col]))
         xp, xm = x.copy(), x.copy()
         xp[col] += h
         xm[col] -= h
         columns.append((f(xp) - f(xm)) / (2 * h))
     sv = np.linalg.svd(np.column_stack(columns), compute_uv=False)
-    return int(np.sum(sv > sv_cutoff * sv[0]))
+    return int(np.sum(sv > RANK_SV_CUTOFF * sv[0]))
 
 
-def independent_count(
-    system: TopSystem,
-    a: Sequence[float],
-    step: float = 1e-6,
-    sv_cutoff: float = 1e-8,
-) -> int:
-    """Numerical rank of the Jacobian of {N_1j} at a, by central differences.
-
-    Singular values below sv_cutoff * sigma_max count as zero.
-    """
+def independent_count(system: TopSystem, a: Sequence[float]) -> int:
+    """Numerical rank of the Jacobian of the basis integrals {N_1j} at a > 0."""
     a = _positive_a(system, a)
-    return _jacobian_rank(lambda x: n_first_row(system, x), a, step, sv_cutoff)
+    return _jacobian_rank(lambda x: _n_block(x, system.n, slice(0, 1), slice(1, None))[0], a)
 
 
-def gamma_jacobian_rank(
-    system: TopSystem,
-    a: Sequence[float],
-    step: float = 1e-6,
-    sv_cutoff: float = 1e-8,
-) -> int:
+def gamma_jacobian_rank(system: TopSystem, a: Sequence[float]) -> int:
     """Numerical rank of the Jacobian of the gamma_i (detects the one relation)."""
-    a = system.check_state(a)
-    return _jacobian_rank(lambda x: gamma(system, x), a, step, sv_cutoff)
+    return _jacobian_rank(lambda x: gamma(system, x), system.check_state(a))

@@ -21,7 +21,7 @@ import numpy as np
 from .dynamics import TopSystem, Trajectory, a_transform, integrate
 from .errors import BranchError, DegenerateOrbitError, InvalidParameterError
 from .integrate import adaptive_rk
-from .invariants import _n_block, big_T
+from .invariants import _product_root, big_T, n_matrix
 
 _IDENTITY_TOL = 1e-10
 
@@ -37,7 +37,7 @@ class ReductionData:
     r0: float
     a0: np.ndarray
     offset_residual: float  # max |1/a_j - (M_j/T0 + U0)|
-    closure_residual: float  # relative |T0^(2^(n-1)) - prod(T0 U0 + M_j)|
+    closure_residual: float  # |prod(R0 + M_j) / T0^(2^(n-1)) - 1|, evaluated in logs
 
 
 def compute_reduction(system: TopSystem, a0: Sequence[float]) -> ReductionData:
@@ -49,13 +49,12 @@ def compute_reduction(system: TopSystem, a0: Sequence[float]) -> ReductionData:
         raise DegenerateOrbitError("a0 entries must be pairwise distinct")
     t0 = big_T(system, a0)
     u0 = float(np.mean(1.0 / a0))
-    m = _n_block(a0, t0, slice(None), slice(None)).sum(axis=0) / system.d
+    m = n_matrix(system, a0).sum(axis=0) / system.d
     r0 = t0 * u0
 
     offset = float(np.max(np.abs(1.0 / a0 - (m / t0 + u0))))
-    power = t0 ** (2 ** (system.n - 1))
-    closure = abs(power - np.prod(t0 * u0 + m)) / power
-    if offset > _IDENTITY_TOL or closure > _IDENTITY_TOL:
+    closure = abs(np.expm1(np.log(r0 + m).sum() - 2 ** (system.n - 1) * np.log(t0)))
+    if not (offset <= _IDENTITY_TOL and closure <= _IDENTITY_TOL):  # NaN fails too
         raise DegenerateOrbitError(
             f"reduction constants fail their defining identities "
             f"(offset {offset:.2e}, closure {closure:.2e}); a0 is too close to degenerate"
@@ -72,13 +71,17 @@ def compute_reduction(system: TopSystem, a0: Sequence[float]) -> ReductionData:
     )
 
 
+def _branch_factors(r: float, m: np.ndarray) -> np.ndarray:
+    """The factors R + M_j, each positive on the real branch (R + M_j = T / a_j)."""
+    factors = r + m
+    if not factors[factors.argmin()] > 0.0:  # argmin: cheaper than min(), and it picks a NaN
+        raise BranchError(f"R + M_j must stay positive, got min {float(factors.min())!r}")
+    return factors
+
+
 def scalar_rhs(r: float, m: Sequence[float], n: int) -> float:
     """dR/dt = (prod_j (R + M_j))^(1 / 2^(n-1)), real branch only."""
-    factors = r + np.asarray(m, dtype=float)
-    product = float(np.prod(factors))
-    if product <= 0.0:
-        raise BranchError(f"product of (R + M_j) is non-positive ({product!r})")
-    return product ** (1.0 / 2 ** (n - 1))
+    return float(_product_root(_branch_factors(r, np.asarray(m, dtype=float)), 2 ** (n - 1)))
 
 
 def integrate_R(
@@ -103,11 +106,8 @@ def integrate_R(
 
 def reconstruct_a(r: float, data: ReductionData) -> np.ndarray:
     """a_j = T / (R + M_j) with T the product root at this R."""
-    factors = r + data.M
-    if np.any(factors <= 0.0):
-        raise BranchError("R + M_j must stay positive to reconstruct the a's")
-    t = float(np.prod(factors)) ** (1.0 / 2 ** (data.n - 1))
-    return t / factors
+    factors = _branch_factors(r, data.M)
+    return _product_root(factors, 2 ** (data.n - 1)) / factors
 
 
 def genus(n: int) -> int:

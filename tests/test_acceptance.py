@@ -132,7 +132,7 @@ def test_criterion_06_independence_count(systems):
     for n in (2, 3, 4):
         rng = np.random.default_rng(3000 + n)
         a = rng.uniform(0.5, 2.0, systems[n].d)
-        ok &= independent_count(systems[n], a, sv_cutoff=1e-8) == 2**n - 2
+        ok &= independent_count(systems[n], a) == 2**n - 2
     _criterion(6, "Jacobian of {N_1j} has rank 2^n - 2 for n = 2, 3, 4", ok)
 
 

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from z2top import cli
 from z2top.cli import main
+from z2top.invariants import DriftEntry, DriftReport
 
 from classic_fixtures import CLASSIC_15_PAIRS, CLASSIC_7_PAIRS
 
@@ -252,20 +254,40 @@ def test_drift_threshold_without_out(args, capsys):
     assert "EXCEEDS threshold 1.000e-30" in err.splitlines()[-1]
 
 
-def test_nan_drift_fails_threshold(tmp_path, capsys):
-    # At n = 8 the product root under- or overflows, so N_1j drifts are NaN.
-    base = tmp_path / "n8"
+def test_nan_drift_fails_threshold(tmp_path, capsys, monkeypatch):
+    # However a NaN drift arises, it must not pass the gate.
+    nan_entry = DriftEntry("N_1_2", 1.0, math.nan, 0.0, "relative")
+    monkeypatch.setattr(cli, "drift_report", lambda *_: DriftReport((nan_entry,), 0))
+    base = tmp_path / "nan"
     code, out, _ = run_cli(
-        [
-            "run", "--n", "8", "--seed", "1", "--sample-interval", "2e-3",
-            "--drift-threshold", "1e-8", "--out", str(base),
-        ],
+        ["run", "--n", "2", "--seed", "1", "--drift-threshold", "1e-8", "--out", str(base)],
         capsys,
     )
     assert code == 1
     assert "max drift nan EXCEEDS" in out
-    doc = json.loads((tmp_path / "n8.drift.json").read_text())
+    doc = json.loads((tmp_path / "nan.drift.json").read_text())
     assert math.isnan(doc["max_drift"])
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_large_n_run_and_reduce_are_finite(n, tmp_path, capsys):
+    # The raw products of 2^n - 1 entries overflow here; the log-domain root does not.
+    def strict_constant(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    base = tmp_path / f"n{n}"
+    gate = ["--drift-threshold", "1e-8"] if n == 8 else []
+    code, _, _ = run_cli(["run", "--n", str(n), "--seed", "1", *gate, "--out", str(base)], capsys)
+    assert code == 0
+    doc = json.loads((tmp_path / f"n{n}.drift.json").read_text(), parse_constant=strict_constant)
+    assert len(doc["invariants"]) == 2 * (2**n - 1) - 1
+    assert all(math.isfinite(e["initial"]) for e in doc["invariants"])
+    assert all(math.isfinite(e["max_drift"]) for e in doc["invariants"])
+
+    report = tmp_path / f"r{n}.json"
+    code, _, _ = run_cli(["reduce", "--n", str(n), "--seed", "1", "--out", str(report)], capsys)
+    assert code == 0
+    assert json.loads(report.read_text())["max_rel_err"] < 1e-6
 
 
 def test_config_file_defaults_and_precedence(tmp_path, capsys):
@@ -329,8 +351,9 @@ def test_explicit_omega0_records_no_seed(tmp_path, capsys):
         ({"t-end": [1]}, ["--seed", "1"]),
         ({"seed": 1.5}, []),
         ({"format": "xml"}, ["--seed", "1"]),
+        ({"out": ["a"]}, ["--seed", "1"]),
     ],
-    ids=["range-short", "range-reversed", "t-end-list", "seed-float", "format-xml"],
+    ids=["range-short", "range-reversed", "t-end-list", "seed-float", "format-xml", "out-list"],
 )
 def test_bad_config_value_is_usage_error(values, args, tmp_path, capsys):
     # A --config value gets the conversion and checks of the flag it names.

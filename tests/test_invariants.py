@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from z2top.dynamics import Trajectory, a_transform, guarded_horizon, integrate
+from z2top.dynamics import TopSystem, Trajectory, a_transform, guarded_horizon, integrate
 from z2top.errors import BranchError, InvalidParameterError
 from z2top.invariants import (
     _gamma,
@@ -12,8 +12,6 @@ from z2top.invariants import (
     gamma,
     gamma_jacobian_rank,
     independent_count,
-    invariant_set,
-    n_first_row,
     n_matrix,
 )
 
@@ -22,6 +20,12 @@ def test_big_t_examples(systems):
     assert big_T(systems[2], [5.0, 4.0, 3.0]) == pytest.approx(60.0)
     assert big_T(systems[3], np.ones(7)) == pytest.approx(1.0)
     assert big_T(systems[3], np.full(7, 4.0)) == pytest.approx(4.0 ** (7.0 / 3.0))
+
+
+def test_big_t_large_n_does_not_overflow():
+    # prod(a) = 40^255 overflows a double; the root of it, 40^(255/127), does not.
+    system = TopSystem.create(8)
+    assert big_T(system, np.full(255, 40.0)) == pytest.approx(40.0 ** (255 / 127), rel=1e-13)
 
 
 def test_big_t_rejects_nonpositive(systems):
@@ -50,7 +54,10 @@ def test_n_matrix_antisymmetry_and_relation(n, systems):
         # N_ij = N_1j - N_1i
         recon = mat[0][None, :] - mat[0][:, None]
         assert np.max(np.abs(mat - recon)) < 1e-12
-        assert np.allclose(n_first_row(systems[n], a), mat[0, 1:])
+        # The drift report's N_1j row starts from the same values.
+        single = Trajectory(kind="a", times=np.zeros(1), states=a[None], termination="completed")
+        row = [e.initial for e in drift_report(systems[n], single).entries[systems[n].d :]]
+        assert np.allclose(row, mat[0, 1:])
 
 
 def test_gamma_symbolic_n2(systems):
@@ -181,14 +188,6 @@ def test_drift_report_json_and_table(systems):
     table = report.table()
     assert "invariant" in table.splitlines()[0]
     assert len(table.splitlines()) == 6
-
-
-def test_invariant_set_bundle(systems):
-    a = np.array([5.0, 4.0, 3.0])
-    bundle = invariant_set(systems[2], a)
-    assert bundle.T == pytest.approx(60.0)
-    assert bundle.N[0, 1] == pytest.approx(3.0)
-    assert np.allclose(bundle.gamma, gamma(systems[2], a))
 
 
 def test_drift_rejects_wrong_kind(systems):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -55,11 +57,21 @@ def test_scalar_rhs_closed_form():
         assert scalar_rhs(r, np.zeros(3), 2) == pytest.approx(r**1.5, rel=1e-14)
 
 
+def test_scalar_rhs_large_n_does_not_overflow():
+    # prod(R + M_j) = 1e3^255 overflows a double; its 128th root does not.
+    assert scalar_rhs(1e3, np.zeros(255), 8) == pytest.approx(1e3 ** (255 / 128), rel=1e-13)
+
+
 def test_scalar_rhs_branch_error():
     with pytest.raises(BranchError):
         scalar_rhs(0.0, np.zeros(3), 2)
     with pytest.raises(BranchError):
         scalar_rhs(1.0, np.array([-2.0, 0.5, 0.5]), 2)
+    # A positive product is not enough: every factor R + M_j must be positive.
+    with pytest.raises(BranchError):
+        scalar_rhs(1.0, np.array([-2.0, -3.0, 0.5]), 2)
+    with pytest.raises(BranchError):
+        scalar_rhs(math.nan, np.zeros(3), 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
