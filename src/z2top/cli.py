@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import geometry
-from .dynamics import TopSystem, guarded_horizon, integrate, trajectory_json
+from .dynamics import TopSystem, _json_text, guarded_horizon, integrate, trajectory_json
 from .errors import (
     BranchError,
     DegenerateOrbitError,
@@ -131,10 +131,6 @@ def _initial_state(args: argparse.Namespace, dim: int) -> np.ndarray:
         raise InvalidParameterError("an initial state is required: --omega0 or --seed")
     rng = np.random.default_rng(args.seed)
     return rng.uniform(lo, hi, dim)
-
-
-def _json_text(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

@@ -14,10 +14,9 @@ the closed-form inverse used by a_inverse.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -31,6 +30,9 @@ MAX_N_SYSTEM = 10
 
 #: Fraction of the majorant's earliest pole time that the default horizon spans.
 HORIZON_BUDGET = 0.4
+
+#: Rows per block of Trajectory.to_csv.
+_CSV_BLOCK_ROWS = 64
 
 RhsKind = Literal["omega", "a"]
 
@@ -111,20 +113,26 @@ class Trajectory:
         return self.termination == COMPLETED
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t"] + [f"x_{j}" for j in range(1, self.states.shape[1] + 1)])
-        for t, row in zip(self.times, self.states):
-            writer.writerow([format(t, ".17g")] + [format(x, ".17g") for x in row])
-        return buf.getvalue()
+        dim = self.states.shape[1]
+        template = ",".join(["%.17g"] * (dim + 1)) + "\n"
+        times = self.times.tolist()
+        blocks = ["t," + ",".join([f"x_{j}" for j in range(1, dim + 1)]) + "\n"]
+        # Rows are formatted one at a time and joined in blocks: a tolist() of
+        # the whole array, or one string per row kept to the end, raises the
+        # peak memory above what csv.writer needed.
+        for start in range(0, len(times), _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            rows = zip(times[start:stop], self.states[start:stop])
+            blocks.append("".join([template % (t, *x.tolist()) for t, x in rows]))
+        return "".join(blocks)
 
     def to_json_dict(self, **metadata) -> dict:
         out = {
             "schema_version": 1,
             "kind": self.kind,
             "termination": self.termination,
-            "t": [float(t) for t in self.times],
-            "x": [[float(x) for x in row] for row in self.states],
+            "t": self.times.tolist(),
+            "x": self.states.tolist(),
         }
         out.update(metadata)
         return out
@@ -167,5 +175,68 @@ def integrate(
     )
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_items(items, ind: str) -> str:
+    """The items of a non-empty list, one per line at indent ind, comma-separated.
+
+    Items that are all exactly float or all exactly int, or equal-length rows
+    of such, go through one % template.  The type test is exact because
+    '%r' % np.float64(x) and '%d' % True misprint.
+    """
+    sep = ",\n" + ind
+    rows = set(map(type, items)) <= {list, tuple} and len(set(map(len, items))) == 1
+    values = tuple(chain.from_iterable(items)) if rows else items
+    kinds = set(map(type, values))
+    if kinds == {float} or kinds == {int}:
+        cell = "%r" if kinds == {float} else "%d"
+        if rows:
+            nl = "\n" + ind + " "
+            cell = "[" + nl + ("," + nl).join([cell] * len(items[0])) + "\n" + ind + "]"
+        block = sep.join([cell] * len(items)) % tuple(values)
+        if "n" in block:  # only nan and inf spell an n
+            block = block.replace("nan", "NaN").replace("inf", "Infinity")
+        return block
+    return sep.join([_json_value(x, ind) for x in items])
+
+
+def _json_value(obj, ind: str) -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=1) writes it, nested at indent ind."""
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NONFINITE.get(text, text)
+    inner = ind + " "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[\n" + inner + _json_items(obj, inner) + "\n" + ind + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        sep = ",\n" + inner
+        body = sep.join([_json_str(k) + ": " + _json_value(obj[k], inner) for k in sorted(obj)])
+        return "{\n" + inner + body + "\n" + ind + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=1) + "\\n", without json's pure-Python encoder.
+
+    json drops to that encoder whenever indent is set.  Keys must be str.
+    """
+    return _json_value(obj, "") + "\n"
+
+
 def trajectory_json(trajectory: Trajectory, **metadata) -> str:
-    return json.dumps(trajectory.to_json_dict(**metadata), sort_keys=True, indent=1) + "\n"
+    return _json_text(trajectory.to_json_dict(**metadata))

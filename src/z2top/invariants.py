@@ -123,10 +123,9 @@ class DriftReport:
 
     def table(self) -> str:
         lines = [f"{'invariant':<12} {'initial':>24} {'max drift':>13} {'t(max)':>10}"]
+        row = "%-12s %24.16e %13.3e %10.6f"
         for e in self.entries:
-            lines.append(
-                f"{e.name:<12} {e.initial:>24.16e} {e.max_drift:>13.3e} {e.t_at_max:>10.6f}"
-            )
+            lines.append(row % (e.name, e.initial, e.max_drift, e.t_at_max))
         return "\n".join(lines)
 
 

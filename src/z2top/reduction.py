@@ -139,9 +139,9 @@ class RouteComparison:
             "schema_version": 1,
             "n": self.n,
             "genus": self.genus,
-            "t_grid": [float(t) for t in self.t_grid],
+            "t_grid": self.t_grid.tolist(),
             "max_rel_err": self.max_rel_err,
-            "per_component_err": [float(x) for x in self.per_component_err],
+            "per_component_err": self.per_component_err.tolist(),
             "omega_termination": self.omega_termination,
             "scalar_termination": self.scalar_termination,
         }

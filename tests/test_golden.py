@@ -1,15 +1,21 @@
-"""Golden digests: the incidence CLI outputs must stay byte-identical.
+"""Golden digests: the incidence CLI outputs and the text writers must stay byte-identical.
 
-Each digest is the sha256 of the stdout of ``z2top <args>``.  A change to
-any of these outputs is a change to the file format and must update the
-digest on purpose.
+Each CLI digest is the sha256 of the stdout of ``z2top <args>``.  Each writer
+digest is the sha256 of one writer's text for fixed literal inputs, so it
+does not depend on the integrator or the machine.  A change to any of these
+outputs is a change to the file format and must update the digest on
+purpose.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from z2top.cli import main
+from z2top.cli import _json_text, main
+from z2top.dynamics import Trajectory, trajectory_json
+from z2top.invariants import DriftEntry, DriftReport
+from z2top.reduction import RouteComparison
 
 GOLDEN = {
     "geometry --n 3": "2bcaa3e95293068c7caeacb4bb4ff175bae3dcc5cdaaf687bb3ee0069ec69d37",
@@ -30,3 +36,60 @@ def test_stdout_digest(args, capsys):
     assert main(args.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[args]
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, 1e16, 1 / 3, -2.5e-300, 1.7976931348623157e308]
+
+
+def _writer_outputs() -> dict[str, str]:
+    states = np.array(
+        [
+            [0.1, 0.2, 0.30000000000000004],
+            [np.nan, np.inf, -np.inf],
+            _SPECIAL[:3],
+            _SPECIAL[3:6],
+            [123456789.0, -1e-5, 2.0 ** 60],
+        ]
+    )
+    times = np.array([0.0, 0.125, 1 / 3, 2.5e-7, 1e16])
+    trajectory = Trajectory("omega", times, states, "blow_up")
+    entries = (
+        DriftEntry("gamma_1", 0.125, 3.1e-12, 0.5, "relative"),
+        DriftEntry("gamma_2", np.float64(-2.5e-13), np.float64(4e-17), 1 / 3, "absolute"),
+        DriftEntry("N_1_2", -0.0, 5e-324, 0.0, "relative"),
+        DriftEntry("N_1_3", 1e16, np.inf, -np.inf, "relative"),
+        DriftEntry("N_1_4", np.nan, np.nan, np.nan, "relative"),
+    )
+    drift = DriftReport(entries, skipped_samples=3)
+    comparison = RouteComparison(
+        n=2,
+        genus=0,
+        t_grid=times[:4],
+        max_rel_err=np.float64(2.2e-16),
+        per_component_err=np.array([1.1e-16, 0.0, np.nan]),
+        omega_termination="completed",
+        scalar_termination="blow_up",
+    )
+    meta = {"n": 2, "rel_tol": 1e-10, "abs_tol": 1e-12, "seed": None, "t_end": 1.5}
+    return {
+        "trajectory.csv": trajectory.to_csv(),
+        "trajectory.json": trajectory_json(trajectory, **meta, omega0=[0.1, 0.2, 0.3]),
+        "drift.json": _json_text(drift.to_json_dict()),
+        "drift table": drift.table(),
+        "comparison.json": _json_text(comparison.to_json_dict()),
+    }
+
+
+WRITER_GOLDEN = {
+    "comparison.json": "52bc1a984db0b1314fb8bec3fab1b1ddc1342c5f64307ba6c4259311938801aa",
+    "drift table": "6ca7e5193679f68a9d54259550f266c3eb5b28f30fa7d0780dfb507156444a16",
+    "drift.json": "0a8667efceb73320ef9b137206bc578010e49dae0cee57d9663b63946f9ddcbf",
+    "trajectory.csv": "4a2aa82233eb549088691e5d41ea45d85debdcfe0b385defce590022193e3d1b",
+    "trajectory.json": "000deb2c602e651488c69d9261588e6c8170624624302f04e224c5d92f62b4dc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_GOLDEN))
+def test_writer_digest(name):
+    text = _writer_outputs()[name]
+    assert hashlib.sha256(text.encode()).hexdigest() == WRITER_GOLDEN[name]
