@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 drift threshold exceeded, 2 usage error,
 run and zk share one pipeline.  --drift-threshold gates both the same way,
 with or without --out: a max drift above the threshold, or a non-finite
 one, exits 1.  The drift table and the threshold line go to stdout with
---out and to stderr without it, where the trajectory owns stdout.
+--out and to stderr without it, where the trajectory owns stdout; reduce
+routes its genus and max-relative-error lines the same way.
 
 --config FILE reads a JSON object keyed by flag names ("t-end", "seed",
 ...).  Each value is converted and checked by the flag it names, with the
@@ -50,7 +51,7 @@ from .errors import (
 )
 from .integrate import BLOW_UP, BRANCH_FAILURE, COMPLETED, STEP_FAILURE
 from .invariants import drift_report
-from .reduction import compare_routes, genus
+from .reduction import compare_routes
 from .zktop import ZkSystem, integrate_zk, zk_drift_report, zk_genus, zk_guarded_horizon
 
 EXIT_OK = 0
@@ -308,24 +309,15 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
+    """The summary lines go to stdout with --out and to stderr without it, as in run."""
     system, omega0, t_end = _prepare(args)
-    header = f"genus = {genus(args.n)}"
     comparison = compare_routes(
-        system,
-        omega0,
-        t_end,
-        args.rel_tol,
-        args.abs_tol,
-        sample_interval=args.sample_interval,
+        system, omega0, t_end, args.rel_tol, args.abs_tol, sample_interval=args.sample_interval
     )
-    text = _json_text(comparison.to_json_dict())
-    if args.out is None:
-        print(header, file=sys.stderr)
-        sys.stdout.write(text)
-    else:
-        print(header)
-        atomic_write(args.out, text)
-        print(f"max relative error {comparison.max_rel_err:.3e}")
+    _emit(args.out, _json_text(comparison.to_json_dict()))
+    stream = sys.stderr if args.out is None else sys.stdout
+    print(f"genus = {comparison.genus}", file=stream)
+    print(f"max relative error {comparison.max_rel_err:.3e}", file=stream)
     for termination in (comparison.omega_termination, comparison.scalar_termination):
         if termination != COMPLETED:
             print(f"termination: {termination}", file=sys.stderr)

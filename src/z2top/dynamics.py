@@ -78,15 +78,19 @@ def omega_rhs(system: TopSystem, omega: Sequence[float]) -> np.ndarray:
     return (w[system.pair_idx[:, :, 0]] * w[system.pair_idx[:, :, 1]]).sum(axis=1)
 
 
-def a_transform(system: TopSystem, omega: Sequence[float]) -> np.ndarray:
-    """a = A @ omega: each a sums omega over one hyperplane complement."""
-    return system.a_matrix @ system.check_state(omega)
+def a_transform(system: TopSystem, omega) -> np.ndarray:
+    """a = A @ omega, each a summing omega over one hyperplane complement, for one
+    state or a (..., d) stack of them; the only product of A with a state."""
+    x = np.asarray(omega, dtype=float)
+    if x.shape[-1:] != (system.d,):
+        raise InvalidParameterError(f"states must have length {system.d}, got shape {x.shape}")
+    return x @ system.a_matrix.T
 
 
 def a_inverse(system: TopSystem, a: Sequence[float]) -> np.ndarray:
     """Solve A @ omega = a using A^-1 = (A - J/2) / 2^(n-2)."""
     a = system.check_state(a)
-    return (system.a_matrix @ a - a.sum() / 2.0) / 2 ** (system.n - 2)
+    return (a_transform(system, a) - a.sum() / 2.0) / 2 ** (system.n - 2)
 
 
 def a_rhs(system: TopSystem, a: Sequence[float]) -> np.ndarray:
@@ -138,6 +142,24 @@ class Trajectory:
         return out
 
 
+def _majorant_horizon(w: np.ndarray, rate: int, power: int) -> float:
+    """HORIZON_BUDGET times 1 / (rate power u0^power), the pole time of the
+    majorant u' = rate u^(power + 1) from u0 = max |w|; it must be a finite
+    positive double."""
+    peak = float(np.max(np.abs(w)))
+    if peak == 0.0:
+        return HORIZON_BUDGET
+    try:
+        horizon = HORIZON_BUDGET / (rate * power * peak**power)
+    except (OverflowError, ZeroDivisionError):  # peak**power left the double range
+        horizon = 0.0
+    if not 0.0 < horizon < np.inf:  # NaN fails too
+        raise InvalidParameterError(
+            f"max |omega0| = {peak!r} gives no finite default horizon; pass --t-end"
+        )
+    return horizon
+
+
 def guarded_horizon(system: TopSystem, omega0: Sequence[float]) -> float:
     """Pole-free default horizon for positive data.
 
@@ -145,11 +167,7 @@ def guarded_horizon(system: TopSystem, omega0: Sequence[float]) -> float:
     first pole no earlier than 1 / ((2^(n-1) - 1) max omega0); HORIZON_BUDGET
     keeps a safety margin below it.
     """
-    w = system.check_state(omega0)
-    peak = float(np.max(np.abs(w)))
-    if peak == 0.0:
-        return HORIZON_BUDGET
-    return HORIZON_BUDGET / ((2 ** (system.n - 1) - 1) * peak)
+    return _majorant_horizon(system.check_state(omega0), 2 ** (system.n - 1) - 1, 1)
 
 
 def integrate(

@@ -95,10 +95,6 @@ class Collineation:
         perm = tuple(gf2.mat_vec(rows, p) for p in range(1, num_points(n) + 1))
         return cls(n=n, perm=perm)
 
-    @classmethod
-    def identity(cls, n: int) -> "Collineation":
-        return cls.from_matrix(tuple(1 << (n - 1 - i) for i in range(n)), n)
-
 
 def _validated_triples(n: int, target_lines: Sequence[Iterable[int]]) -> list[tuple[int, ...]]:
     d = num_points(n)
@@ -223,12 +219,6 @@ def find_hyperplane_collineation(
         raise InvalidParameterError(f"block entries must lie in 1..{d}")
     if len(set(blocks)) != d:
         return None
-
-    if n == 2:
-        # Blocks are singletons and carry no pair structure; any labelling works.
-        if set(blocks) != {frozenset((p,)) for p in range(1, 4)}:
-            return None
-        return Collineation.identity(2)
 
     triples = _lines_from_blocks(blocks, d)
     if triples is None or len(triples) != num_lines(n):

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import TopSystem, Trajectory
+from .dynamics import TopSystem, Trajectory, a_transform
 from .errors import BranchError, InvalidParameterError
 
 #: Initial values smaller than this are tracked by absolute drift.
@@ -161,7 +161,7 @@ def drift_report(system: TopSystem, trajectory: Trajectory) -> DriftReport:
     if trajectory.kind == "a":
         a_samples = trajectory.states
     elif trajectory.kind == "omega":
-        a_samples = trajectory.states @ system.a_matrix.T
+        a_samples = a_transform(system, trajectory.states)
     else:
         raise InvalidParameterError(f"unsupported trajectory kind {trajectory.kind!r}")
 

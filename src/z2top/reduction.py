@@ -1,14 +1,16 @@
 """Reduction of the a-flow to one scalar quadrature, and the route comparison.
 
-Averaging the conserved N_ij over the first index yields constants
-M_j = T (1/a_j - U), with U the mean of the inverse a's, so every a_j is a
-function of the two symmetric variables T and U alone.  Their product
-R = T U obeys the single scalar equation
+With T the product root of the a's and U the mean of their inverses, the
+column means of the conserved N_ij are the constants M_j = T (1/a_j - U),
+computed in that closed form in O(d).  So every a_j is a function of the
+two symmetric variables T and U alone, and R = T U obeys the scalar equation
 
     dR/dt = (prod_j (R + M_j))^(1 / 2^(n-1)) = T,
 
-and the full state is recovered as a_j = T / (R + M_j).  The integrand of
-the associated quadrature lives on a surface of genus (2^(n-1) - 1)^2.
+and the full state is recovered as a_j = T / (R + M_j).  The closure
+identity prod_j (R0 + M_j) = T0^(2^(n-1)), checked in logs, is the one gate
+on the constants.  The integrand of the associated quadrature lives on a
+surface of genus (2^(n-1) - 1)^2.
 """
 
 from __future__ import annotations
@@ -21,22 +23,22 @@ import numpy as np
 from .dynamics import TopSystem, Trajectory, a_transform, integrate
 from .errors import BranchError, DegenerateOrbitError, InvalidParameterError
 from .integrate import adaptive_rk
-from .invariants import _product_root, big_T, n_matrix
+from .invariants import _product_root, big_T
 
 _IDENTITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class ReductionData:
-    """Constants of one orbit: M_j and the initial values of T, U, R."""
+    """Constants of one orbit: M_j = T0 (1/a_j - U0) and the initial T, U, R = T U.
+
+    Their one gate: closure_residual must not exceed _IDENTITY_TOL."""
 
     n: int
     M: np.ndarray
     t0: float
     u0: float
     r0: float
-    a0: np.ndarray
-    offset_residual: float  # max |1/a_j - (M_j/T0 + U0)|
     closure_residual: float  # |prod(R0 + M_j) / T0^(2^(n-1)) - 1|, evaluated in logs
 
 
@@ -48,33 +50,28 @@ def compute_reduction(system: TopSystem, a0: Sequence[float]) -> ReductionData:
     if len(np.unique(a0)) != system.d:
         raise DegenerateOrbitError("a0 entries must be pairwise distinct")
     t0 = big_T(system, a0)
-    u0 = float(np.mean(1.0 / a0))
-    m = n_matrix(system, a0).sum(axis=0) / system.d
+    inverse = 1.0 / a0
+    u0 = float(np.mean(inverse))
+    m = t0 * (inverse - u0)
     r0 = t0 * u0
 
-    offset = float(np.max(np.abs(1.0 / a0 - (m / t0 + u0))))
     closure = abs(np.expm1(np.log(r0 + m).sum() - 2 ** (system.n - 1) * np.log(t0)))
-    if not (offset <= _IDENTITY_TOL and closure <= _IDENTITY_TOL):  # NaN fails too
+    if not closure <= _IDENTITY_TOL:  # NaN fails too
         raise DegenerateOrbitError(
-            f"reduction constants fail their defining identities "
-            f"(offset {offset:.2e}, closure {closure:.2e}); a0 is too close to degenerate"
+            f"reduction constants fail their closure identity "
+            f"(residual {closure:.2e}); a0 is too close to degenerate"
         )
     return ReductionData(
-        n=system.n,
-        M=m,
-        t0=t0,
-        u0=u0,
-        r0=float(r0),
-        a0=a0.copy(),
-        offset_residual=offset,
-        closure_residual=float(closure),
+        n=system.n, M=m, t0=t0, u0=u0, r0=float(r0), closure_residual=float(closure)
     )
 
 
-def _branch_factors(r: float, m: np.ndarray) -> np.ndarray:
-    """The factors R + M_j, each positive on the real branch (R + M_j = T / a_j)."""
+def _branch_factors(r, m: np.ndarray) -> np.ndarray:
+    """The factors R + M_j, each positive on the real branch (R + M_j = T / a_j);
+    r is a float, or an (..., 1) array of values of R."""
     factors = r + m
-    if not factors[factors.argmin()] > 0.0:  # argmin: cheaper than min(), and it picks a NaN
+    # argmin: cheaper than min(), and it picks a NaN; its index is into the flat array.
+    if not factors.ravel()[factors.argmin()] > 0.0:
         raise BranchError(f"R + M_j must stay positive, got min {float(factors.min())!r}")
     return factors
 
@@ -104,10 +101,11 @@ def integrate_R(
     )
 
 
-def reconstruct_a(r: float, data: ReductionData) -> np.ndarray:
-    """a_j = T / (R + M_j) with T the product root at this R."""
-    factors = _branch_factors(r, data.M)
-    return _product_root(factors, 2 ** (data.n - 1)) / factors
+def reconstruct_a(r, data: ReductionData) -> np.ndarray:
+    """a_j = T / (R + M_j) with T the product root at this R: a (d,) state for
+    one R, an (s, d) stack with one row per R for an array of s values."""
+    factors = _branch_factors(np.asarray(r, dtype=float)[..., None], data.M)
+    return _product_root(factors, 2 ** (data.n - 1))[..., None] / factors
 
 
 def genus(n: int) -> int:
@@ -182,8 +180,8 @@ def compare_routes(
         shared = int(np.argmin(aligned))
     if shared == 0:
         raise RuntimeError("route sample grids share no points")
-    a_full = full.states[:shared] @ system.a_matrix.T
-    a_scalar = np.vstack([reconstruct_a(float(r), data) for r in scalar.states[:shared, 0]])
+    a_full = a_transform(system, full.states[:shared])
+    a_scalar = reconstruct_a(scalar.states[:shared, 0], data)
     rel = np.abs(a_scalar - a_full) / np.abs(a_full)
     return RouteComparison(
         n=system.n,

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import HORIZON_BUDGET, Trajectory
+from .dynamics import Trajectory, _majorant_horizon
 from .errors import InvalidParameterError
 from .integrate import adaptive_rk
 from .invariants import DriftReport, _series_drift
@@ -71,11 +71,7 @@ def zk_genus(k: int) -> int:
 def zk_guarded_horizon(system: ZkSystem, omega0: Sequence[float]) -> float:
     """Pole-free default horizon: the uniform majorant u' = u^k has its pole
     at 1 / (k - 1) / max^(k-1); HORIZON_BUDGET keeps a margin below it."""
-    w = system.check_state(omega0)
-    peak = float(np.max(np.abs(w)))
-    if peak == 0.0:
-        return HORIZON_BUDGET
-    return HORIZON_BUDGET / ((system.k - 1) * peak ** (system.k - 1))
+    return _majorant_horizon(system.check_state(omega0), 1, system.k - 1)
 
 
 def integrate_zk(

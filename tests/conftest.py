@@ -5,4 +5,4 @@ from z2top.dynamics import TopSystem
 
 @pytest.fixture(scope="session")
 def systems() -> dict[int, TopSystem]:
-    return {n: TopSystem.create(n) for n in (2, 3, 4, 5, 6)}
+    return {n: TopSystem.create(n) for n in range(2, 11)}

@@ -219,6 +219,13 @@ def test_reduce_prints_genus_header(tmp_path, capsys):
     assert doc["max_rel_err"] < 1e-6
 
 
+def test_reduce_without_out_routes_summary_to_stderr(capsys):
+    code, out, err = run_cli(["reduce", "--n", "3", "--seed", "11"], capsys)
+    assert code == 0
+    doc = json.loads(out)  # the report owns stdout
+    assert err.splitlines() == ["genus = 9", f"max relative error {doc['max_rel_err']:.3e}"]
+
+
 def test_reduce_degenerate_exit(capsys):
     code, _, err = run_cli(["reduce", "--n", "2", "--omega0", "1,0,0"], capsys)
     assert code == 5
@@ -267,6 +274,20 @@ def test_nan_drift_fails_threshold(tmp_path, capsys, monkeypatch):
     assert "max drift nan EXCEEDS" in out
     doc = json.loads((tmp_path / "nan.drift.json").read_text())
     assert math.isnan(doc["max_drift"])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--k", "1100", "--seed", "1"], ["--k", "2000", "--seed", "1", "--random-range", "1.5,3"]],
+    ids=["underflow", "overflow"],
+)
+def test_zk_default_horizon_out_of_range_is_usage_error(args, capsys):
+    # max|omega0|^(k-1) leaves the double range, so no default horizon exists.
+    code, out, err = run_cli(["zk", *args], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "pass --t-end" in err
 
 
 @pytest.mark.parametrize("n", [8, 9, 10])

@@ -83,6 +83,22 @@ def test_a_transform_examples(systems):
     assert np.allclose(a_transform(systems[3], np.zeros(7)), np.zeros(7))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_a_transform_stack_matches_rows(n, systems):
+    # Positive states, as the flow has them: no cancellation in the sums.
+    rng = np.random.default_rng(37 + n)
+    stack = rng.uniform(0.1, 0.5, (9, systems[n].d))
+    rows = np.vstack([a_transform(systems[n], w) for w in stack])
+    np.testing.assert_allclose(a_transform(systems[n], stack), rows, rtol=1e-14, atol=0.0)
+    assert a_transform(systems[n], stack[None]).shape == (1, 9, systems[n].d)
+
+
+def test_a_transform_rejects_wrong_length(systems):
+    for bad in (np.ones(4), np.ones((5, 4)), np.ones((3, 1)), 1.0):
+        with pytest.raises(InvalidParameterError):
+            a_transform(systems[2], bad)
+
+
 def test_a_inverse_examples(systems):
     # Oracle: solve the linear system directly.
     a = np.array([5.0, 4.0, 3.0])

@@ -166,6 +166,15 @@ def test_hyperplane_collineation_classic_15():
     assert image == {frozenset(b) for b in classic_planes_15()}
 
 
+def test_hyperplane_collineation_n2_all_orderings():
+    # The hyperplanes of the 3-point line are singletons, so every ordering of
+    # the blocks is the same block set, found through the general search.
+    for ordering in itertools.permutations((1, 2, 3)):
+        coll = find_hyperplane_collineation(2, [(p,) for p in ordering])
+        assert coll is not None
+        assert coll.perm == (1, 2, 3)
+
+
 def test_hyperplane_collineation_rejects_garbage():
     blocks = [tuple(range(1 + i, 8 + i)) for i in range(15)]
     blocks = [tuple(((x - 1) % 15) + 1 for x in b) for b in blocks]

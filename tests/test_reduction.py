@@ -6,7 +6,7 @@ import pytest
 from z2top.dynamics import a_transform, guarded_horizon, integrate
 from z2top.errors import BranchError, DegenerateOrbitError, InvalidParameterError
 from z2top.integrate import adaptive_rk
-from z2top.invariants import big_T
+from z2top.invariants import big_T, n_matrix
 from z2top.reduction import (
     ReductionData,
     compare_routes,
@@ -29,8 +29,21 @@ def test_compute_reduction_worked_example(systems):
     assert np.allclose(data.M, expected, atol=1e-12)
     assert np.allclose(data.M, [-11.0 / 3.0, -2.0 / 3.0, 13.0 / 3.0])
     assert np.allclose(data.r0 + data.M, [12.0, 15.0, 20.0])
-    assert data.offset_residual < 1e-10
+    # a_j = T0 / (R0 + M_j) at t = 0.
+    assert np.allclose(data.t0 / (data.r0 + data.M), a0, rtol=1e-14, atol=0.0)
     assert data.closure_residual < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10])
+def test_m_constants_are_column_means_of_n(n, systems):
+    # The definition compute_reduction no longer evaluates: M_j is the mean
+    # over i of the conserved N_ij.
+    system = systems[n]
+    rng = np.random.default_rng(41 + n)
+    a0 = rng.uniform(0.2, 2.0, system.d)
+    reference = n_matrix(system, a0).mean(axis=0)
+    data = compute_reduction(system, a0)
+    np.testing.assert_allclose(data.M, reference, rtol=0.0, atol=1e-12 * np.abs(reference).max())
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -97,8 +110,6 @@ def test_reconstruct_equal_m_gives_equal_a():
         t0=1.0,
         u0=1.0,
         r0=2.0,
-        a0=np.ones(3),
-        offset_residual=0.0,
         closure_residual=0.0,
     )
     a = reconstruct_a(2.0, data)
@@ -112,12 +123,30 @@ def test_reconstruct_branch_error():
         t0=1.0,
         u0=1.0,
         r0=1.0,
-        a0=np.ones(3),
-        offset_residual=0.0,
         closure_residual=0.0,
     )
     with pytest.raises(BranchError):
         reconstruct_a(1.0, data)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_reconstruct_stack_matches_rows(n, systems):
+    system = systems[n]
+    rng = np.random.default_rng(79 + n)
+    data = compute_reduction(system, rng.uniform(0.2, 1.5, system.d))
+    rs = data.r0 * np.linspace(1.0, 3.0, 17)
+    rows = [reconstruct_a(float(r), data) for r in rs]
+    stack = reconstruct_a(rs, data)
+    assert stack.shape == (len(rs), system.d)
+    assert np.array_equal(stack, np.vstack(rows))
+
+
+def test_reconstruct_stack_branch_error(systems):
+    data = compute_reduction(systems[3], np.random.default_rng(83).uniform(0.2, 1.5, 7))
+    # Every factor of the last row is R + M_j <= 0; the first rows are fine.
+    rs = np.array([data.r0, 2.0 * data.r0, -data.M.max()])
+    with pytest.raises(BranchError):
+        reconstruct_a(rs, data)
 
 
 def test_integrate_r_monotone(systems):

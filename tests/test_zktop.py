@@ -45,6 +45,16 @@ def test_zk_invariants_definition():
     assert np.allclose(zk_invariants(ZkSystem(3), w), [1 - 4, 4 - 9, 9 - 16])
 
 
+def test_zk_guarded_horizon_value_and_range():
+    # 0.4 / ((k - 1) max^(k-1)), in that order of operations.
+    assert zk_guarded_horizon(ZkSystem(3), [0.3, 0.7, 0.2, 0.5]) == 0.4 / (2 * 0.7**2)
+    for k, peak in ((1100, 0.5), (2000, 3.0)):  # max^(k-1) under- and overflows
+        with pytest.raises(InvalidParameterError, match="--t-end"):
+            zk_guarded_horizon(ZkSystem(k), np.full(k + 1, peak))
+    with pytest.raises(InvalidParameterError):
+        zk_guarded_horizon(ZkSystem(2), [0.1, np.nan, 0.2])
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_zk_conservation(k):
     system = ZkSystem(k)

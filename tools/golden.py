@@ -1,0 +1,162 @@
+"""Byte-identity manifest of seeded z2top CLI commands, and the diff of two manifests.
+
+    python tools/golden.py SRC MANIFEST       run every command against SRC/z2top
+    python tools/golden.py --diff A B         list the entries where A and B differ
+
+Each command runs in a fresh interpreter, with PYTHONPATH=SRC, in an empty
+temporary directory.  The manifest records, per command, the exit code, the
+sha256 of stdout, the stderr text, and for every file the command wrote its
+sha256.  A JSON object file also gets one record per top-level key: its
+value when that is a number, a string, null or a flat list of numbers, and
+otherwise the sha256 of its JSON text.  So the diff can say which fields of
+a report changed, and by how much.
+
+Only the standard library is used, so the script runs against any checkout.
+Commands run one at a time; the whole list takes about 20 s on a 2-vCPU host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+COMMANDS = (
+    [f"run --n {n} --seed 1 --format {fmt} --out r" for n in range(2, 9) for fmt in ("csv", "json")]
+    + [f"reduce --n {n} --seed {seed} --out c.json" for n in range(3, 10) for seed in (1, 2, 3)]
+    + ["reduce --n 3 --seed 1"]
+    + [f"zk --k {k} --seed 1 --out z" for k in (3, 6, 12)]
+    + [
+        "run --n 2 --omega0 1,1,1 --t-end 2.0 --out b",
+        "reduce --n 2 --omega0 1,0,0 --out c.json",
+        "zk --k 1100 --seed 1",
+        "zk --k 2000 --seed 1 --random-range 1.5,3",
+        "zk --k 1100 --seed 1 --t-end 1 --out z",
+    ]
+    + [f"geometry --n {n}{fmt}" for n in (3, 4, 8) for fmt in ("", " --format dot")]
+    + [f"equations --n {n}" for n in (3, 4, 8)]
+    + [f"equations --n {n} --labelling classic" for n in (3, 4)]
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _field(value):
+    """A top-level JSON value as recorded: itself when small and numeric, else its digest."""
+    numbers = (int, float)
+    if value is None or isinstance(value, (str, bool, *numbers)):
+        return value
+    if isinstance(value, list) and all(
+        isinstance(x, numbers) and not isinstance(x, bool) for x in value
+    ):
+        return value
+    return {"sha256": _sha(json.dumps(value, sort_keys=True).encode())}
+
+
+def _file_record(path: str) -> dict:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    record = {"sha256": _sha(data)}
+    if path.endswith(".json"):
+        doc = json.loads(data)
+        if isinstance(doc, dict):
+            record["fields"] = {key: _field(value) for key, value in doc.items()}
+    return record
+
+
+def run_command(src: str, command: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    with tempfile.TemporaryDirectory() as work:
+        proc = subprocess.run(
+            [sys.executable, "-m", "z2top", *command.split()],
+            cwd=work,
+            env=env,
+            capture_output=True,
+        )
+        files = {name: _file_record(os.path.join(work, name)) for name in sorted(os.listdir(work))}
+    return {
+        "exit": proc.returncode,
+        "stdout_sha256": _sha(proc.stdout),
+        "stderr": proc.stderr.decode(errors="replace"),
+        "files": files,
+    }
+
+
+def build_manifest(src: str) -> dict:
+    manifest = {}
+    for command in COMMANDS:
+        manifest[command] = run_command(src, command)
+        print(f"exit {manifest[command]['exit']}  {command}", file=sys.stderr)
+    return manifest
+
+
+def _max_abs_diff(a, b):
+    """Largest |a - b| over two equal-shaped numbers or flat number lists, else None."""
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        pairs = list(zip(a, b))
+    else:
+        pairs = [(a, b)]
+    try:
+        return max((abs(x - y) for x, y in pairs), default=0.0)
+    except TypeError:
+        return None
+
+
+def diff_lines(a: dict, b: dict) -> list[str]:
+    """One line per command, output or field that differs between manifests a and b."""
+    lines = []
+    for command in sorted(set(a) | set(b)):
+        if command not in a or command not in b:
+            lines.append(f"{command}: only in {'B' if command not in a else 'A'}")
+            continue
+        ea, eb = a[command], b[command]
+        for key in ("exit", "stdout_sha256"):
+            if ea[key] != eb[key]:
+                lines.append(f"{command}: {key} {ea[key]} -> {eb[key]}")
+        if ea["stderr"] != eb["stderr"]:
+            lines.append(f"{command}: stderr {ea['stderr']!r} -> {eb['stderr']!r}")
+        for name in sorted(set(ea["files"]) | set(eb["files"])):
+            fa, fb = ea["files"].get(name), eb["files"].get(name)
+            if fa is None or fb is None:
+                lines.append(f"{command}: file {name} only in {'B' if fa is None else 'A'}")
+                continue
+            if fa["sha256"] == fb["sha256"]:
+                continue
+            fields_a, fields_b = fa.get("fields", {}), fb.get("fields", {})
+            keys = sorted(set(fields_a) | set(fields_b))
+            changed = [k for k in keys if fields_a.get(k) != fields_b.get(k)]
+            if not changed:
+                lines.append(f"{command}: file {name} bytes differ")
+            for field in changed:
+                delta = _max_abs_diff(fields_a.get(field), fields_b.get(field))
+                detail = "" if delta is None else f" (max abs diff {delta:.3g})"
+                lines.append(f"{command}: file {name} field {field} differs{detail}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--diff", action="store_true", help="compare two manifests")
+    parser.add_argument("first", help="SRC directory, or manifest A with --diff")
+    parser.add_argument("second", help="output manifest, or manifest B with --diff")
+    args = parser.parse_args(argv)
+    if args.diff:
+        with open(args.first) as fa, open(args.second) as fb:
+            lines = diff_lines(json.load(fa), json.load(fb))
+        print("\n".join(lines) if lines else "identical")
+        return 1 if lines else 0
+    manifest = build_manifest(args.first)
+    with open(args.second, "w") as fh:
+        json.dump(manifest, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
