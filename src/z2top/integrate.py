@@ -61,6 +61,9 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _MAX_STEPS = 1_000_000
 
+#: Powers theta^1..theta^4 of the dense-output interpolant.
+_POWERS = np.arange(1, 5)
+
 #: An accepted state with max|x| at or above this ends the run as blow_up.
 BLOW_UP_THRESHOLD = 1e9
 
@@ -95,6 +98,22 @@ def _initial_step(f, y0, f0, t_end, rel_tol, abs_tol) -> float:
     return min(100 * h0, h1, t_end)
 
 
+def _last_grid_index(t_end: float, sample_interval: float) -> int:
+    """The first i with i * sample_interval >= t_end, in the grid's own float products."""
+    ratio = t_end / sample_interval
+    if not ratio < 2.0**53:  # past 2^53 the indices i are not exact doubles
+        raise InvalidParameterError(
+            f"t_end / sample_interval = {ratio!r} samples are too many; "
+            "pass a larger --sample-interval"
+        )
+    last = math.ceil(ratio)
+    while (last - 1) * sample_interval >= t_end:
+        last -= 1
+    while last * sample_interval < t_end:
+        last += 1
+    return last
+
+
 def adaptive_rk(
     f: Callable[[float, np.ndarray], np.ndarray],
     x0: Sequence[float],
@@ -106,10 +125,15 @@ def adaptive_rk(
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """Integrate dx/dt = f(t, x) from 0 to t_end, sampling on a fixed grid.
 
-    Returns (times, states, termination).  The first sample is (0, x0); the
-    last is the final accepted state regardless of termination, so a blow_up
-    trajectory ends with the state that crossed the threshold.  Grid samples
-    strictly inside a step come from the dense-output interpolant.
+    Returns (times, states, termination).  Grid point i is
+    min(i * sample_interval, t_end) for i = 0 up to the first i with
+    i * sample_interval >= t_end, so the last two samples can be closer
+    together than sample_interval.  The first sample is (0, x0); the last is
+    the final accepted state regardless of termination, so a blow_up
+    trajectory ends with the state that crossed the threshold, on the grid or
+    off it.  A grid point on a step's end takes the accepted state itself;
+    the points strictly inside an accepted step come from one batched
+    evaluation of the dense-output interpolant.
     """
     check_tolerances(rel_tol, abs_tol)
     if not (t_end > 0.0) or not math.isfinite(t_end):
@@ -123,23 +147,36 @@ def adaptive_rk(
     if y.ndim != 1 or not np.all(np.isfinite(y)):
         raise InvalidParameterError("x0 must be a finite 1-d vector")
 
-    times = [0.0]
-    states = [y.copy()]
+    # times holds the whole grid up front, plus one spare slot for an
+    # off-grid blow-up time; rows [0, count) of times and states are output.
+    last = _last_grid_index(t_end, sample_interval)
+    try:
+        times = np.empty(last + 2)
+        states = np.empty((last + 2, y.size))
+    except (MemoryError, ValueError):
+        raise InvalidParameterError(
+            f"{last + 1} samples of {y.size} values do not fit in memory; "
+            "pass a larger --sample-interval"
+        ) from None
+    grid = times[: last + 1]
+    grid[:] = np.minimum(np.arange(last + 1) * sample_interval, t_end)
+    states[0] = y
+    count = 1
+
     t = 0.0
     k1 = f(t, y)
 
     h = _initial_step(f, y, k1, t_end, rel_tol, abs_tol)
     fac_old = 1e-4
-    sample_idx = 1
     branch_fail = False
     k = [k1] * 7
 
     for _ in range(_MAX_STEPS):
         if t >= t_end:
-            return np.array(times), np.array(states), COMPLETED
+            return times[:count], states[:count], COMPLETED
         h_floor = 1e-14 * max(1.0, abs(t))
         if h < h_floor:
-            return np.array(times), np.array(states), (
+            return times[:count], states[:count], (
                 BRANCH_FAILURE if branch_fail else STEP_FAILURE
             )
         at_end = h >= t_end - t
@@ -169,23 +206,20 @@ def adaptive_rk(
             continue
 
         t_new = t_end if at_end else t + h_step
-        dense = None
-        while True:
-            ts = min(sample_idx * sample_interval, t_end)
-            if ts > t_new or ts <= t:
-                break
-            if ts == t_new:
-                ys = y_new
-            else:
-                if dense is None:
-                    dense = np.stack(k).T @ _P
-                theta = (ts - t) / h_step
-                ys = y + h_step * (dense @ (theta ** np.arange(1, 5)))
-            times.append(ts)
-            states.append(np.array(ys))
-            sample_idx += 1
-            if ts >= t_end:
-                break
+        # Grid points in (t, t_new]: one on t_new takes y_new itself, the
+        # ones inside the step come from one interpolant evaluation.
+        stop = int(np.searchsorted(grid, t_new, side="right"))
+        inner = stop
+        if grid[stop - 1] == t_new:
+            inner -= 1
+            states[inner] = y_new
+        if inner > count:
+            dense = np.stack(k).T @ _P
+            theta = (grid[count:inner] - t) / h_step
+            states[count:inner] = y + h_step * np.einsum(
+                "ij,mj->mi", dense, theta[:, None] ** _POWERS
+            )
+        count = stop
 
         t = t_new
         y = y_new
@@ -197,9 +231,10 @@ def adaptive_rk(
         fac_old = max(err, 1e-4)
 
         if np.max(np.abs(y)) >= BLOW_UP_THRESHOLD:
-            if times[-1] != t:
-                times.append(t)
-                states.append(y.copy())
-            return np.array(times), np.array(states), BLOW_UP
+            if times[count - 1] != t:
+                times[count] = t
+                states[count] = y
+                count += 1
+            return times[:count], states[:count], BLOW_UP
 
-    return np.array(times), np.array(states), STEP_FAILURE
+    return times[:count], states[:count], STEP_FAILURE

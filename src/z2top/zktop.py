@@ -9,6 +9,7 @@ for general k.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -41,13 +42,19 @@ class ZkSystem:
         return x
 
 
+@functools.lru_cache(maxsize=8)
+def _others(dim: int) -> np.ndarray:
+    """Row i lists the indices j != i of 0..dim-1 in increasing order."""
+    j = np.arange(dim - 1)
+    table = j + (j >= np.arange(dim)[:, None])
+    table.flags.writeable = False
+    return table
+
+
 def zk_rhs(system: ZkSystem, omega: Sequence[float]) -> np.ndarray:
-    """Component i is the product of all other components."""
+    """Component i is the product of all other components, taken in index order."""
     w = system.check_state(omega)
-    out = np.empty_like(w)
-    for i in range(system.dim):
-        out[i] = np.prod(np.delete(w, i))
-    return out
+    return w[_others(system.dim)].prod(axis=1)
 
 
 def _square_differences(w: np.ndarray) -> np.ndarray:

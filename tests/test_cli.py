@@ -206,6 +206,17 @@ def test_run_bad_tolerance(capsys):
     assert code == 2
 
 
+def test_impossible_sample_grid_is_usage_error(tmp_path, capsys):
+    # The grid would need about 1e300 rows: refused before any allocation.
+    code, out, err = run_cli(
+        ["run", "--n", "2", "--seed", "1", "--sample-interval", "1e-300"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "--sample-interval" in err
+
+
 def test_reduce_prints_genus_header(tmp_path, capsys):
     out_path = tmp_path / "cmp.json"
     code, out, _ = run_cli(

@@ -1,8 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+import z2top.dynamics
+import z2top.zktop
 from z2top import gf2
 from z2top.dynamics import (
     MAX_N_SYSTEM,
@@ -15,9 +18,26 @@ from z2top.dynamics import (
     omega_rhs,
     trajectory_json,
 )
-from z2top.errors import InvalidParameterError
+from z2top.errors import BranchError, InvalidParameterError
 from z2top.geometry import Collineation, classic_fano_lines, find_collineation
-from z2top.integrate import adaptive_rk
+from z2top.integrate import (
+    _A,
+    _B,
+    _BETA,
+    _C,
+    _E,
+    _EXPO,
+    _MAX_FACTOR,
+    _MAX_STEPS,
+    _MIN_FACTOR,
+    _P,
+    _SAFETY,
+    BLOW_UP_THRESHOLD,
+    _error_norm,
+    _initial_step,
+    adaptive_rk,
+)
+from z2top.zktop import ZkSystem, integrate_zk, zk_guarded_horizon, zk_rhs
 
 from classic_fixtures import CLASSIC_7_A_SETS, CLASSIC_7_PAIRS
 
@@ -329,6 +349,9 @@ def test_sampling_grid_is_exact(systems):
     traj = integrate(systems[2], "omega", [0.1, 0.2, 0.3], 0.2, sample_interval=0.04)
     expected = np.array([i * 0.04 for i in range(5)] + [0.2])
     assert np.array_equal(traj.times, expected)
+    # 3 * 0.3 is 0.8999999999999999: a grid point one ulp below t_end, then t_end.
+    traj = integrate(systems[2], "omega", [0.1, 0.2, 0.3], 0.9, sample_interval=0.3)
+    assert traj.times.tolist() == [0.0, 0.3, 0.6, 3 * 0.3, 0.9]
 
 
 def test_a_flow_integration_matches_transformed_omega_flow(systems):
@@ -344,3 +367,184 @@ def test_a_flow_integration_matches_transformed_omega_flow(systems):
     assert np.array_equal(omega_traj.times, a_traj.times)
     transformed = omega_traj.states @ system.a_matrix.T
     assert np.max(np.abs(transformed - a_traj.states)) < 1e-9
+
+
+def _per_sample_rk(f, x0, t_end, rel_tol, abs_tol, *, sample_interval=None):
+    """adaptive_rk as it was with one interpolant evaluation per grid point:
+    the reference that the batched dense output must match bit for bit."""
+    if sample_interval is None:
+        sample_interval = t_end / 256
+    y = np.asarray(x0, dtype=float).copy()
+    times = [0.0]
+    states = [y.copy()]
+    t = 0.0
+    k1 = f(t, y)
+    h = _initial_step(f, y, k1, t_end, rel_tol, abs_tol)
+    fac_old = 1e-4
+    sample_idx = 1
+    branch_fail = False
+    k = [k1] * 7
+    for _ in range(_MAX_STEPS):
+        if t >= t_end:
+            return np.array(times), np.array(states), "completed"
+        if h < 1e-14 * max(1.0, abs(t)):
+            return np.array(times), np.array(states), (
+                "branch_failure" if branch_fail else "step_failure"
+            )
+        at_end = h >= t_end - t
+        h_step = t_end - t if at_end else h
+        try:
+            k[0] = k1
+            for s in range(1, 7):
+                ys = y + h_step * sum(a * k[j] for j, a in enumerate(_A[s]))
+                k[s] = f(t + _C[s] * h_step, ys)
+            y_new = y + h_step * sum(b * k[j] for j, b in enumerate(_B) if b)
+            err_vec = h_step * sum(e * k[j] for j, e in enumerate(_E) if e)
+        except BranchError:
+            branch_fail = True
+            h = h_step * 0.25
+            continue
+        if not np.all(np.isfinite(y_new)):
+            err = math.inf
+        else:
+            err = _error_norm(err_vec, y, y_new, rel_tol, abs_tol)
+        branch_fail = False
+        if err > 1.0:
+            h = h_step / min(1 / _MIN_FACTOR, err**_EXPO / _SAFETY)
+            continue
+        t_new = t_end if at_end else t + h_step
+        dense = None
+        while True:
+            ts = min(sample_idx * sample_interval, t_end)
+            if ts > t_new or ts <= t:
+                break
+            if ts == t_new:
+                ys = y_new
+            else:
+                if dense is None:
+                    dense = np.stack(k).T @ _P
+                theta = (ts - t) / h_step
+                ys = y + h_step * (dense @ (theta ** np.arange(1, 5)))
+            times.append(ts)
+            states.append(np.array(ys))
+            sample_idx += 1
+            if ts >= t_end:
+                break
+        t = t_new
+        y = y_new
+        k1 = k[6]
+        fac = err**_EXPO / fac_old**_BETA
+        fac = max(1 / _MAX_FACTOR, min(1 / _MIN_FACTOR, fac / _SAFETY))
+        h = max(h, h_step / fac) if at_end else h_step / fac
+        fac_old = max(err, 1e-4)
+        if np.max(np.abs(y)) >= BLOW_UP_THRESHOLD:
+            if times[-1] != t:
+                times.append(t)
+                states.append(y.copy())
+            return np.array(times), np.array(states), "blow_up"
+    return np.array(times), np.array(states), "step_failure"
+
+
+def _flow_cases():
+    """(t_end, integrate call) over both coordinates of n = 2..6 and zk k = 3, 6, 12."""
+    cases = []
+    for n in range(2, 7):
+        system = TopSystem.create(n)
+        w0 = np.random.default_rng(n).uniform(0.1, 0.5, system.d)
+        t_end = guarded_horizon(system, w0)
+        for kind, x0 in (("omega", w0), ("a", a_transform(system, w0))):
+            call = lambda si, s=system, kind=kind, x0=x0, t=t_end: integrate(
+                s, kind, x0, t, sample_interval=si
+            )
+            cases.append((t_end, call))
+    for k in (3, 6, 12):
+        system = ZkSystem(k)
+        w0 = np.random.default_rng(k).uniform(0.1, 0.5, system.dim)
+        t_end = zk_guarded_horizon(system, w0)
+        call = lambda si, s=system, w0=w0, t=t_end: integrate_zk(s, w0, t, sample_interval=si)
+        cases.append((t_end, call))
+    return cases
+
+
+def _assert_matches_per_sample(call, sample_interval, monkeypatch):
+    batched = call(sample_interval)
+    with monkeypatch.context() as m:
+        m.setattr(z2top.dynamics, "adaptive_rk", _per_sample_rk)
+        m.setattr(z2top.zktop, "adaptive_rk", _per_sample_rk)
+        reference = call(sample_interval)
+    assert batched.termination == reference.termination
+    assert np.array_equal(batched.times, reference.times)
+    assert np.array_equal(batched.states, reference.states)
+    return batched
+
+
+@pytest.mark.parametrize("divisor", [4096, 1000.3, 7, None], ids=str)
+def test_batched_dense_output_matches_per_sample(divisor, monkeypatch):
+    for t_end, call in _flow_cases():
+        interval = None if divisor is None else t_end / divisor
+        traj = _assert_matches_per_sample(call, interval, monkeypatch)
+        assert traj.completed and traj.times[-1] == t_end
+
+
+def test_batched_dense_output_matches_per_sample_edge_cases(systems, monkeypatch):
+    # Past the pole the run ends off the grid, on the state that crossed
+    # the threshold.
+    blow_up = lambda si: integrate(systems[2], "omega", np.ones(3), 2.0, sample_interval=si)
+    for interval in (2.0 / 7, None):
+        traj = _assert_matches_per_sample(blow_up, interval, monkeypatch)
+        assert traj.termination == "blow_up"
+    # 7 * (T / 7) falls one ulp short of T here, so T is a ninth grid point.
+    w0 = np.random.default_rng(4).uniform(0.1, 0.5, 15)
+    t_end = guarded_horizon(systems[4], w0)
+    call = lambda si: integrate(systems[4], "omega", w0, t_end, sample_interval=si)
+    traj = _assert_matches_per_sample(call, t_end / 7, monkeypatch)
+    assert len(traj) == 9
+    assert traj.times[-1] == t_end and np.nextafter(traj.times[-2], np.inf) == t_end
+
+
+@pytest.mark.parametrize(
+    "case", [("omega", n) for n in (2, 3, 4)] + [("zk", 3)], ids=lambda c: f"{c[0]}-{c[1]}"
+)
+def test_dopri5_agrees_with_scipy_dop853(case):
+    # solve_ivp is an independent implementation, run 100x tighter.  Each
+    # attempted step of either solver adds a local error of at most
+    # sqrt(d) (abs_tol + rel_tol max|x|) (its RMS error test), and a
+    # perturbation grows by at most exp(L T) along the flow, L the Lipschitz
+    # bound of the RHS on the trajectory.
+    integrate_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    kind, size = case
+    if kind == "omega":
+        system = TopSystem.create(size)
+        rhs, dim = (lambda x: omega_rhs(system, x)), system.d
+        lipschitz = lambda peak: (dim - 1) * peak  # each row of dF sums 2 |x| per line
+        w0 = np.random.default_rng(size).uniform(0.1, 0.5, dim)
+        t_end = guarded_horizon(system, w0)
+    else:
+        system = ZkSystem(size)
+        rhs, dim = (lambda x: zk_rhs(system, x)), system.dim
+        lipschitz = lambda peak: size * peak ** (size - 1)  # k products of k - 1 factors
+        w0 = np.random.default_rng(size).uniform(0.1, 0.5, dim)
+        t_end = zk_guarded_horizon(system, w0)
+    rel_tol, abs_tol = 1e-10, 1e-12
+    ref_rel, ref_abs = 1e-12, 1e-14
+    calls = 0
+
+    def counted(t, x):
+        nonlocal calls
+        calls += 1
+        return rhs(x)
+
+    times, states, termination = adaptive_rk(counted, w0, t_end, rel_tol, abs_tol)
+    assert termination == "completed"
+    ref = integrate_ivp(
+        lambda t, x: rhs(x), (0.0, t_end), w0, method="DOP853",
+        rtol=ref_rel, atol=ref_abs, t_eval=times,
+    )
+    assert ref.success
+    peak = float(np.max(np.abs(states)))  # at t_end: these positive flows only grow
+    # 6 evaluations per DOPRI5 step and at least 12 per DOP853 step.
+    local = math.sqrt(dim) * (
+        calls / 6 * (abs_tol + rel_tol * peak) + ref.nfev / 12 * (ref_abs + ref_rel * peak)
+    )
+    bound = local * math.exp(lipschitz(peak) * t_end)
+    assert np.max(np.abs(ref.y.T - states)) <= bound

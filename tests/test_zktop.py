@@ -23,6 +23,16 @@ def test_zk_rhs_examples():
     assert np.array_equal(out, np.zeros(4))
 
 
+def test_zk_rhs_matches_delete_and_prod():
+    # The gathered rows multiply the other components in the same order as
+    # np.prod(np.delete(w, i)), so the products agree bit for bit.
+    rng = np.random.default_rng(40)
+    for k in range(2, 41):
+        w = rng.uniform(-2.0, 2.0, k + 1)
+        reference = np.array([np.prod(np.delete(w, i)) for i in range(k + 1)])
+        assert np.array_equal(zk_rhs(ZkSystem(k), w), reference)
+
+
 def test_zk_rhs_length_mismatch():
     with pytest.raises(InvalidParameterError):
         zk_rhs(ZkSystem(2), np.ones(4))

@@ -36,6 +36,9 @@ COMMANDS = (
         "zk --k 1100 --seed 1",
         "zk --k 2000 --seed 1 --random-range 1.5,3",
         "zk --k 1100 --seed 1 --t-end 1 --out z",
+        "run --n 5 --seed 1 --sample-interval 1e-5 --out r",
+        "zk --k 12 --seed 1 --sample-interval 0.02 --out z",
+        "run --n 2 --seed 1 --t-end 0.9 --sample-interval 0.3 --out e",
     ]
     + [f"geometry --n {n}{fmt}" for n in (3, 4, 8) for fmt in ("", " --format dot")]
     + [f"equations --n {n}" for n in (3, 4, 8)]
