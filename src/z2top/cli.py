@@ -23,7 +23,9 @@ non-string value is read from its JSON text, and only "random-range" and
 "omega0" take a list of numbers.  Keys that name no flag of the chosen
 subcommand are ignored, so one file can serve run and reduce.  Explicit
 flags beat the file, and an explicit --omega0 beats a seed from the file:
-the run's metadata then records seed null.
+the run's metadata then records seed null.  The file's values hold for its
+own call only: in-process main() calls share one parser, built on the first
+call, and a --config call parses with a fresh one.
 
 Identical flags and seed give byte-identical output files, each written
 atomically (temp + rename); a run that stops early still writes them, the
@@ -33,10 +35,11 @@ trajectory up to termination.  Z2TOP_NO_COLOR disables summary-line color.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import secrets
 import sys
-import tempfile
 from typing import Optional, Sequence
 
 import numpy as np
@@ -77,8 +80,14 @@ def _status_line(ok: bool, text: str, stream) -> str:
 
 
 def atomic_write(path: str, data: str) -> None:
+    """Write data to path through a temp file in its directory and a rename.
+
+    The temp file is created with mode 0o666, so the umask (and a default
+    ACL) shapes its mode as for a plain open(); mkstemp would make it 0600.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".z2top-")
+    tmp = os.path.join(directory, f".z2top-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
@@ -196,6 +205,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     zk.add_argument("--drift-threshold", type=float)
 
     return parser, sub.choices
+
+
+#: The parser of plain calls, built once per process; a --config call builds its own.
+_shared_parser = functools.cache(_build_parser)
 
 
 def _apply_config_file(sub: argparse.ArgumentParser, path: str) -> None:
@@ -335,11 +348,13 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, subparsers = _build_parser()
+    parser, _ = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            # Defaults from the file, then the same argv again: explicit flags win.
+            # Defaults from the file, then the same argv again: explicit flags
+            # win.  The defaults go into a fresh parser, so they end with this call.
+            parser, subparsers = _build_parser()
             _apply_config_file(subparsers[args.subcommand], args.config)
             args = parser.parse_args(argv)
         return _COMMANDS[args.subcommand](args)

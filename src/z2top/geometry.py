@@ -303,12 +303,15 @@ def geometry_json(n: int) -> dict:
 def incidence_dot(n: int) -> str:
     """Bipartite point-line incidence graph in DOT format."""
     _check_n(n, MAX_N_INCIDENCE)
+    d = num_points(n)
+    # Each index is turned into text once; the statements below join strings only.
+    num = [str(i) for i in range(max(d, num_lines(n)) + 1)]
     out = [f"graph incidence_{n} {{"]
-    for p in range(1, num_points(n) + 1):
-        out.append(f'  p{p} [shape=circle, label="{p}"];')
-    for i, line in enumerate(lines(n), start=1):
-        out.append(f'  L{i} [shape=box, label="L{i}"];')
-        for p in line:
-            out.append(f"  p{p} -- L{i};")
-    out.append("}")
-    return "\n".join(out) + "\n"
+    out += [f'  p{p} [shape=circle, label="{p}"];' for p in num[1 : d + 1]]
+    out += [
+        f'  L{i} [shape=box, label="L{i}"];\n'
+        f"  p{num[p]} -- L{i};\n  p{num[q]} -- L{i};\n  p{num[r]} -- L{i};"
+        for i, (p, q, r) in zip(num[1:], lines(n))
+    ]
+    out.append("}\n")  # the closing newline here spares a copy of the joined text
+    return "\n".join(out)

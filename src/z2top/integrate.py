@@ -54,6 +54,14 @@ _P = np.array(
     ]
 )
 
+# The tableau rows as arrays, and the stages that _B and _E weight by
+# nonzero coefficients, for the stage sums over the (7, dim) stage array.
+_A_ROWS = tuple(np.array(row)[:, None] for row in _A)
+_B_IDX = np.flatnonzero(_B)
+_B_NZ = np.array(_B)[_B_IDX, None]
+_E_IDX = np.flatnonzero(_E)
+_E_NZ = np.array(_E)[_E_IDX, None]
+
 _SAFETY = 0.9
 _BETA = 0.04
 _EXPO = 0.2 - _BETA * 0.75
@@ -164,12 +172,15 @@ def adaptive_rk(
     count = 1
 
     t = 0.0
-    k1 = f(t, y)
+    # Row s holds stage s of the current step; row 0 is f(t, y).  A reduce
+    # over axis 0 adds the weighted rows in index order, so each stage sum is
+    # the left-to-right sum of its terms at every dim.
+    K = np.empty((7, y.size))
+    K[0] = f(t, y)
 
-    h = _initial_step(f, y, k1, t_end, rel_tol, abs_tol)
+    h = _initial_step(f, y, K[0], t_end, rel_tol, abs_tol)
     fac_old = 1e-4
     branch_fail = False
-    k = [k1] * 7
 
     for _ in range(_MAX_STEPS):
         if t >= t_end:
@@ -183,12 +194,11 @@ def adaptive_rk(
         h_step = t_end - t if at_end else h
 
         try:
-            k[0] = k1
             for s in range(1, 7):
-                ys = y + h_step * sum(a * k[j] for j, a in enumerate(_A[s]))
-                k[s] = f(t + _C[s] * h_step, ys)
-            y_new = y + h_step * sum(b * k[j] for j, b in enumerate(_B) if b)
-            err_vec = h_step * sum(e * k[j] for j, e in enumerate(_E) if e)
+                ys = y + h_step * np.add.reduce(_A_ROWS[s] * K[:s], axis=0)
+                K[s] = f(t + _C[s] * h_step, ys)
+            y_new = y + h_step * np.add.reduce(_B_NZ * K[_B_IDX], axis=0)
+            err_vec = h_step * np.add.reduce(_E_NZ * K[_E_IDX], axis=0)
         except BranchError:
             branch_fail = True
             h = h_step * 0.25
@@ -214,7 +224,7 @@ def adaptive_rk(
             inner -= 1
             states[inner] = y_new
         if inner > count:
-            dense = np.stack(k).T @ _P
+            dense = K.T @ _P
             theta = (grid[count:inner] - t) / h_step
             states[count:inner] = y + h_step * np.einsum(
                 "ij,mj->mi", dense, theta[:, None] ** _POWERS
@@ -223,7 +233,7 @@ def adaptive_rk(
 
         t = t_new
         y = y_new
-        k1 = k[6]  # FSAL
+        K[0] = K[6]  # FSAL
         fac = err**_EXPO / fac_old**_BETA
         fac = max(1 / _MAX_FACTOR, min(1 / _MIN_FACTOR, fac / _SAFETY))
         # The final clamped step must not drag the controller step down.

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
@@ -373,6 +375,49 @@ def test_explicit_omega0_records_no_seed(tmp_path, capsys):
     doc = json.loads((tmp_path / "o.trajectory.json").read_text())
     assert doc["seed"] is None
     assert doc["omega0"] == doc["x"][0] == [0.1, 0.2, 0.3]
+
+
+def test_config_values_end_with_their_call(tmp_path, capsys):
+    # The file's seed must not reach a later call in the same process.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7}))
+    code, _, _ = run_cli(
+        ["--config", str(cfg), "reduce", "--n", "3", "--out", str(tmp_path / "c.json")], capsys
+    )
+    assert code == 0
+    code, out, err = run_cli(["reduce", "--n", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: an initial state is required: --omega0 or --seed\n"
+
+
+def test_plain_calls_share_one_parser(capsys):
+    cli._shared_parser.cache_clear()
+    first = run_cli(["equations", "--n", "3"], capsys)
+    assert run_cli(["equations", "--n", "3"], capsys) == first
+    assert cli._shared_parser.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+def test_output_file_mode_follows_umask(umask, tmp_path, capsys):
+    # Each file is written as a plain open() would create it: 0o666 & ~umask,
+    # also when it replaces an existing file.
+    target = tmp_path / "g.dot"
+    target.write_text("old")
+    target.chmod(0o600 if umask == 0o022 else 0o644)
+    old = os.umask(umask)
+    try:
+        codes = [
+            main(["geometry", "--n", "3", "--format", "dot", "--out", str(target)]),
+            main(["run", "--n", "2", "--seed", "1", "--out", str(tmp_path / "r")]),
+        ]
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert codes == [0, 0]
+    assert target.read_text().startswith("graph incidence_3")
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["g.dot", "r.trajectory.csv", "r.drift.json"], 0o666 & ~umask)
 
 
 @pytest.mark.parametrize(

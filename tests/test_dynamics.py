@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import z2top.dynamics
 import z2top.zktop
@@ -243,19 +245,28 @@ def test_difference_equation(n, systems):
                 assert v[i] - v[k] == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_collineation_equivariance(n, systems):
-    rng = np.random.default_rng(13 + n)
-    for _ in range(10):
-        coll = Collineation.from_matrix(gf2.random_invertible(rng, n), n)
-        w = rng.uniform(-1.0, 1.0, systems[n].d)
-        w_perm = np.empty_like(w)
-        for p in range(1, systems[n].d + 1):
-            w_perm[coll(p) - 1] = w[p - 1]
-        lhs = omega_rhs(systems[n], w_perm)
-        rhs = omega_rhs(systems[n], w)
-        for p in range(1, systems[n].d + 1):
-            assert lhs[coll(p) - 1] == pytest.approx(rhs[p - 1], abs=1e-14)
+# Components below 1e-100 are drawn as 0, so that no product underflows.
+_components = st.floats(-1.0, 1.0).map(lambda x: x if abs(x) >= 1e-100 else 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_collineation_equivariance(n, data, systems):
+    # Relabelling omega by a collineation relabels omega' the same way.  The
+    # pairs of each line sum come in another order, so the two sides differ
+    # by rounding: relative to the sum of |terms|, at most a few ulps.
+    system = systems[n]
+    rows = data.draw(
+        st.lists(st.integers(1, system.d), min_size=n, max_size=n).filter(gf2.is_invertible)
+    )
+    image = np.array(Collineation.from_matrix(rows, n).perm) - 1
+    w = data.draw(hnp.arrays(np.float64, system.d, elements=_components))
+    w_perm = np.empty_like(w)
+    w_perm[image] = w
+    lhs = omega_rhs(system, w_perm)[image]
+    scale = omega_rhs(system, np.abs(w))
+    assert np.all(np.abs(lhs - omega_rhs(system, w)) <= 1e-14 * scale)
 
 
 def test_integrate_fixed_point(systems):

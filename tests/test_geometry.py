@@ -213,3 +213,25 @@ def test_incidence_dot():
     assert dot.startswith("graph")
     assert "p1 -- L1;" in dot
     assert "p3 -- L1;" in dot
+
+
+def _reference_incidence_dot(n):
+    """incidence_dot as it was, one int-formatting f-string per statement."""
+    out = [f"graph incidence_{n} {{"]
+    for p in range(1, num_points(n) + 1):
+        out.append(f'  p{p} [shape=circle, label="{p}"];')
+    for i, line in enumerate(lines(n), start=1):
+        out.append(f'  L{i} [shape=box, label="L{i}"];')
+        for p in line:
+            out.append(f"  p{p} -- L{i};")
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_incidence_dot_matches_reference(n):
+    text, reference = incidence_dot(n), _reference_incidence_dot(n)
+    if text != reference:  # name the first differing line, not a diff of megabytes
+        pairs = zip(text.split("\n"), reference.split("\n"))
+        diffs = (f"line {i}: {a!r} != {b!r}" for i, (a, b) in enumerate(pairs) if a != b)
+        pytest.fail(next(diffs, "one text is a prefix of the other"))
