@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import secrets
 import sys
@@ -123,6 +124,8 @@ def _parse_range(value) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except (TypeError, ValueError):
         raise bad from None
+    if not math.isfinite(hi - lo):  # also inf or nan at either end
+        raise InvalidParameterError(f"range needs finite LO, HI and HI - LO, got {value!r}")
     if not lo < hi:
         raise InvalidParameterError(f"range must satisfy LO < HI, got {value!r}")
     return lo, hi
@@ -139,6 +142,8 @@ def _initial_state(args: argparse.Namespace, dim: int) -> np.ndarray:
         return state
     if args.seed is None:
         raise InvalidParameterError("an initial state is required: --omega0 or --seed")
+    if args.seed < 0:
+        raise InvalidParameterError(f"--seed must be a non-negative integer, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     return rng.uniform(lo, hi, dim)
 

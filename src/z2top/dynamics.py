@@ -14,6 +14,7 @@ the closed-form inverse used by a_inverse.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
@@ -31,8 +32,8 @@ MAX_N_SYSTEM = 10
 #: Fraction of the majorant's earliest pole time that the default horizon spans.
 HORIZON_BUDGET = 0.4
 
-#: Rows per block of Trajectory.to_csv.
-_CSV_BLOCK_ROWS = 64
+#: Values per block of Trajectory.to_csv; a wider row is a block of its own.
+_CSV_BLOCK_VALUES = 4096
 
 RhsKind = Literal["omega", "a"]
 
@@ -117,17 +118,14 @@ class Trajectory:
         return self.termination == COMPLETED
 
     def to_csv(self) -> str:
+        """Header t,x_1..x_dim, then one row per sample, every value as '%.17g'."""
         dim = self.states.shape[1]
-        template = ",".join(["%.17g"] * (dim + 1)) + "\n"
-        times = self.times.tolist()
+        rows = max(1, _CSV_BLOCK_VALUES // (dim + 1))
         blocks = ["t," + ",".join([f"x_{j}" for j in range(1, dim + 1)]) + "\n"]
-        # Rows are formatted one at a time and joined in blocks: a tolist() of
-        # the whole array, or one string per row kept to the end, raises the
-        # peak memory above what csv.writer needed.
-        for start in range(0, len(times), _CSV_BLOCK_ROWS):
-            stop = start + _CSV_BLOCK_ROWS
-            rows = zip(times[start:stop], self.states[start:stop])
-            blocks.append("".join([template % (t, *x.tolist()) for t, x in rows]))
+        for start in range(0, len(self.times), rows):
+            stop = start + rows
+            values = np.column_stack((self.times[start:stop], self.states[start:stop]))
+            blocks.append(_format_g17(values))
         return "".join(blocks)
 
     def to_json_dict(self, **metadata) -> dict:
@@ -193,15 +191,184 @@ def integrate(
     )
 
 
+# '%.17g' % x for a block of doubles, byte for byte.  For 1e-6 < |x| < 1e17
+# the 17 digits are N = round(|x| * 10^(16 - X)), X = floor(log10 |x|):
+# 10^0..10^22 are exact doubles, Dekker's two-product gives the product
+# exactly as hi + lo, and hi is an even integer (the product is above 2^53),
+# so N = hi + rint(lo) rounds half to even, as dtoa does.  Each value's text
+# is gathered from a 28-byte row of its own through a template chosen by
+# (X, significant digits, sign).  The row is seven '<u4' words:
+# [lead digit, separator, '.', '-'], the four 4-digit groups of N,
+# ['0', 'e', '5', '6'] and four spaces, which pad every text to one width
+# and are deleted at the end.  ±0.0 are kernel values too; nan, ±inf,
+# 0 < |x| <= 1e-6 and |x| >= 1e17 go through '%.17g' one value at a time.
+
+_X_MIN, _X_MAX = -6, 16
+#: Text columns per value: the longest '%.17g' text (24 bytes) and a separator.
+_G17_WIDTH = 25
+_G17_ROW = 28
+_G17_GATHER = 1024
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
+_POW10 = np.array([float(10**k) for k in range(_X_MAX - _X_MIN + 1)], dtype=np.float64)
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = x * _SPLIT
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi + lo = a * 10^(16 - x) exactly (Dekker's two-product)."""
+    k = _X_MAX - x
+    s_hi, s_lo = _POW10_HI[k], _POW10_LO[k]
+    a_hi, a_lo = _split(a)
+    hi = a * _POW10[k]
+    return hi, ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+
+
+# The kernel's tables are built by array arithmetic on first use and cached,
+# so a process that writes no CSV neither builds nor holds them.
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The words of every 4-digit group, the significant-digit ends of every
+    group at each of its four places, and the head and tail words of a row."""
+    g = np.arange(10_000, dtype=np.int16)  # small dtypes keep the build's peak low
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    group_words = (digits + ord("0")).astype(np.uint8).view("<u4").ravel()
+    # The significant digits of N through group j's last nonzero digit, or 1
+    # (the lead digit) when group j is zero.
+    sig = 4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0)
+    places = np.arange(1, 17, 4, dtype=np.uint8)[:, None]
+    ends = np.where(g > 0, places + sig.astype(np.uint8), 1).astype(np.uint8, copy=False)
+    head = np.frombuffer(b"0,.-0\n.-", dtype=np.uint8).reshape(2, 1, 4).repeat(10, axis=1)
+    head[:, :, 0] += np.arange(10, dtype=np.uint8)
+    head_words = head.view("<u4").ravel()  # [lead + 10 * row end]
+    tail_words = np.frombuffer(b"0e56    ", dtype="<u4")
+    return group_words, ends, head_words, tail_words
+
+
+@functools.cache
+def _text_templates() -> np.ndarray:
+    """Row byte sources of the text of every key ((X + 6) * 17 + nd - 1) * 2 + sign.
+
+    Fixed notation, X >= -4: the digits after -X leading zeros when X < 0,
+    the point after the whole part unless nothing follows it.  X = -5, -6:
+    d.ddd, then e-05 or e-06.
+    """
+    sep, dot, minus, zero, e, five, six, pad = 1, 2, 3, 20, 21, 22, 23, 24
+    x, nd = (m.reshape(-1, 1) for m in np.meshgrid(
+        np.arange(_X_MIN, _X_MAX + 1, dtype=np.int16), np.arange(1, 18, dtype=np.int16),
+        indexing="ij"))
+    c = np.arange(_G17_WIDTH, dtype=np.int16)
+    fixed = x >= -4
+    zeros = np.where(fixed, np.maximum(-x, 0), 0)
+    whole = np.where(fixed, np.maximum(x, 0) + 1, 1)
+    end = zeros + nd
+    frac = end > whole
+    body = np.where(frac, end + 1, whole)
+    k = np.where(c < whole, c, c - 1) - zeros  # digit index
+    digit = np.where(k < 0, zero, np.where(k == 0, 0, k + 3))
+    t = c - body
+    exponent = np.select([t == 0, t == 1, t == 2], [e, minus, zero], np.where(x == -5, five, six))
+    tail = np.where(fixed, 0, 4)
+    src = np.select(
+        [(c < whole) | (frac & (c > whole) & (c < body)), frac & (c == whole),
+         (t >= 0) & (t < tail), t == tail],
+        [digit, dot, exponent, sep],
+        pad,
+    )
+    negative = np.concatenate([np.full_like(src[:, :1], minus), src[:, :-1]], axis=1)
+    return np.stack([src, negative], axis=1).reshape(-1, _G17_WIDTH).astype(np.intp)
+
+
+def _g17_decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, X, slow) of a flat float64 array: the 17 digits N and the decimal
+    exponent X of each |v| (both 0 at ±0.0), and the indices of the values
+    that '%.17g' itself must write."""
+    a = np.abs(v)
+    fast = (a > 1e-6) & (a < 1e17)  # the double 1e-6 is below 10^-6
+    a = np.where(fast, a, 1.0)
+    x = np.clip(np.floor(np.log10(a)), _X_MIN, _X_MAX).astype(np.int64)
+    hi, lo = _scaled(a, x)
+    # floor(log10) can miss the exponent by one next to a power of ten.
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    miss = np.flatnonzero(low | high)
+    if miss.size:
+        x[miss] += np.where(high[miss], 1, -1)
+        hi[miss], lo[miss] = _scaled(a[miss], x[miss])
+    # No double below 10^(X+1) rounds up to it at 17 digits, so N < 10^17.
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    zero = v == 0.0
+    n[zero] = 0
+    x[zero] = 0
+    return n, x, np.flatnonzero(~(fast | zero))
+
+
+def _g17_rows(v: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 28-byte rows and template keys of a flat float64 array of rows of
+    width values, and the indices of the values that '%.17g' must write."""
+    group_words, ends_table, head_words, tail_words = _digit_tables()
+    n, x, slow = _g17_decimal(v)
+    q = n // 10**8
+    lead = q // 10**8
+    hi8, lo8 = q - lead * 10**8, n - q * 10**8
+    g1, g3 = hi8 // 10**4, lo8 // 10**4
+    groups = (g1, hi8 - g1 * 10**4, g3, lo8 - g3 * 10**4)
+    e1, e2, e3, e4 = (ends[g] for ends, g in zip(ends_table, groups))
+    nd = np.maximum(np.maximum(e1, e2), np.maximum(e3, e4))
+    key = ((x - _X_MIN) * 17 + nd - 1) * 2 + np.signbit(v)
+
+    row = np.empty((v.size, _G17_ROW // 4), dtype="<u4")
+    row_end = np.zeros(width, dtype=np.int64)
+    row_end[-1] = 10
+    row[:, 0] = head_words[(lead.reshape(-1, width) + row_end).ravel()]
+    for j, g in enumerate(groups):
+        row[:, 1 + j] = group_words[g]
+    row[:, 5], row[:, 6] = tail_words
+    return row, key, slow
+
+
+def _format_g17(values: np.ndarray) -> str:
+    """The rows of a (rows, width) float64 block as text: each value as
+    '%.17g' % x, joined by ',' within a row, each row ended by a newline."""
+    width = values.shape[1]
+    v = np.asarray(values, dtype=np.float64).ravel()
+    row, key, slow = _g17_rows(v, width)
+    templates = _text_templates()
+    source = row.view(np.uint8).ravel()
+    text = np.empty((v.size, _G17_WIDTH), dtype=np.uint8)
+    # The byte index, 25 intp per value, is built for _G17_GATHER values at a
+    # time, which keeps it out of the peak memory of a block.
+    for start in range(0, v.size, _G17_GATHER):
+        stop = min(start + _G17_GATHER, v.size)
+        index = np.take(templates, key[start:stop], axis=0)
+        index += np.arange(start * _G17_ROW, stop * _G17_ROW, _G17_ROW, dtype=np.intp)[:, None]
+        np.take(source, index, out=text[start:stop])
+    if slow.size:
+        row_ends = (slow % width == width - 1).tolist()
+        cells = ["%.17g" % y + ("\n" if e else ",") for y, e in zip(v[slow].tolist(), row_ends)]
+        padded = "".join([cell.ljust(_G17_WIDTH) for cell in cells]).encode("ascii")
+        text[slow] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, _G17_WIDTH)
+    return text.tobytes().translate(None, b" ").decode("ascii")
+
+
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_items(items, ind: str) -> str:
-    """The items of a non-empty list, one per line at indent ind, comma-separated.
+def _json_items(items, ind: str, parts: list) -> None:
+    """Append the items of a non-empty list, one per line at indent ind,
+    comma-separated, to parts.
 
     Items that are all exactly float or all exactly int, or equal-length rows
-    of such, go through one % template.  The type test is exact because
-    '%r' % np.float64(x) and '%d' % True misprint.
+    of such, go through one % template, as one part.  The type test is exact
+    because '%r' % np.float64(x) and '%d' % True misprint.
     """
     sep = ",\n" + ind
     rows = set(map(type, items)) <= {list, tuple} and len(set(map(len, items))) == 1
@@ -215,45 +382,62 @@ def _json_items(items, ind: str) -> str:
         block = sep.join([cell] * len(items)) % tuple(values)
         if "n" in block:  # only nan and inf spell an n
             block = block.replace("nan", "NaN").replace("inf", "Infinity")
-        return block
-    return sep.join([_json_value(x, ind) for x in items])
+        parts.append(block)
+        return
+    for i, x in enumerate(items):
+        if i:
+            parts.append(sep)
+        _json_parts(x, ind, parts)
 
 
-def _json_value(obj, ind: str) -> str:
-    """obj as json.dumps(obj, sort_keys=True, indent=1) writes it, nested at indent ind."""
+def _json_parts(obj, ind: str, parts: list) -> None:
+    """Append obj as json.dumps(obj, sort_keys=True, indent=1) writes it, nested
+    at indent ind, to parts."""
     if isinstance(obj, str):
-        return _json_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
+        parts.append(_json_str(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
         text = float.__repr__(obj)
-        return _NONFINITE.get(text, text)
-    inner = ind + " "
-    if isinstance(obj, (list, tuple)):
+        parts.append(_NONFINITE.get(text, text))
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        return "[\n" + inner + _json_items(obj, inner) + "\n" + ind + "]"
-    if isinstance(obj, dict):
+            parts.append("[]")
+            return
+        inner = ind + " "
+        parts.append("[\n" + inner)
+        _json_items(obj, inner, parts)
+        parts.append("\n" + ind + "]")
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        sep = ",\n" + inner
-        body = sep.join([_json_str(k) + ": " + _json_value(obj[k], inner) for k in sorted(obj)])
-        return "{\n" + inner + body + "\n" + ind + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            parts.append("{}")
+            return
+        inner = ind + " "
+        for i, key in enumerate(sorted(obj)):
+            parts.append(("{\n" if i == 0 else ",\n") + inner + _json_str(key) + ": ")
+            _json_parts(obj[key], inner, parts)
+        parts.append("\n" + ind + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _json_text(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=1) + "\\n", without json's pure-Python encoder.
 
     json drops to that encoder whenever indent is set.  Keys must be str.
+    Every piece goes into one list that is joined once, so the peak memory
+    is about twice the text.
     """
-    return _json_value(obj, "") + "\n"
+    parts: list[str] = []
+    _json_parts(obj, "", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def trajectory_json(trajectory: Trajectory, **metadata) -> str:

@@ -9,7 +9,8 @@ contract:
 
   completed      reached t_end
   blow_up        max|x| crossed BLOW_UP_THRESHOLD
-  step_failure   the controller step underflowed (or the step budget ran out)
+  step_failure   the controller step underflowed (at once when f(0, x0) is not
+                 finite), or the step budget ran out
   branch_failure step underflow caused by the RHS raising BranchError
 """
 
@@ -93,6 +94,8 @@ def _initial_step(f, y0, f0, t_end, rel_tol, abs_tol) -> float:
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if not h0 > 0.0:  # f0 overflowed (d1 inf or nan): the step underflows at once
+        return 0.0
     h0 = min(h0, t_end)
     try:
         f1 = f(h0, y0 + h0 * f0)

@@ -196,6 +196,46 @@ def test_run_missing_state(capsys):
     assert "initial state" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--n", "2", "--seed", "-1"],
+        ["reduce", "--n", "3", "--seed", "-2"],
+        ["zk", "--k", "3", "--seed", "-5"],
+    ],
+    ids=["run", "reduce", "zk"],
+)
+def test_negative_seed_is_usage_error(args, tmp_path, capsys):
+    # numpy refuses a negative seed; that must not read as exit 1 (drift exceeded).
+    code, out, err = run_cli([*args, "--out", str(tmp_path / "o")], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "--seed" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("spec", ["1,inf", "-inf,1", "nan,1", "1,nan", "-1e308,1e308"])
+def test_random_range_must_be_finite(spec, capsys):
+    code, out, err = run_cli(["run", "--n", "3", "--seed", "1", f"--random-range={spec}"], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "range" in err
+
+
+def test_overflowing_initial_rhs_is_step_failure(tmp_path, capsys):
+    # omega_j omega_k overflows at t = 0, so no first step exists.
+    base = tmp_path / "big"
+    with pytest.warns(RuntimeWarning):  # the RHS and the drift report overflow
+        code, _, err = run_cli(
+            ["run", "--n", "2", "--omega0", "1e200,1e200,1e200", "--out", str(base)], capsys
+        )
+    assert code == 4
+    assert "termination: step_failure" in err
+    csv_text = (tmp_path / "big.trajectory.csv").read_text()
+    assert csv_text == "t,x_1,x_2,x_3\n0" + ",%.17g" % 1e200 * 3 + "\n"
+    assert (tmp_path / "big.drift.json").exists()
+
+
 def test_run_wrong_omega0_length(capsys):
     code, _, err = run_cli(["run", "--n", "3", "--omega0", "1,2,3"], capsys)
     assert code == 2
@@ -429,8 +469,14 @@ def test_output_file_mode_follows_umask(umask, tmp_path, capsys):
         ({"seed": 1.5}, []),
         ({"format": "xml"}, ["--seed", "1"]),
         ({"out": ["a"]}, ["--seed", "1"]),
+        ({"seed": -1}, []),
+        ({"random-range": [1, math.inf]}, ["--seed", "1"]),
+        ({"random-range": ["-1e308", "1e308"]}, ["--seed", "1"]),
     ],
-    ids=["range-short", "range-reversed", "t-end-list", "seed-float", "format-xml", "out-list"],
+    ids=[
+        "range-short", "range-reversed", "t-end-list", "seed-float", "format-xml", "out-list",
+        "seed-negative", "range-inf", "range-width-overflow",
+    ],
 )
 def test_bad_config_value_is_usage_error(values, args, tmp_path, capsys):
     # A --config value gets the conversion and checks of the flag it names.

@@ -317,6 +317,18 @@ def test_step_failure_on_nan_rhs():
     assert times[-1] < 2.0
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_step_failure_on_nonfinite_rhs_at_start(bad):
+    # f(0, x0) overflowed: the first step size is 0, not a division by it.
+    def rhs(t, x):
+        return np.full_like(x, bad)
+
+    times, states, termination = adaptive_rk(rhs, [1.0, 2.0], 1.0, 1e-10, 1e-12)
+    assert termination == "step_failure"
+    assert times.tolist() == [0.0]
+    assert states.tolist() == [[1.0, 2.0]]
+
+
 def test_three_dim_square_differences_conserved(systems):
     # d(omega_i^2)/dt = 2 w1 w2 w3 for every i, so the pairwise differences
     # of squares are integrals; this is the integrator's base oracle.

@@ -3,12 +3,17 @@
 The JSON writer must give exactly json.dumps(obj, sort_keys=True, indent=1)
 + "\\n", and Trajectory.to_csv exactly what csv.writer gives for
 format(x, ".17g") cells; _reference_csv is the csv.writer code that
-to_csv replaced.
+to_csv replaced.  The '%.17g' kernel under to_csv is held to '%.17g' % x,
+value by value.
 """
 
 import csv
 import io
 import json
+import math
+import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +22,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from z2top.dynamics import Trajectory, _json_text  # noqa: E402
+from z2top import dynamics, geometry  # noqa: E402
+from z2top.dynamics import Trajectory, _format_g17, _json_text  # noqa: E402
 
 _EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16, 1 / 3]
 
@@ -82,7 +88,6 @@ def _reference_csv(trajectory: Trajectory) -> str:
 
 @st.composite
 def trajectories(draw):
-    # Up to 200 rows, so that a trajectory spans several of to_csv's row blocks.
     m, dim = draw(st.integers(1, 200)), draw(st.integers(1, 5))
     times = draw(hnp.arrays(np.float64, m, elements=floats, fill=floats))
     states = draw(hnp.arrays(np.float64, (m, dim), elements=floats, fill=floats))
@@ -90,6 +95,99 @@ def trajectories(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(trajectories())
-def test_to_csv_matches_csv_writer(trajectory):
+@given(trajectories(), st.integers(1, 40))
+def test_to_csv_matches_csv_writer(trajectory, block_values):
+    # Small blocks, so that a trajectory spans several of them, and a row can
+    # be wider than a block.
+    with mock.patch.object(dynamics, "_CSV_BLOCK_VALUES", block_values):
+        assert trajectory.to_csv() == _reference_csv(trajectory)
+
+
+def _mixed_values(rng, shape):
+    """Values from every branch of the '%.17g' kernel and of its fallback."""
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-7, -3e17, 1e300])
+    values = rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-9, 20, shape)
+    pick = rng.random(shape) < 0.1
+    values[pick] = rng.choice(special, np.count_nonzero(pick))
+    return values
+
+
+@pytest.mark.parametrize("m, dim", [(3000, 2), (2, 4999), (4097, 31)])
+def test_to_csv_blocks_match_csv_writer(m, dim):
+    # 1365 rows of 3 values per block; rows wider than a block; the fine grid.
+    rng = np.random.default_rng(m + dim)
+    times, states = _mixed_values(rng, m), _mixed_values(rng, (m, dim))
+    trajectory = Trajectory("omega", times, states, "completed")
     assert trajectory.to_csv() == _reference_csv(trajectory)
+
+
+def _reference_rows(values: np.ndarray) -> str:
+    return "".join([",".join(["%.17g" % x for x in row]) + "\n" for row in values.tolist()])
+
+
+_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.nan, -math.inf])
+_SHAPES = st.tuples(st.integers(1, 6), st.integers(1, 8))
+_KERNEL_RANGE = st.floats(min_value=1e-6, max_value=1e17, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, _SHAPES, elements=st.floats() | _EDGES))
+def test_format_g17_matches_percent(values):
+    assert _format_g17(values) == _reference_rows(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, _SHAPES, elements=_KERNEL_RANGE | _KERNEL_RANGE.map(lambda x: -x)))
+def test_format_g17_matches_percent_in_kernel_range(values):
+    assert _format_g17(values) == _reference_rows(values)
+
+
+def _below(p: Fraction) -> float:
+    """The largest double below p."""
+    x = float(p)
+    while Fraction(x) >= p:
+        x = math.nextafter(x, 0.0)
+    return x
+
+
+def _fixed_table() -> list[float]:
+    values = []
+    for k in range(-8, 19):
+        p = float(f"1e{k}")
+        values += [math.nextafter(p, 0.0), p, math.nextafter(p, math.inf)]
+    values += [math.nextafter(1e-4, 0.0), math.nextafter(1e-6, 0.0)]
+    # Roundings that carry through a run of nines: 1.2 is 1.1999...9556.
+    values += [1.2, 1.7, 0.039, 0.00035, 0.00031]
+    # Exact ties at the 18th digit (odd integers / 2^k): the 17th goes to even.
+    values += [m / 2**k for m in (131073, 131075, 1048577, 1048579) for k in (17, 20)]
+    values += [2.0**53 - 2, 2.0**53 + 2]
+    return values + [-x for x in values]
+
+
+def test_format_g17_fixed_table():
+    values = np.array(_fixed_table())
+    expected = "".join(["%.17g\n" % x for x in values.tolist()])
+    assert _format_g17(values[:, None]) == expected
+    assert _format_g17(values[None, :]) == expected.replace("\n", ",")[:-1] + "\n"
+    assert _format_g17(np.array([[math.nextafter(1e-4, 0.0)]])) == "9.9999999999999991e-05\n"
+    ties = np.array([[1 + 2**-17, 1 + 3 * 2**-17]])
+    assert _format_g17(ties) == "1.0000076293945312,1.0000228881835938\n"
+
+
+@pytest.mark.parametrize("k", range(-5, 18))
+def test_no_double_below_a_power_of_ten_rounds_up_to_it(k):
+    # The kernel relies on this: N = round(|x| 10^(16 - X)) never reaches 10^17.
+    p = Fraction(10) ** k
+    assert Fraction("%.17g" % _below(p)) < p
+
+
+def test_json_text_peak_memory_is_about_twice_the_text():
+    doc = geometry.geometry_json(10)
+    tracemalloc.start()
+    try:
+        text = _json_text(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 10_000_000
+    assert peak <= 2.1 * len(text)

@@ -40,6 +40,16 @@ COMMANDS = (
         "zk --k 12 --seed 1 --sample-interval 0.02 --out z",
         "run --n 2 --seed 1 --t-end 0.9 --sample-interval 0.3 --out e",
     ]
+    # Trajectory CSVs that reach every branch of the '%.17g' kernel: negative
+    # values, exact zeros, nonzero values below 1e-6 and values at or above
+    # 1e16 and 1e17 (the last run exits 4 after writing its first row).
+    + [
+        "run --n 3 --seed 1 --random-range=-0.5,0.5 --out k",
+        "zk --k 3 --seed 3 --random-range=-2,2 --out k",
+        "run --n 3 --omega0 0,0,0,0,0,0,1 --t-end 1 --out k",
+        "run --n 2 --omega0 1e-7,2e-7,3e-7 --t-end 1 --out k",
+        "run --n 2 --omega0 2e16,3e17,1 --t-end 1e-20 --out k",
+    ]
     + [f"geometry --n {n}{fmt}" for n in (3, 4, 8) for fmt in ("", " --format dot")]
     + [f"equations --n {n}" for n in (3, 4, 8)]
     + [f"equations --n {n} --labelling classic" for n in (3, 4)]
