@@ -16,12 +16,7 @@ from .dynamics import (
     integrate,
     omega_rhs,
 )
-from .errors import (
-    BranchError,
-    DegenerateOrbitError,
-    InvalidParameterError,
-    UnsupportedSearchError,
-)
+from .errors import BranchError, DegenerateOrbitError, InvalidParameterError
 from .geometry import (
     Collineation,
     classic_fano_lines,

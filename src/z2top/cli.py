@@ -8,7 +8,8 @@ Subcommands
     zk         integrate the k+1 variable product flow and its drift
 
 Exit codes: 0 success, 1 drift threshold exceeded, 2 usage error,
-3 blow-up, 4 step failure, 5 degenerate orbit, 6 branch failure.
+3 blow-up, 4 step failure, 5 degenerate orbit, 6 branch failure; the
+program entry point (z2top.__main__) exits 70 on any other exception.
 
 run and zk share one pipeline.  --drift-threshold gates both the same way,
 with or without --out: a max drift above the threshold, or a non-finite
@@ -47,12 +48,7 @@ import numpy as np
 
 from . import geometry
 from .dynamics import TopSystem, _json_text, guarded_horizon, integrate, trajectory_json
-from .errors import (
-    BranchError,
-    DegenerateOrbitError,
-    InvalidParameterError,
-    UnsupportedSearchError,
-)
+from .errors import BranchError, DegenerateOrbitError, InvalidParameterError
 from .integrate import BLOW_UP, BRANCH_FAILURE, COMPLETED, STEP_FAILURE
 from .invariants import drift_report
 from .reduction import compare_routes
@@ -363,7 +359,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _apply_config_file(subparsers[args.subcommand], args.config)
             args = parser.parse_args(argv)
         return _COMMANDS[args.subcommand](args)
-    except (InvalidParameterError, UnsupportedSearchError, OSError, json.JSONDecodeError) as exc:
+    except (InvalidParameterError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DegenerateOrbitError as exc:
@@ -372,7 +368,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BranchError as exc:
         print(f"branch failure: {exc}", file=sys.stderr)
         return EXIT_BRANCH
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -18,7 +18,3 @@ class BranchError(ArithmeticError):
 
     Raised when a product that must stay positive is zero or negative.
     """
-
-
-class UnsupportedSearchError(RuntimeError):
-    """The exhaustive relabelling search is refused (space too large)."""

@@ -16,21 +16,16 @@ fixtures and related to the canonical labelling by a relabelling search.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import gf2
-from .errors import InvalidParameterError, UnsupportedSearchError
+from .errors import InvalidParameterError
 
-#: Largest n accepted as a point space (larger n is a usage error, not an unsupported search).
-MAX_N_POINTS = 16
 #: Largest n for which lines/hyperplanes are materialized (counts grow as 4^n).
 MAX_N_INCIDENCE = 12
-#: Largest n for which the exhaustive relabelling search runs.
-MAX_N_SEARCH = 4
 
 
 def _check_n(n: int, limit: int) -> None:
@@ -124,56 +119,47 @@ def _third_point_table(triples: Iterable[tuple[int, ...]]) -> Optional[dict]:
 def _search_relabelling(
     n: int, triples: list[tuple[int, ...]]
 ) -> Optional[tuple[int, ...]]:
-    """First permutation (canonical -> target labels) mapping the canonical
-    line set onto the target triples, or None.
+    """Permutation (canonical -> target labels) mapping the canonical line set
+    onto the target triples, or None when the target is not a projective space.
 
-    The search enumerates which target labels receive the canonical basis
-    points 1, 2, 4, ..., 2^(n-1); each independent choice corresponds to one
-    invertible GF(2) matrix, so the space has |GL(n, 2)| live candidates
-    (20160 for n = 4).  All other images follow by line closure.
+    A basis point 2^j takes the smallest label not yet used, which lies outside
+    the span of the earlier images; every other point c takes the third point
+    of the images of c & -c and c ^ (c & -c).  As GL(n, 2) is transitive on
+    ordered independent tuples, this is the lexicographically first frame.
     """
     d = num_points(n)
-    target_set = {tuple(t) for t in triples}
     third = _third_point_table(triples)
     if third is None:
         return None
-    basis = [1 << j for j in range(n)]
-    canonical = lines(n)
-    for frame in itertools.permutations(range(1, d + 1), n):
-        perm = [0] * (d + 1)
-        for b, t in zip(basis, frame):
-            perm[b] = t
-        used = set(frame)
-        ok = True
-        for c in range(3, d + 1):
-            if perm[c]:
-                continue
-            low = c & -c
-            img = third.get((min(perm[low], perm[c ^ low]), max(perm[low], perm[c ^ low])))
-            if img is None or img in used:
-                ok = False
-                break
-            perm[c] = img
-            used.add(img)
-        if not ok:
-            continue
-        image = {tuple(sorted((perm[p], perm[q], perm[r]))) for p, q, r in canonical}
-        if image == target_set:
-            return tuple(perm[1:])
-    return None
+    perm = [0] * (d + 1)
+    used = [False] * (d + 1)
+    smallest = 1
+    for c in range(1, d + 1):
+        low = c & -c
+        if c == low:
+            while used[smallest]:
+                smallest += 1
+            img = smallest
+        else:
+            a, b = perm[low], perm[c ^ low]
+            img = third.get((a, b) if a < b else (b, a))
+            if img is None or used[img]:
+                return None
+        perm[c] = img
+        used[img] = True
+    image = {tuple(sorted((perm[p], perm[q], perm[r]))) for p, q, r in lines(n)}
+    return tuple(perm[1:]) if image == {tuple(t) for t in triples} else None
 
 
 def find_collineation(
     n: int, target_lines: Sequence[Iterable[int]]
 ) -> Optional[Collineation]:
-    """Search for a relabelling carrying the canonical line set onto target_lines.
+    """Find a relabelling carrying the canonical line set onto target_lines.
 
     Returns None when the target triples are not a genuine line structure.
-    Refuses n > 4 (the frame space grows like |GL(n, 2)|).
+    Accepts n up to MAX_N_INCIDENCE, like lines(), which the final check builds.
     """
-    _check_n(n, MAX_N_POINTS)
-    if n > MAX_N_SEARCH:
-        raise UnsupportedSearchError(f"relabelling search supports n <= {MAX_N_SEARCH}")
+    _check_n(n, MAX_N_INCIDENCE)
     triples = _validated_triples(n, target_lines)
     perm = _search_relabelling(n, triples)
     if perm is None:
@@ -182,34 +168,42 @@ def find_collineation(
 
 
 def _lines_from_blocks(blocks: Sequence[frozenset], d: int) -> Optional[set[tuple[int, ...]]]:
-    """Line triples of a block design on points 1..d, or None if it has no line structure.
+    """Line triples of a hyperplane design on points 1..d, or None if it has none.
 
-    The points collinear with a pair are those common to every block
-    containing the pair; each such set must be a triple.
+    A line meets every hyperplane in 1 or 3 points, so with v_p the bitmask of
+    the blocks holding p, the third point of {p, q} is the point whose
+    bitmask is NOT(v_p XOR v_q).
     """
-    points = frozenset(range(1, d + 1))
+    masks = [0] * (d + 1)
+    for i, block in enumerate(blocks):
+        for p in block:
+            masks[p] |= 1 << i
+    point_of = {mask: p for p, mask in enumerate(masks) if p}
+    if len(point_of) != d:
+        return None
+    full = (1 << len(blocks)) - 1
     triples = set()
     for p in range(1, d + 1):
         for q in range(p + 1, d + 1):
-            common = points.intersection(*[b for b in blocks if p in b and q in b])
-            if len(common) != 3:
+            # r is never p or q: a point in every block would make the d
+            # complemented masks a subspace (with 0), of odd size d > 1.
+            r = point_of.get(full & ~(masks[p] ^ masks[q]))
+            if r is None:
                 return None
-            triples.add(tuple(sorted(common)))
+            triples.add(tuple(sorted((p, q, r))))
     return triples
 
 
 def find_hyperplane_collineation(
     n: int, target_blocks: Sequence[Iterable[int]]
 ) -> Optional[Collineation]:
-    """Search for a relabelling carrying the canonical hyperplane point sets
-    onto the given blocks (compared as unordered sets).
+    """Find a relabelling carrying the canonical hyperplane point sets onto
+    the given blocks (compared as unordered sets).
 
-    The line structure is first derived from the blocks: the points collinear
-    with a pair are those common to every block containing the pair.
+    The line structure is first derived from the blocks by the parity rule
+    of :func:`_lines_from_blocks`.
     """
-    _check_n(n, MAX_N_POINTS)
-    if n > MAX_N_SEARCH:
-        raise UnsupportedSearchError(f"relabelling search supports n <= {MAX_N_SEARCH}")
+    _check_n(n, MAX_N_INCIDENCE)
     d = num_points(n)
     hsize = 2 ** (n - 1) - 1
     blocks = [frozenset(b) for b in target_blocks]
@@ -226,11 +220,8 @@ def find_hyperplane_collineation(
     perm = _search_relabelling(n, sorted(triples))
     if perm is None:
         return None
-    coll = Collineation(n=n, perm=perm)
-    image = {frozenset(coll.perm[p - 1] for p in h) for h in hyperplanes(n)}
-    if image != set(blocks):
-        return None
-    return coll
+    image = {frozenset(perm[p - 1] for p in h) for h in hyperplanes(n)}
+    return Collineation(n=n, perm=perm) if image == set(blocks) else None
 
 
 def classic_fano_lines() -> list[tuple[int, int, int]]:

@@ -188,7 +188,8 @@ def adaptive_rk(
     for _ in range(_MAX_STEPS):
         if t >= t_end:
             return times[:count], states[:count], COMPLETED
-        h_floor = 1e-14 * max(1.0, abs(t))
+        # The floor scales with the run, so a horizon below 1e-14 still steps.
+        h_floor = 1e-14 * max(min(1.0, t_end), abs(t))
         if h < h_floor:
             return times[:count], states[:count], (
                 BRANCH_FAILURE if branch_fail else STEP_FAILURE

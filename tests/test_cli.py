@@ -236,6 +236,20 @@ def test_overflowing_initial_rhs_is_step_failure(tmp_path, capsys):
     assert (tmp_path / "big.drift.json").exists()
 
 
+def test_horizon_below_old_step_floor_completes(tmp_path, capsys):
+    # The step floor scales with --t-end; an absolute 1e-14 floor ended
+    # this run as step_failure (exit 4) before its first step.
+    base = tmp_path / "short"
+    code, _, _ = run_cli(
+        ["run", "--n", "2", "--omega0", "0.1,0.2,0.3", "--t-end", "1e-15", "--out", str(base)],
+        capsys,
+    )
+    assert code == 0
+    rows = (tmp_path / "short.trajectory.csv").read_text().splitlines()
+    assert len(rows) == 1 + 257
+    assert rows[-1].startswith("1.0000000000000001e-15,")
+
+
 def test_run_wrong_omega0_length(capsys):
     code, _, err = run_cli(["run", "--n", "3", "--omega0", "1,2,3"], capsys)
     assert code == 2
@@ -510,3 +524,19 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 2
+
+
+def test_unexpected_exception_exits_70(monkeypatch, capsys):
+    # The entry point's safety net: a bug is exit 70 with its traceback,
+    # while errors cli.main maps keep their codes.
+    from z2top.__main__ import EXIT_SOFTWARE, run
+
+    def broken(args):
+        raise RuntimeError("unmapped failure")
+
+    monkeypatch.setitem(cli._COMMANDS, "geometry", broken)
+    assert run(["geometry", "--n", "3"]) == EXIT_SOFTWARE == 70
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("RuntimeError: unmapped failure\n")
+    assert run(["run", "--n", "3", "--omega0", "1,2,3"]) == 2

@@ -55,6 +55,26 @@ def test_a_matrix_identity(n, systems):
     assert np.array_equal(lhs, rhs)
 
 
+@pytest.mark.parametrize("n", range(2, MAX_N_SYSTEM + 1))
+def test_a_matrix_identity_freivalds(n, systems):
+    # Freivalds' check of 4 A A = 2^n (I + J) at every n: A (A x) against
+    # 2^(n-2) (x + sum(x)) for random integer x, exact in int64.
+    a = systems[n].a_matrix
+    rng = np.random.default_rng(n)
+    for _ in range(8):
+        x = rng.integers(-1024, 1025, a.shape[0])
+        assert np.array_equal(4 * (a @ (a @ x)), 2**n * (x + x.sum()))
+
+
+@pytest.mark.parametrize("n", range(2, MAX_N_SYSTEM + 1))
+def test_pairs_partition_other_points(n, systems):
+    # The lines through i split the other d - 1 points into pairs.
+    pairs = systems[n].pair_idx
+    d = systems[n].d
+    for i in range(d):
+        assert np.array_equal(np.sort(pairs[i].ravel()), np.delete(np.arange(d), i))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_a_matrix_symmetric_row_sums(n, systems):
     a = systems[n].a_matrix
@@ -221,14 +241,24 @@ def test_a_rhs_symmetric_state(systems):
     assert np.array_equal(a_rhs(systems[3], np.zeros(7)), np.zeros(7))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", range(2, 11))
 def test_transform_commutation(n, systems):
+    system = systems[n]
     rng = np.random.default_rng(7 * n)
-    for _ in range(100):
-        w = rng.uniform(-1.0, 1.0, systems[n].d)
-        lhs = a_transform(systems[n], omega_rhs(systems[n], w))
-        rhs = a_rhs(systems[n], a_transform(systems[n], w))
+    for _ in range(100 if n <= 4 else 0):
+        w = rng.uniform(-1.0, 1.0, system.d)
+        lhs = a_transform(system, omega_rhs(system, w))
+        rhs = a_rhs(system, a_transform(system, w))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+    # On integer w in [-1024, 1024] every intermediate value is an integer
+    # below 2^53, so m A omega_rhs(w) = a o (sum(a) - m a), a = A w, holds
+    # exactly; the right side is computed in int64.
+    m = 2 ** (n - 1)
+    for _ in range(20):
+        w = rng.integers(-1024, 1025, system.d)
+        a = system.a_matrix @ w
+        lhs = m * a_transform(system, omega_rhs(system, w.astype(float)))
+        assert np.array_equal(lhs, a * (a.sum() - m * a))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -410,7 +440,7 @@ def _per_sample_rk(f, x0, t_end, rel_tol, abs_tol, *, sample_interval=None):
     for _ in range(_MAX_STEPS):
         if t >= t_end:
             return np.array(times), np.array(states), "completed"
-        if h < 1e-14 * max(1.0, abs(t)):
+        if h < 1e-14 * max(min(1.0, t_end), abs(t)):
             return np.array(times), np.array(states), (
                 "branch_failure" if branch_fail else "step_failure"
             )

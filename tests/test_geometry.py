@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from z2top import gf2
-from z2top.errors import InvalidParameterError, UnsupportedSearchError
+from z2top.errors import InvalidParameterError
 from z2top.geometry import (
+    MAX_N_INCIDENCE,
     Collineation,
+    _lines_from_blocks,
+    _third_point_table,
     classic_fano_lines,
     classic_line_set,
     classic_planes_15,
@@ -130,9 +133,154 @@ def test_collineation_wrong_count_raises():
         find_collineation(3, [(1, 2, 3)])
 
 
-def test_collineation_refuses_large_n():
-    with pytest.raises(UnsupportedSearchError):
-        find_collineation(5, lines(5))
+def test_collineation_n_limit():
+    # Both searches accept n up to MAX_N_INCIDENCE, the limit of lines()
+    # and hyperplanes() that their final image checks build.
+    for bad in (1, MAX_N_INCIDENCE + 1):
+        for search in (find_collineation, find_hyperplane_collineation):
+            with pytest.raises(InvalidParameterError):
+                search(bad, [])
+
+
+def _reference_search(n, triples):
+    """The first frame search, kept as the oracle: every ordered n-tuple of
+    target labels for the basis points 1, 2, ..., 2^(n-1), in lexicographic
+    order, closed through the third-point table and checked against the target."""
+    d = num_points(n)
+    target_set = {tuple(t) for t in triples}
+    third = _third_point_table(triples)
+    if third is None:
+        return None
+    basis = [1 << j for j in range(n)]
+    canonical = lines(n)
+    for frame in itertools.permutations(range(1, d + 1), n):
+        perm = [0] * (d + 1)
+        for b, t in zip(basis, frame):
+            perm[b] = t
+        used = set(frame)
+        ok = True
+        for c in range(3, d + 1):
+            if perm[c]:
+                continue
+            low = c & -c
+            img = third.get((min(perm[low], perm[c ^ low]), max(perm[low], perm[c ^ low])))
+            if img is None or img in used:
+                ok = False
+                break
+            perm[c] = img
+            used.add(img)
+        if not ok:
+            continue
+        image = {tuple(sorted((perm[p], perm[q], perm[r]))) for p, q, r in canonical}
+        if image == target_set:
+            return tuple(perm[1:])
+    return None
+
+
+def _reference_lines_from_blocks(blocks, d):
+    """The first line derivation, kept as the oracle: the points collinear
+    with a pair are those common to every block containing the pair."""
+    points = frozenset(range(1, d + 1))
+    triples = set()
+    for p in range(1, d + 1):
+        for q in range(p + 1, d + 1):
+            common = points.intersection(*[b for b in blocks if p in b and q in b])
+            if len(common) != 3:
+                return None
+            triples.add(tuple(sorted(common)))
+    return triples
+
+
+def _reference_hyperplane_search(n, blocks):
+    blocks = [frozenset(b) for b in blocks]
+    if len(set(blocks)) != len(blocks):
+        return None
+    triples = _reference_lines_from_blocks(blocks, num_points(n))
+    if triples is None or len(triples) != num_lines(n):
+        return None
+    perm = _reference_search(n, sorted(triples))
+    if perm is None:
+        return None
+    image = {frozenset(perm[p - 1] for p in h) for h in hyperplanes(n)}
+    return perm if image == set(blocks) else None
+
+
+def _relabelled(rng, n, sets, sigma):
+    """The point sets under p -> sigma[p - 1], each in a random order, listed in a random order."""
+    out = [tuple(int(sigma[p - 1]) for p in rng.permutation(s)) for s in sets]
+    return [out[i] for i in rng.permutation(len(out))]
+
+
+def _search_targets(n, count):
+    """count relabellings of the canonical space: half by random collineations
+    (the image is the canonical set, reordered), half by random point permutations."""
+    rng = np.random.default_rng(100 + n)
+    for i in range(count):
+        if i % 2:
+            sigma = rng.permutation(num_points(n)) + 1
+        else:
+            sigma = Collineation.from_matrix(gf2.random_invertible(rng, n), n).perm
+        yield rng, sigma
+
+
+def _perm(coll):
+    return None if coll is None else coll.perm
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_line_search_matches_reference(n):
+    canonical = lines(n)
+    for rng, sigma in _search_targets(n, 200):
+        target = _relabelled(rng, n, canonical, sigma)
+        expected = _reference_search(n, sorted(tuple(sorted(t)) for t in target))
+        assert expected is not None
+        assert _perm(find_collineation(n, target)) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hyperplane_search_matches_reference(n):
+    canonical = hyperplanes(n)
+    for rng, sigma in _search_targets(n, 200):
+        target = _relabelled(rng, n, canonical, sigma)
+        blocks = [frozenset(b) for b in target]
+        assert _lines_from_blocks(blocks, num_points(n)) == _reference_lines_from_blocks(
+            blocks, num_points(n)
+        )
+        expected = _reference_hyperplane_search(n, target)
+        assert expected is not None
+        assert _perm(find_hyperplane_collineation(n, target)) == expected
+
+
+def test_pasch_trade_is_not_projective():
+    # Lines {1,2,3}, {1,4,5}, {2,4,6}, {3,5,6} form a Pasch configuration;
+    # trading them for {1,2,4}, {1,3,5}, {2,3,6}, {4,5,6} covers the same
+    # pairs, so the result is still a Steiner triple system on 15 points,
+    # but no longer the projective space PG(3, 2).
+    pasch = {(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)}
+    traded = {(1, 2, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6)}
+    assert pasch <= set(lines(4))
+    sts = sorted((set(lines(4)) - pasch) | traded)
+    for p, q in itertools.combinations(range(1, 16), 2):
+        assert sum(1 for t in sts if p in t and q in t) == 1
+    assert find_collineation(4, sts) is None
+    assert _reference_search(4, sts) is None
+    # The search fails wherever the labels put the traded lines.
+    for rng, sigma in _search_targets(4, 50):
+        assert find_collineation(4, _relabelled(rng, 4, sts, sigma)) is None
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_search_beyond_n4(n):
+    rng = np.random.default_rng(n)
+    sigma = rng.permutation(num_points(n)) + 1
+    target = _relabelled(rng, n, lines(n), sigma)
+    coll = find_collineation(n, target)
+    assert coll is not None
+    assert {coll.apply_triple(t) for t in lines(n)} == {tuple(sorted(t)) for t in target}
+    blocks = _relabelled(rng, n, hyperplanes(n), sigma)
+    coll = find_hyperplane_collineation(n, blocks)
+    assert coll is not None
+    assert {frozenset(coll(p) for p in h) for h in hyperplanes(n)} == {frozenset(b) for b in blocks}
 
 
 def test_from_matrix_preserves_line_set():
@@ -182,6 +330,11 @@ def test_hyperplane_collineation_rejects_garbage():
     # No block holds both 1 and 2, so the pair spans no line.
     uncovered = [(1, 3, 4), (2, 3, 4), (3, 4, 5), (3, 4, 6), (3, 4, 7), (5, 6, 7), (1, 5, 6)]
     assert find_hyperplane_collineation(3, uncovered) is None
+    # Point 1 lies in every block: the parity rule gives {1, 2} the third
+    # point 2, and some other pair finds no third point.
+    through_1 = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (1, 2, 4), (1, 3, 5), (1, 2, 5), (1, 3, 6)]
+    assert _lines_from_blocks([frozenset(b) for b in through_1], 7) is None
+    assert find_hyperplane_collineation(3, through_1) is None
 
 
 def test_hyperplane_collineation_wrong_shape_raises():

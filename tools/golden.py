@@ -42,7 +42,7 @@ COMMANDS = (
     ]
     # Trajectory CSVs that reach every branch of the '%.17g' kernel: negative
     # values, exact zeros, nonzero values below 1e-6 and values at or above
-    # 1e16 and 1e17 (the last run exits 4 after writing its first row).
+    # 1e16 and 1e17 (the last run ends as blow_up, exit 3, after two rows).
     + [
         "run --n 3 --seed 1 --random-range=-0.5,0.5 --out k",
         "zk --k 3 --seed 3 --random-range=-2,2 --out k",
@@ -50,6 +50,8 @@ COMMANDS = (
         "run --n 2 --omega0 1e-7,2e-7,3e-7 --t-end 1 --out k",
         "run --n 2 --omega0 2e16,3e17,1 --t-end 1e-20 --out k",
     ]
+    # A horizon below 1e-14: the integrator's step floor scales with t_end.
+    + ["run --n 2 --omega0 0.1,0.2,0.3 --t-end 1e-15 --out a"]
     + [f"geometry --n {n}{fmt}" for n in (3, 4, 8) for fmt in ("", " --format dot")]
     + [f"equations --n {n}" for n in (3, 4, 8)]
     + [f"equations --n {n} --labelling classic" for n in (3, 4)]
