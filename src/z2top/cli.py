@@ -149,7 +149,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         prog="z2top",
         description="Quadratic top flows from binary projective geometry.",
         epilog="Exit codes: 0 ok, 1 drift threshold exceeded, 2 usage, "
-        "3 blow-up, 4 step failure, 5 degenerate orbit, 6 branch failure.",
+        "3 blow-up, 4 step failure, 5 degenerate orbit, 6 branch failure, "
+        "70 internal error (an uncaught exception; traceback on stderr).",
     )
     parser.add_argument(
         "--config",

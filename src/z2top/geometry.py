@@ -16,8 +16,9 @@ fixtures and related to the canonical labelling by a relabelling search.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -28,9 +29,9 @@ from .errors import InvalidParameterError
 MAX_N_INCIDENCE = 12
 
 
-def _check_n(n: int, limit: int) -> None:
-    if not isinstance(n, int) or n < 2 or n > limit:
-        raise InvalidParameterError(f"n must be an integer in 2..{limit}, got {n!r}")
+def _check_n(n: int) -> None:
+    if not isinstance(n, int) or n < 2 or n > MAX_N_INCIDENCE:
+        raise InvalidParameterError(f"n must be an integer in 2..{MAX_N_INCIDENCE}, got {n!r}")
 
 
 def num_points(n: int) -> int:
@@ -43,7 +44,7 @@ def num_lines(n: int) -> int:
 
 def lines(n: int) -> list[tuple[int, int, int]]:
     """All lines as sorted triples (p, q, p ^ q), ordered by p, then q."""
-    _check_n(n, MAX_N_INCIDENCE)
+    _check_n(n)
     pts = np.arange(1, num_points(n) + 1, dtype=np.uint16)  # 16 bits hold every n <= MAX_N_INCIDENCE
     row, col = pts[:, None], pts
     # np.nonzero walks row-major: p first, then q.
@@ -53,7 +54,7 @@ def lines(n: int) -> list[tuple[int, int, int]]:
 
 def hyperplanes(n: int) -> list[tuple[int, ...]]:
     """Entry v - 1 holds the 2^(n-1) - 1 points orthogonal to the normal v."""
-    _check_n(n, MAX_N_INCIDENCE)
+    _check_n(n)
     pts = np.arange(1, num_points(n) + 1, dtype=np.uint16)
     on = gf2.parity(pts[:, None] & pts, n) == 0
     return [tuple(pts[row].tolist()) for row in on]
@@ -117,20 +118,18 @@ def _third_point_table(triples: Iterable[tuple[int, ...]]) -> Optional[dict]:
 
 
 def _search_relabelling(
-    n: int, triples: list[tuple[int, ...]]
+    n: int, third: Callable[[int, int], Optional[int]]
 ) -> Optional[tuple[int, ...]]:
-    """Permutation (canonical -> target labels) mapping the canonical line set
-    onto the target triples, or None when the target is not a projective space.
+    """Permutation (canonical -> target labels) closed under the target's
+    third-point rule, or None when the rule leaves a pair without a fresh label.
 
     A basis point 2^j takes the smallest label not yet used, which lies outside
-    the span of the earlier images; every other point c takes the third point
-    of the images of c & -c and c ^ (c & -c).  As GL(n, 2) is transitive on
+    the span of the earlier images; every other point c takes third(a, b) for
+    the images a, b of c & -c and c ^ (c & -c).  As GL(n, 2) is transitive on
     ordered independent tuples, this is the lexicographically first frame.
+    The caller checks that the permutation carries its incidence data over.
     """
     d = num_points(n)
-    third = _third_point_table(triples)
-    if third is None:
-        return None
     perm = [0] * (d + 1)
     used = [False] * (d + 1)
     smallest = 1
@@ -141,14 +140,12 @@ def _search_relabelling(
                 smallest += 1
             img = smallest
         else:
-            a, b = perm[low], perm[c ^ low]
-            img = third.get((a, b) if a < b else (b, a))
+            img = third(perm[low], perm[c ^ low])
             if img is None or used[img]:
                 return None
         perm[c] = img
         used[img] = True
-    image = {tuple(sorted((perm[p], perm[q], perm[r]))) for p, q, r in lines(n)}
-    return tuple(perm[1:]) if image == {tuple(t) for t in triples} else None
+    return tuple(perm[1:])
 
 
 def find_collineation(
@@ -159,39 +156,32 @@ def find_collineation(
     Returns None when the target triples are not a genuine line structure.
     Accepts n up to MAX_N_INCIDENCE, like lines(), which the final check builds.
     """
-    _check_n(n, MAX_N_INCIDENCE)
+    _check_n(n)
     triples = _validated_triples(n, target_lines)
-    perm = _search_relabelling(n, triples)
+    table = _third_point_table(triples)
+    if table is None:
+        return None
+    perm = _search_relabelling(n, lambda a, b: table.get((a, b) if a < b else (b, a)))
     if perm is None:
         return None
-    return Collineation(n=n, perm=perm)
+    image = {tuple(sorted((perm[p - 1], perm[q - 1], perm[r - 1]))) for p, q, r in lines(n)}
+    return Collineation(n=n, perm=perm) if image == set(triples) else None
 
 
-def _lines_from_blocks(blocks: Sequence[frozenset], d: int) -> Optional[set[tuple[int, ...]]]:
-    """Line triples of a hyperplane design on points 1..d, or None if it has none.
+def _block_rule(blocks: Sequence[Iterable[int]], d: int) -> Callable[[int, int], Optional[int]]:
+    """Third-point rule of a hyperplane design on points 1..d.
 
     A line meets every hyperplane in 1 or 3 points, so with v_p the bitmask of
     the blocks holding p, the third point of {p, q} is the point whose
-    bitmask is NOT(v_p XOR v_q).
+    bitmask is NOT(v_p XOR v_q); None when no point has that bitmask.
     """
     masks = [0] * (d + 1)
     for i, block in enumerate(blocks):
         for p in block:
             masks[p] |= 1 << i
     point_of = {mask: p for p, mask in enumerate(masks) if p}
-    if len(point_of) != d:
-        return None
     full = (1 << len(blocks)) - 1
-    triples = set()
-    for p in range(1, d + 1):
-        for q in range(p + 1, d + 1):
-            # r is never p or q: a point in every block would make the d
-            # complemented masks a subspace (with 0), of odd size d > 1.
-            r = point_of.get(full & ~(masks[p] ^ masks[q]))
-            if r is None:
-                return None
-            triples.add(tuple(sorted((p, q, r))))
-    return triples
+    return lambda p, q: point_of.get(full & ~(masks[p] ^ masks[q]))
 
 
 def find_hyperplane_collineation(
@@ -200,10 +190,10 @@ def find_hyperplane_collineation(
     """Find a relabelling carrying the canonical hyperplane point sets onto
     the given blocks (compared as unordered sets).
 
-    The line structure is first derived from the blocks by the parity rule
-    of :func:`_lines_from_blocks`.
+    The search walks the blocks' parity rule (:func:`_block_rule`); the
+    hyperplane image check alone certifies what it returns.
     """
-    _check_n(n, MAX_N_INCIDENCE)
+    _check_n(n)
     d = num_points(n)
     hsize = 2 ** (n - 1) - 1
     blocks = [frozenset(b) for b in target_blocks]
@@ -211,13 +201,7 @@ def find_hyperplane_collineation(
         raise InvalidParameterError(f"expected {d} blocks of {hsize} points each")
     if any(not all(1 <= p <= d for p in b) for b in blocks):
         raise InvalidParameterError(f"block entries must lie in 1..{d}")
-    if len(set(blocks)) != d:
-        return None
-
-    triples = _lines_from_blocks(blocks, d)
-    if triples is None or len(triples) != num_lines(n):
-        return None
-    perm = _search_relabelling(n, sorted(triples))
+    perm = _search_relabelling(n, _block_rule(blocks, d))
     if perm is None:
         return None
     image = {frozenset(perm[p - 1] for p in h) for h in hyperplanes(n)}
@@ -273,13 +257,15 @@ def classic_line_set(n: int) -> list[tuple[int, ...]]:
     if n == 3:
         return classic_fano_lines()
     if n == 4:
-        return sorted(_lines_from_blocks([frozenset(b) for b in classic_planes_15()], 15))
+        # Each line {p < q < r} is listed once, from its pair {p, q}, in sorted order.
+        third = _block_rule(classic_planes_15(), 15)
+        return [(p, q, r) for p, q in itertools.combinations(range(1, 16), 2) if (r := third(p, q)) > q]
     raise InvalidParameterError(f"classical labelling available for n in 2..4, got {n}")
 
 
 def geometry_json(n: int) -> dict:
     """Geometry dump: points as bit strings, line triples, hyperplane incidences."""
-    _check_n(n, MAX_N_INCIDENCE)
+    _check_n(n)
     return {
         "schema_version": 1,
         "n": n,
@@ -293,7 +279,7 @@ def geometry_json(n: int) -> dict:
 
 def incidence_dot(n: int) -> str:
     """Bipartite point-line incidence graph in DOT format."""
-    _check_n(n, MAX_N_INCIDENCE)
+    _check_n(n)
     d = num_points(n)
     # Each index is turned into text once; the statements below join strings only.
     num = [str(i) for i in range(max(d, num_lines(n)) + 1)]

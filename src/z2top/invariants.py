@@ -20,12 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import TopSystem, Trajectory, a_transform
-from .errors import BranchError, InvalidParameterError
+from .errors import BranchError, DegenerateOrbitError, InvalidParameterError
 
 #: Initial values smaller than this are tracked by absolute drift.
 ABS_DRIFT_FLOOR = 1e-12
-#: Central-difference step of the Jacobian rank checks, relative to max(1, |x|).
-JACOBIAN_STEP = 1e-6
 #: Singular values below this fraction of the largest count as zero in a rank.
 RANK_SV_CUTOFF = 1e-8
 
@@ -179,28 +177,42 @@ def drift_report(system: TopSystem, trajectory: Trajectory) -> DriftReport:
     return DriftReport(entries=entries, skipped_samples=skipped)
 
 
-def _jacobian_rank(f, x: np.ndarray) -> int:
-    """Numerical rank of the Jacobian of f at x, by central differences.
-
-    Singular values below RANK_SV_CUTOFF * sigma_max count as zero.
-    """
-    columns = []
-    for col in range(len(x)):
-        h = JACOBIAN_STEP * max(1.0, abs(x[col]))
-        xp, xm = x.copy(), x.copy()
-        xp[col] += h
-        xm[col] -= h
-        columns.append((f(xp) - f(xm)) / (2 * h))
-    sv = np.linalg.svd(np.column_stack(columns), compute_uv=False)
+def _rank(jacobian: np.ndarray) -> int:
+    """Numerical rank: singular values below RANK_SV_CUTOFF * sigma_max count as zero."""
+    sv = np.linalg.svd(jacobian, compute_uv=False)
     return int(np.sum(sv > RANK_SV_CUTOFF * sv[0]))
 
 
 def independent_count(system: TopSystem, a: Sequence[float]) -> int:
-    """Numerical rank of the Jacobian of the basis integrals {N_1j} at a > 0."""
+    """Rank of the Jacobian of the basis integrals {N_1j} at a > 0.
+
+    With k = 2^(n-1) - 1 and T = (prod a)^(1/k), the Jacobian is exact:
+    dN_1j/da_l = N_1j / (k a_l) + T (delta_1l / a_1^2 - delta_jl / a_j^2).
+    """
     a = _positive_a(system, a)
-    return _jacobian_rank(lambda x: _n_block(x, system.n, slice(0, 1), slice(1, None))[0], a)
+    k = 2 ** (system.n - 1) - 1
+    t = _product_root(a, k)
+    jac = np.outer(_n_block(a, system.n, slice(0, 1), slice(1, None))[0], 1.0 / (k * a))
+    jac[:, 0] += t / a[0] ** 2
+    jac[:, 1:] -= np.diag(t / a[1:] ** 2)
+    return _rank(jac)
 
 
 def gamma_jacobian_rank(system: TopSystem, a: Sequence[float]) -> int:
-    """Numerical rank of the Jacobian of the gamma_i (detects the one relation)."""
-    return _jacobian_rank(lambda x: gamma(system, x), system.check_state(a))
+    """Rank of the Jacobian of the gamma_i, where every gamma_i != 0 (one relation).
+
+    Its rows rescaled by 1 / gamma_i are the exact Jacobian of log|gamma_i|,
+    G[i, l] = delta_il / a_i + sum over lines {i, j, k} of
+    (delta_jl - delta_kl) / (a_j - a_k), so both have the same rank.  The pairs
+    through i partition the other points, so each G[i, l] has one term.
+    """
+    a = system.check_state(a)
+    j, k = system.pair_idx[:, :, 0], system.pair_idx[:, :, 1]
+    diff = a[j] - a[k]
+    if not (np.all(a) and np.all(diff)):
+        raise DegenerateOrbitError("some gamma_i vanishes: an a_i is 0 or a_j = a_k on a line")
+    jac = np.diag(1.0 / a)
+    rows = np.arange(system.d)[:, None]
+    jac[rows, j] = 1.0 / diff
+    jac[rows, k] = -1.0 / diff
+    return _rank(jac)

@@ -540,3 +540,32 @@ def test_unexpected_exception_exits_70(monkeypatch, capsys):
     assert err.startswith("Traceback (most recent call last):")
     assert err.endswith("RuntimeError: unmapped failure\n")
     assert run(["run", "--n", "3", "--omega0", "1,2,3"]) == 2
+
+
+def test_help_lists_every_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse rewraps the epilog
+    codes = ("0 ok", "1 drift", "2 usage", "3 blow-up", "4 step", "5 degenerate", "6 branch")
+    for code in codes + ("70 internal",):
+        assert code in text
+
+
+class _FakeStream:
+    def __init__(self, tty):
+        self.tty = tty
+
+    def isatty(self):
+        return self.tty
+
+
+def test_status_line_color(monkeypatch):
+    # Green or red only on a tty, and never while Z2TOP_NO_COLOR is set, even empty.
+    monkeypatch.delenv("Z2TOP_NO_COLOR", raising=False)
+    assert cli._status_line(True, "ok", _FakeStream(True)) == "\x1b[32mok\x1b[0m"
+    assert cli._status_line(False, "bad", _FakeStream(True)) == "\x1b[31mbad\x1b[0m"
+    assert cli._status_line(False, "bad", _FakeStream(False)) == "bad"
+    monkeypatch.setenv("Z2TOP_NO_COLOR", "")
+    assert cli._status_line(True, "ok", _FakeStream(True)) == "ok"
+    assert cli._status_line(False, "bad", _FakeStream(True)) == "bad"

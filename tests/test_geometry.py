@@ -8,7 +8,7 @@ from z2top.errors import InvalidParameterError
 from z2top.geometry import (
     MAX_N_INCIDENCE,
     Collineation,
-    _lines_from_blocks,
+    _block_rule,
     _third_point_table,
     classic_fano_lines,
     classic_line_set,
@@ -191,6 +191,18 @@ def _reference_lines_from_blocks(blocks, d):
     return triples
 
 
+def _rule_lines(third, d):
+    """The triples {p, q, third(p, q)} over all pairs p < q, or None when a
+    pair gets no third point, or p or q as its own third point."""
+    triples = set()
+    for p, q in itertools.combinations(range(1, d + 1), 2):
+        r = third(p, q)
+        if r is None or r in (p, q):
+            return None
+        triples.add(tuple(sorted((p, q, r))))
+    return triples
+
+
 def _reference_hyperplane_search(n, blocks):
     blocks = [frozenset(b) for b in blocks]
     if len(set(blocks)) != len(blocks):
@@ -243,8 +255,8 @@ def test_hyperplane_search_matches_reference(n):
     for rng, sigma in _search_targets(n, 200):
         target = _relabelled(rng, n, canonical, sigma)
         blocks = [frozenset(b) for b in target]
-        assert _lines_from_blocks(blocks, num_points(n)) == _reference_lines_from_blocks(
-            blocks, num_points(n)
+        assert _rule_lines(_block_rule(blocks, num_points(n)), num_points(n)) == (
+            _reference_lines_from_blocks(blocks, num_points(n))
         )
         expected = _reference_hyperplane_search(n, target)
         assert expected is not None
@@ -330,10 +342,15 @@ def test_hyperplane_collineation_rejects_garbage():
     # No block holds both 1 and 2, so the pair spans no line.
     uncovered = [(1, 3, 4), (2, 3, 4), (3, 4, 5), (3, 4, 6), (3, 4, 7), (5, 6, 7), (1, 5, 6)]
     assert find_hyperplane_collineation(3, uncovered) is None
+    # A repeated block: the image of the d distinct hyperplanes cannot match.
+    repeated = hyperplanes(3)[:-1] + hyperplanes(3)[:1]
+    assert find_hyperplane_collineation(3, repeated) is None
     # Point 1 lies in every block: the parity rule gives {1, 2} the third
-    # point 2, and some other pair finds no third point.
+    # point 2, and the intersection rule of the reference finds no line either.
     through_1 = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (1, 2, 4), (1, 3, 5), (1, 2, 5), (1, 3, 6)]
-    assert _lines_from_blocks([frozenset(b) for b in through_1], 7) is None
+    assert _block_rule(through_1, 7)(1, 2) == 2
+    assert _rule_lines(_block_rule(through_1, 7), 7) is None
+    assert _reference_lines_from_blocks([frozenset(b) for b in through_1], 7) is None
     assert find_hyperplane_collineation(3, through_1) is None
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from z2top.dynamics import TopSystem, Trajectory, a_transform, guarded_horizon, integrate
-from z2top.errors import BranchError, InvalidParameterError
+from z2top import invariants
+from z2top.errors import BranchError, DegenerateOrbitError, InvalidParameterError
 from z2top.invariants import (
     _gamma,
     big_T,
@@ -120,19 +121,82 @@ def test_gamma_equals_product_of_n_entries(n, systems):
             assert prod == pytest.approx(g[i], rel=1e-10)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+def _rank_states(system):
+    """a = A omega with omega ~ U(0.1, 0.5) from seed 1, as `run --seed 1`
+    draws it, and a ~ U(0.5, 2) from a seed of its own."""
+    omega = np.random.default_rng(1).uniform(0.1, 0.5, system.d)
+    uniform = np.random.default_rng(31 + system.n).uniform(0.5, 2.0, system.d)
+    return a_transform(system, omega), uniform
+
+
+@pytest.mark.parametrize("n", range(2, 11))
 def test_independent_count(n, systems):
-    rng = np.random.default_rng(31 + n)
-    a = rng.uniform(0.5, 2.0, systems[n].d)
-    assert independent_count(systems[n], a) == 2**n - 2
+    for a in _rank_states(systems[n]):
+        assert independent_count(systems[n], a) == 2**n - 2
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", range(2, 11))
 def test_gamma_rank_deficiency(n, systems):
     # One functional relation among the 2^n - 1 polynomials.
-    rng = np.random.default_rng(37 + n)
-    a = rng.uniform(0.5, 2.0, systems[n].d)
-    assert gamma_jacobian_rank(systems[n], a) <= 2**n - 2
+    for a in _rank_states(systems[n]):
+        assert gamma_jacobian_rank(systems[n], a) == 2**n - 2
+
+
+def test_gamma_rank_degenerate_orbit(systems):
+    # a_2 = a_3 kills the {1,2,3} factor of gamma_1; a_1 = 0 kills gamma_1 itself.
+    for a in ([1.5, 0.7, 0.7], [0.0, 0.7, 0.9]):
+        with pytest.raises(DegenerateOrbitError):
+            gamma_jacobian_rank(systems[2], a)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rank_jacobians_match_central_differences(n, systems, monkeypatch):
+    # The closed-form Jacobians of the N_1j and of log|gamma_i| that the rank
+    # checks build, against central differences of the integrals themselves.
+    system = systems[n]
+    captured = []
+    monkeypatch.setattr(invariants, "_rank", captured.append)
+    a = np.random.default_rng(43 + n).uniform(0.5, 2.0, system.d)
+    independent_count(system, a)
+    gamma_jacobian_rank(system, a)
+    integrals = (
+        lambda x: invariants._n_block(x, n, slice(0, 1), slice(1, None))[0],
+        lambda x: np.log(np.abs(_gamma(x, system.pair_idx))),
+    )
+    h = 1e-6
+    for jac, f in zip(captured, integrals):
+        central = np.column_stack([(f(a + h * e) - f(a - h * e)) / (2 * h) for e in np.eye(len(a))])
+        assert np.allclose(jac, central, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_conservation_laws_symbolic(n, systems):
+    # Exact, from the pair partition in pair_idx and d = 2m - 1, m = 2^(n-1),
+    # for the a-flow da_i/dt = a_i (S - a_i) (test_transform_commutation ties
+    # it to omega_rhs).  S stays a free symbol until m S = sum(a) is needed.
+    import sympy
+
+    system = systems[n]
+    d, m = system.d, 2 ** (n - 1)
+    a = sympy.symbols(f"a1:{d + 1}", positive=True)
+    s = sympy.Symbol("S")
+    a_dot = [x * (s - x) for x in a]
+
+    def ddt(f):
+        return sympy.expand(sum(sympy.diff(f, x) * v for x, v in zip(a, a_dot)))
+
+    # d log gamma_i/dt = (S - a_i) + sum over the m - 1 pairs {j, k} through i
+    # of (S - a_j - a_k) = m S - sum(a), which is 0.
+    for i, pairs in enumerate(system.pair_idx.tolist()):
+        terms = [sympy.cancel(a_dot[i] / a[i])]
+        terms += [sympy.cancel((a_dot[j] - a_dot[k]) / (a[j] - a[k])) for j, k in pairs]
+        assert sympy.expand(sum(terms)) == m * s - sum(a)
+    # d log T/dt = (d S - sum(a)) / (m - 1) = S, so d log(T/a_i)/dt = a_i and
+    # d(T/a_i)/dt = T: every N_ij = T/a_j - T/a_i is conserved.
+    log_t = sympy.expand_log(sympy.log(sympy.Mul(*a) ** sympy.Rational(1, m - 1)), force=True)
+    assert ddt(log_t) == sympy.expand((d * s - sum(a)) / (m - 1))
+    for i in range(d):
+        assert sympy.expand(ddt(log_t - sympy.log(a[i])).subs(s, sum(a) / m)) == a[i]
 
 
 def test_drift_fixed_point(systems):
