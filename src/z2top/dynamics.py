@@ -207,7 +207,6 @@ _X_MIN, _X_MAX = -6, 16
 #: Text columns per value: the longest '%.17g' text (24 bytes) and a separator.
 _G17_WIDTH = 25
 _G17_ROW = 28
-_G17_GATHER = 1024
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
 _POW10 = np.array([float(10**k) for k in range(_X_MAX - _X_MIN + 1)], dtype=np.float64)
 
@@ -343,14 +342,10 @@ def _format_g17(values: np.ndarray) -> str:
     row, key, slow = _g17_rows(v, width)
     templates = _text_templates()
     source = row.view(np.uint8).ravel()
-    text = np.empty((v.size, _G17_WIDTH), dtype=np.uint8)
-    # The byte index, 25 intp per value, is built for _G17_GATHER values at a
-    # time, which keeps it out of the peak memory of a block.
-    for start in range(0, v.size, _G17_GATHER):
-        stop = min(start + _G17_GATHER, v.size)
-        index = np.take(templates, key[start:stop], axis=0)
-        index += np.arange(start * _G17_ROW, stop * _G17_ROW, _G17_ROW, dtype=np.intp)[:, None]
-        np.take(source, index, out=text[start:stop])
+    # The byte index holds 25 intp per value; to_csv's blocks bound its size.
+    index = np.take(templates, key, axis=0)
+    index += np.arange(0, v.size * _G17_ROW, _G17_ROW, dtype=np.intp)[:, None]
+    text = np.take(source, index)
     if slow.size:
         row_ends = (slow % width == width - 1).tolist()
         cells = ["%.17g" % y + ("\n" if e else ",") for y, e in zip(v[slow].tolist(), row_ends)]
@@ -359,7 +354,9 @@ def _format_g17(values: np.ndarray) -> str:
     return text.tobytes().translate(None, b" ").decode("ascii")
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+def _json_float_text(text: str) -> str:
+    """'%r' text of floats with nan and inf spelled as json does (only they spell an n)."""
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
 
 
 def _json_items(items, ind: str, parts: list) -> None:
@@ -380,9 +377,7 @@ def _json_items(items, ind: str, parts: list) -> None:
             nl = "\n" + ind + " "
             cell = "[" + nl + ("," + nl).join([cell] * len(items[0])) + "\n" + ind + "]"
         block = sep.join([cell] * len(items)) % tuple(values)
-        if "n" in block:  # only nan and inf spell an n
-            block = block.replace("nan", "NaN").replace("inf", "Infinity")
-        parts.append(block)
+        parts.append(_json_float_text(block))
         return
     for i, x in enumerate(items):
         if i:
@@ -404,8 +399,7 @@ def _json_parts(obj, ind: str, parts: list) -> None:
     elif isinstance(obj, int):
         parts.append(int.__repr__(obj))
     elif isinstance(obj, float):
-        text = float.__repr__(obj)
-        parts.append(_NONFINITE.get(text, text))
+        parts.append(_json_float_text(float.__repr__(obj)))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")

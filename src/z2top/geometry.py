@@ -86,9 +86,14 @@ class Collineation:
 
     @classmethod
     def from_matrix(cls, rows: Sequence[int], n: int) -> "Collineation":
-        if len(rows) != n or not gf2.is_invertible(rows):
+        """p -> M p, row i of M (a bitmask) giving z_i; M is singular iff some p maps to 0."""
+        if len(rows) != n:
+            raise InvalidParameterError(f"expected {n} rows, got {len(rows)}")
+        pts = np.arange(1, num_points(n) + 1, dtype=np.int64)
+        images = sum(gf2.parity(r & pts, n) << (n - 1 - i) for i, r in enumerate(rows))
+        perm = tuple(images.tolist())
+        if 0 in perm:
             raise InvalidParameterError("rows must form an invertible n x n GF(2) matrix")
-        perm = tuple(gf2.mat_vec(rows, p) for p in range(1, num_points(n) + 1))
         return cls(n=n, perm=perm)
 
 
@@ -107,14 +112,10 @@ def _validated_triples(n: int, target_lines: Sequence[Iterable[int]]) -> list[tu
     return triples
 
 
-def _third_point_table(triples: Iterable[tuple[int, ...]]) -> Optional[dict]:
-    """Map each unordered pair on a line to the third point; None if any pair repeats."""
-    table: dict[tuple[int, int], int] = {}
-    for p, q, r in triples:
-        for a, b, c in ((p, q, r), (p, r, q), (q, r, p)):
-            if table.setdefault((a, b), c) != c:
-                return None
-    return table
+def _third_point_table(triples: Iterable[tuple[int, ...]]) -> dict[tuple[int, int], int]:
+    """Map each pair (a, b), a < b, of a sorted triple to its third point.  A pair
+    on two triples keeps the later one; the line-image check rejects such targets."""
+    return {(a, b): c for p, q, r in triples for a, b, c in ((p, q, r), (p, r, q), (q, r, p))}
 
 
 def _search_relabelling(
@@ -159,8 +160,6 @@ def find_collineation(
     _check_n(n)
     triples = _validated_triples(n, target_lines)
     table = _third_point_table(triples)
-    if table is None:
-        return None
     perm = _search_relabelling(n, lambda a, b: table.get((a, b) if a < b else (b, a)))
     if perm is None:
         return None

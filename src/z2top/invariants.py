@@ -24,8 +24,6 @@ from .errors import BranchError, DegenerateOrbitError, InvalidParameterError
 
 #: Initial values smaller than this are tracked by absolute drift.
 ABS_DRIFT_FLOOR = 1e-12
-#: Singular values below this fraction of the largest count as zero in a rank.
-RANK_SV_CUTOFF = 1e-8
 
 
 def _positive_a(system: TopSystem, a: Sequence[float]) -> np.ndarray:
@@ -107,16 +105,7 @@ class DriftReport:
             "schema_version": 1,
             "skipped_samples": self.skipped_samples,
             "max_drift": self.max_drift,
-            "invariants": [
-                {
-                    "name": e.name,
-                    "initial": e.initial,
-                    "max_drift": e.max_drift,
-                    "t_at_max": e.t_at_max,
-                    "mode": e.mode,
-                }
-                for e in self.entries
-            ],
+            "invariants": [dict(vars(e)) for e in self.entries],  # copies: entries stay frozen
         }
 
     def table(self) -> str:
@@ -178,9 +167,8 @@ def drift_report(system: TopSystem, trajectory: Trajectory) -> DriftReport:
 
 
 def _rank(jacobian: np.ndarray) -> int:
-    """Numerical rank: singular values below RANK_SV_CUTOFF * sigma_max count as zero."""
-    sv = np.linalg.svd(jacobian, compute_uv=False)
-    return int(np.sum(sv > RANK_SV_CUTOFF * sv[0]))
+    """Numerical rank: singular values up to sigma_max * max(shape) * eps count as zero."""
+    return int(np.linalg.matrix_rank(jacobian))
 
 
 def independent_count(system: TopSystem, a: Sequence[float]) -> int:

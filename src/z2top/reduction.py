@@ -134,14 +134,10 @@ class RouteComparison:
 
     def to_json_dict(self) -> dict:
         return {
+            **vars(self),
             "schema_version": 1,
-            "n": self.n,
-            "genus": self.genus,
             "t_grid": self.t_grid.tolist(),
-            "max_rel_err": self.max_rel_err,
             "per_component_err": self.per_component_err.tolist(),
-            "omega_termination": self.omega_termination,
-            "scalar_termination": self.scalar_termination,
         }
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -126,6 +127,9 @@ def test_collineation_found_for_classic_fano():
 def test_collineation_not_found_for_non_line_set():
     target = [(1, 2, 3), (1, 2, 4), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)]
     assert find_collineation(3, target) is None
+    # The Fano lines with one triple listed twice in place of another.
+    fano = classic_fano_lines()
+    assert find_collineation(3, fano[:-1] + fano[:1]) is None
 
 
 def test_collineation_wrong_count_raises():
@@ -149,8 +153,6 @@ def _reference_search(n, triples):
     d = num_points(n)
     target_set = {tuple(t) for t in triples}
     third = _third_point_table(triples)
-    if third is None:
-        return None
     basis = [1 << j for j in range(n)]
     canonical = lines(n)
     for frame in itertools.permutations(range(1, d + 1), n):
@@ -223,6 +225,16 @@ def _relabelled(rng, n, sets, sigma):
     return [out[i] for i in rng.permutation(len(out))]
 
 
+def _random_collineation(rng, n):
+    """p -> M p for a uniformly random invertible M: rows are drawn until M is invertible."""
+    while True:
+        rows = tuple(int(x) for x in rng.integers(0, 2**n, size=n))
+        try:
+            return Collineation.from_matrix(rows, n)
+        except InvalidParameterError:
+            pass
+
+
 def _search_targets(n, count):
     """count relabellings of the canonical space: half by random collineations
     (the image is the canonical set, reordered), half by random point permutations."""
@@ -231,7 +243,7 @@ def _search_targets(n, count):
         if i % 2:
             sigma = rng.permutation(num_points(n)) + 1
         else:
-            sigma = Collineation.from_matrix(gf2.random_invertible(rng, n), n).perm
+            sigma = _random_collineation(rng, n).perm
         yield rng, sigma
 
 
@@ -300,8 +312,28 @@ def test_from_matrix_preserves_line_set():
     for n in (2, 3, 4):
         line_set = set(lines(n))
         for _ in range(10):
-            coll = Collineation.from_matrix(gf2.random_invertible(rng, n), n)
+            coll = _random_collineation(rng, n)
             assert {coll.apply_triple(t) for t in line_set} == line_set
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_from_matrix_every_matrix(n):
+    # Of all 2^(n^2) matrices, exactly the |GL(n, 2)| = prod(2^n - 2^i)
+    # invertible ones are accepted, each as p -> M p with distinct images,
+    # and each maps the line set onto itself.
+    line_set = set(lines(n))
+    perms = []
+    for rows in itertools.product(range(2**n), repeat=n):
+        try:
+            coll = Collineation.from_matrix(rows, n)
+        except InvalidParameterError as exc:
+            assert str(exc) == "rows must form an invertible n x n GF(2) matrix"
+            continue
+        for p in range(1, num_points(n) + 1):
+            assert coll(p) == sum(gf2.dot(r, p) << (n - 1 - i) for i, r in enumerate(rows))
+        assert {coll.apply_triple(t) for t in line_set} == line_set
+        perms.append(coll.perm)
+    assert len(perms) == len(set(perms)) == math.prod(2**n - 2**i for i in range(n))
 
 
 def test_from_matrix_rejects_singular():
