@@ -21,12 +21,13 @@ routes its genus and max-relative-error lines the same way.
 ...).  Each value is converted and checked by the flag it names, with the
 flag's own type and choices, so a bad value is a usage error (exit 2); a
 non-string value is read from its JSON text, and only "random-range" and
-"omega0" take a list of numbers.  Keys that name no flag of the chosen
-subcommand are ignored, so one file can serve run and reduce.  Explicit
-flags beat the file, and an explicit --omega0 beats a seed from the file:
-the run's metadata then records seed null.  The file's values hold for its
-own call only: in-process main() calls share one parser, built on the first
-call, and a --config call parses with a fresh one.
+"omega0" take a list, read as its comma-joined text.  Keys that name no
+flag of the chosen subcommand are ignored, so one file can serve run and
+reduce.  Explicit flags beat the file, and an explicit --omega0 or --seed
+beats both the file's omega0 and its seed; with --omega0 the run's metadata
+records seed null.  The file's values hold for its own call only:
+in-process main() calls share one parser, built on the first call, and a
+--config call parses with a fresh one.
 
 Identical flags and seed give byte-identical output files, each written
 atomically (temp + rename); a run that stops early still writes them, the
@@ -101,25 +102,20 @@ def _emit(out: Optional[str], data: str) -> None:
         atomic_write(out, data)
 
 
-def _parse_vector(value) -> tuple[float, ...]:
-    """v1,v2,... from the flag's string or from a --config file's list."""
-    parts = value.split(",") if isinstance(value, str) else value
+def _parse_vector(value: str) -> tuple[float, ...]:
+    """The v1,v2,... text of --omega0 as floats."""
     try:
-        return tuple(float(x) for x in parts)
-    except (TypeError, ValueError) as exc:
+        return tuple(float(x) for x in value.split(","))
+    except ValueError as exc:
         raise InvalidParameterError(f"cannot parse vector {value!r}: {exc}") from None
 
 
-def _parse_range(value) -> tuple[float, float]:
-    """LO,HI from the flag's string or from a --config file's two-number list."""
-    parts = value.split(",") if isinstance(value, str) else value
-    bad = InvalidParameterError(f"range must be two numbers LO,HI, got {value!r}")
-    if not isinstance(parts, list) or len(parts) != 2:
-        raise bad
+def _parse_range(value: str) -> tuple[float, float]:
+    """The LO,HI text of --random-range as a finite pair with LO < HI."""
     try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except (TypeError, ValueError):
-        raise bad from None
+        lo, hi = map(float, value.split(","))
+    except ValueError:
+        raise InvalidParameterError(f"range must be two numbers LO,HI, got {value!r}") from None
     if not math.isfinite(hi - lo):  # also inf or nan at either end
         raise InvalidParameterError(f"range needs finite LO, HI and HI - LO, got {value!r}")
     if not lo < hi:
@@ -173,7 +169,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     eqs.add_argument("--out")
 
-    def add_run_flags(p: argparse.ArgumentParser) -> None:
+    for name, size, help_text in (
+        ("run", "--n", "integrate the top flow"),
+        ("reduce", "--n", "full flow vs scalar quadrature"),
+        ("zk", "--k", "integrate the k+1 variable product flow"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(size, type=int, required=True)
         # Not marked required at parse level so a --config file can
         # supply either one; _initial_state validates the combination.
         group = p.add_mutually_exclusive_group()
@@ -189,22 +191,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p.add_argument("--abs-tol", type=float, default=1e-12)
         p.add_argument("--sample-interval", type=float)
         p.add_argument("--out", help="base path; writes <out>.trajectory.* and <out>.drift.json")
-
-    run = sub.add_parser("run", help="integrate the top flow")
-    run.add_argument("--n", type=int, required=True)
-    add_run_flags(run)
-    run.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    run.add_argument("--drift-threshold", type=float)
-
-    red = sub.add_parser("reduce", help="full flow vs scalar quadrature")
-    red.add_argument("--n", type=int, required=True)
-    add_run_flags(red)
-
-    zk = sub.add_parser("zk", help="integrate the k+1 variable product flow")
-    zk.add_argument("--k", type=int, required=True)
-    add_run_flags(zk)
-    zk.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    zk.add_argument("--drift-threshold", type=float)
+        if name != "reduce":
+            p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+            p.add_argument("--drift-threshold", type=float)
 
     return parser, sub.choices
 
@@ -213,20 +202,30 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 _shared_parser = functools.cache(_build_parser)
 
 
-def _apply_config_file(sub: argparse.ArgumentParser, path: str) -> None:
-    """Make the file's values the defaults of sub, each one read as its flag reads it."""
+def _apply_config_file(
+    sub: argparse.ArgumentParser, path: str, explicit: argparse.Namespace
+) -> None:
+    """Make the file's values the defaults of sub, each one read as its flag reads it.
+
+    explicit holds the flags of argv alone; when they pick the initial state
+    (--omega0 or --seed), the file's omega0 and seed are skipped.
+    """
     with open(path) as fh:
         values = json.load(fh)
     if not isinstance(values, dict):
         raise InvalidParameterError("--config file must hold a JSON object")
+    state_keys = ("omega0", "seed")
+    argv_state = any(getattr(explicit, key, None) is not None for key in state_keys)
     defaults = {}
     for key, value in values.items():
         action = sub._option_string_actions.get(f"--{key}")
-        if action is None:
-            continue  # a key for another subcommand
-        if isinstance(value, list) and key not in ("omega0", "random-range"):
-            sub.error(f"--config {path}: argument --{key}: expected one value, got a list")
-        if not isinstance(value, (str, list)):
+        if action is None or (argv_state and key in state_keys):
+            continue  # a key for another subcommand, or a state argv already chose
+        if isinstance(value, list):
+            if key not in ("omega0", "random-range"):
+                sub.error(f"--config {path}: argument --{key}: expected one value, got a list")
+            value = ",".join(map(str, value))  # the flag's own v1,v2,... text
+        elif not isinstance(value, str):
             value = json.dumps(value)
         try:
             # argparse's own conversion: the flag's type, then its choices.
@@ -276,12 +275,17 @@ def _prepare(args: argparse.Namespace) -> tuple:
     return system, state, t_end
 
 
-def _cmd_flow(args: argparse.Namespace) -> int:
-    """run and zk: integrate, report drift, write, and map the outcome to an exit code.
+def _exit_code(*terminations: str) -> int:
+    """EXIT_OK when every route completed, else the first early termination's
+    code, with its termination line on stderr."""
+    for termination in terminations:
+        if termination != COMPLETED:
+            print(f"termination: {termination}", file=sys.stderr)
+            return _TERMINATION_EXIT[termination]
+    return EXIT_OK
 
-    The drift table and the threshold line go to stdout with --out and to
-    stderr without it, where the trajectory owns stdout.
-    """
+
+def _cmd_flow(args: argparse.Namespace) -> int:
     system, state, t_end = _prepare(args)
     flow_args = (state, t_end, args.rel_tol, args.abs_tol)
     if args.subcommand == "zk":
@@ -301,20 +305,15 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         traj_text, suffix = trajectory.to_csv(), "trajectory.csv"
     else:
         traj_text, suffix = trajectory_json(trajectory, **meta), "trajectory.json"
-    if args.out is None:
-        stream = sys.stderr
-        sys.stdout.write(traj_text)
-    else:
-        stream = sys.stdout
-        atomic_write(f"{args.out}.{suffix}", traj_text)
+    stream = sys.stderr if args.out is None else sys.stdout
+    _emit(None if args.out is None else f"{args.out}.{suffix}", traj_text)
+    if args.out is not None:
         atomic_write(f"{args.out}.drift.json", _json_text(report.to_json_dict()))
     print(report.table(), file=stream)
 
-    if trajectory.termination != COMPLETED:
-        print(f"termination: {trajectory.termination}", file=sys.stderr)
-        return _TERMINATION_EXIT[trajectory.termination]
-    if args.drift_threshold is None:
-        return EXIT_OK
+    code = _exit_code(trajectory.termination)
+    if code != EXIT_OK or args.drift_threshold is None:
+        return code
     # A NaN max drift fails the comparison, so it never passes the gate.
     ok = report.max_drift <= args.drift_threshold
     verdict = "within" if ok else "EXCEEDS"
@@ -324,7 +323,6 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    """The summary lines go to stdout with --out and to stderr without it, as in run."""
     system, omega0, t_end = _prepare(args)
     comparison = compare_routes(
         system, omega0, t_end, args.rel_tol, args.abs_tol, sample_interval=args.sample_interval
@@ -333,11 +331,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     stream = sys.stderr if args.out is None else sys.stdout
     print(f"genus = {comparison.genus}", file=stream)
     print(f"max relative error {comparison.max_rel_err:.3e}", file=stream)
-    for termination in (comparison.omega_termination, comparison.scalar_termination):
-        if termination != COMPLETED:
-            print(f"termination: {termination}", file=sys.stderr)
-            return _TERMINATION_EXIT[termination]
-    return EXIT_OK
+    return _exit_code(comparison.omega_termination, comparison.scalar_termination)
 
 
 _COMMANDS = {
@@ -357,7 +351,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # Defaults from the file, then the same argv again: explicit flags
             # win.  The defaults go into a fresh parser, so they end with this call.
             parser, subparsers = _build_parser()
-            _apply_config_file(subparsers[args.subcommand], args.config)
+            _apply_config_file(subparsers[args.subcommand], args.config, args)
             args = parser.parse_args(argv)
         return _COMMANDS[args.subcommand](args)
     except (InvalidParameterError, OSError, json.JSONDecodeError) as exc:

@@ -22,7 +22,7 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from . import gf2, geometry
+from . import geometry
 from .errors import InvalidParameterError
 from .integrate import COMPLETED, adaptive_rk
 
@@ -56,10 +56,8 @@ class TopSystem:
             raise InvalidParameterError(f"n must be an integer in 2..{MAX_N_SYSTEM}, got {n!r}")
         d = geometry.num_points(n)
         pts = np.arange(1, d + 1, dtype=np.int64)
-        rev = np.zeros_like(pts)
-        for k in range(n):
-            rev |= ((pts >> k) & 1) << (n - 1 - k)
-        a = gf2.parity(rev[:, None] & pts, n)
+        rev = np.array(geometry.Collineation.from_matrix([1 << k for k in range(n)], n).perm)
+        a = geometry.parity(rev[:, None] & pts, n)
         # The line through i and q is {i, q, q ^ i}; take each pair once, q < q ^ i.
         i = pts[:, None]
         q = np.broadcast_to(pts, (d, d))[pts < (pts ^ i)].reshape(d, 2 ** (n - 1) - 1)

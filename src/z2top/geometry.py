@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import gf2
 from .errors import InvalidParameterError
 
 #: Largest n for which lines/hyperplanes are materialized (counts grow as 4^n).
@@ -32,6 +31,17 @@ MAX_N_INCIDENCE = 12
 def _check_n(n: int) -> None:
     if not isinstance(n, int) or n < 2 or n > MAX_N_INCIDENCE:
         raise InvalidParameterError(f"n must be an integer in 2..{MAX_N_INCIDENCE}, got {n!r}")
+
+
+def parity(x: np.ndarray, n: int) -> np.ndarray:
+    """Parity of the low n bits of each entry of a nonnegative integer array.
+
+    parity(u & v, n) is the GF(2) dot product of the points u and v, element-wise.
+    """
+    out = x & 1
+    for k in range(1, n):
+        out ^= (x >> k) & 1
+    return out
 
 
 def num_points(n: int) -> int:
@@ -56,7 +66,7 @@ def hyperplanes(n: int) -> list[tuple[int, ...]]:
     """Entry v - 1 holds the 2^(n-1) - 1 points orthogonal to the normal v."""
     _check_n(n)
     pts = np.arange(1, num_points(n) + 1, dtype=np.uint16)
-    on = gf2.parity(pts[:, None] & pts, n) == 0
+    on = parity(pts[:, None] & pts, n) == 0
     return [tuple(pts[row].tolist()) for row in on]
 
 
@@ -89,8 +99,11 @@ class Collineation:
         """p -> M p, row i of M (a bitmask) giving z_i; M is singular iff some p maps to 0."""
         if len(rows) != n:
             raise InvalidParameterError(f"expected {n} rows, got {len(rows)}")
-        pts = np.arange(1, num_points(n) + 1, dtype=np.int64)
-        images = sum(gf2.parity(r & pts, n) << (n - 1 - i) for i, r in enumerate(rows))
+        d = num_points(n)
+        if not all(0 <= r <= d for r in rows):
+            raise InvalidParameterError(f"row bitmasks must lie in 0..{d}, got {tuple(rows)}")
+        pts = np.arange(1, d + 1, dtype=np.int64)
+        images = sum(parity(r & pts, n) << (n - 1 - i) for i, r in enumerate(rows))
         perm = tuple(images.tolist())
         if 0 in perm:
             raise InvalidParameterError("rows must form an invertible n x n GF(2) matrix")

@@ -169,13 +169,11 @@ def compare_routes(
     )
 
     # Early-terminated trajectories end with an off-grid sample; compare the
-    # common grid-aligned prefix.
+    # common grid-aligned prefix, which holds t = 0 at least.
     shared = min(len(full), len(scalar))
     aligned = full.times[:shared] == scalar.times[:shared]
     if not aligned.all():
         shared = int(np.argmin(aligned))
-    if shared == 0:
-        raise RuntimeError("route sample grids share no points")
     a_full = a_transform(system, full.states[:shared])
     a_scalar = reconstruct_a(scalar.states[:shared, 0], data)
     rel = np.abs(a_scalar - a_full) / np.abs(a_full)

@@ -293,6 +293,23 @@ def test_reduce_without_out_routes_summary_to_stderr(capsys):
     assert err.splitlines() == ["genus = 9", f"max relative error {doc['max_rel_err']:.3e}"]
 
 
+def test_reduce_past_the_pole(tmp_path, capsys):
+    # Both routes blow up before t = 1; the report compares the grid points
+    # they share, which stop one short of the 129-point grid.
+    out_path = tmp_path / "c.json"
+    code, out, err = run_cli(
+        ["reduce", "--n", "3", "--seed", "1", "--t-end", "1.0", "--out", str(out_path)], capsys
+    )
+    assert code == 3
+    assert out.splitlines() == ["genus = 9", "max relative error 3.349e-10"]
+    assert err == "termination: blow_up\n"
+    doc = json.loads(out_path.read_text())
+    assert (doc["omega_termination"], doc["scalar_termination"]) == ("blow_up", "blow_up")
+    assert doc["t_grid"] == [i / 128 for i in range(128)]
+    assert doc["t_grid"][-1] == 0.9921875
+    assert 0 < doc["max_rel_err"] < 1e-9
+
+
 def test_reduce_degenerate_exit(capsys):
     code, _, err = run_cli(["reduce", "--n", "2", "--omega0", "1,0,0"], capsys)
     assert code == 5
@@ -431,6 +448,20 @@ def test_explicit_omega0_records_no_seed(tmp_path, capsys):
     assert doc["omega0"] == doc["x"][0] == [0.1, 0.2, 0.3]
 
 
+def test_explicit_seed_beats_config_omega0(tmp_path, capsys):
+    # An explicit --seed picks the state over a file's omega0, as the plain
+    # --seed run does, and the metadata records that seed.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"omega0": [0.1, 0.2, 0.3]}))
+    args = ["run", "--n", "2", "--seed", "3", "--t-end", "0.1", "--format", "json"]
+    code, from_file, _ = run_cli(["--config", str(cfg), *args], capsys)
+    assert code == 0
+    code, plain, _ = run_cli(args, capsys)
+    assert code == 0
+    assert from_file == plain
+    assert json.loads(from_file)["seed"] == 3
+
+
 def test_config_values_end_with_their_call(tmp_path, capsys):
     # The file's seed must not reach a later call in the same process.
     cfg = tmp_path / "cfg.json"
@@ -486,10 +517,11 @@ def test_output_file_mode_follows_umask(umask, tmp_path, capsys):
         ({"seed": -1}, []),
         ({"random-range": [1, math.inf]}, ["--seed", "1"]),
         ({"random-range": ["-1e308", "1e308"]}, ["--seed", "1"]),
+        ({"random-range": [True, 2]}, ["--seed", "1"]),
     ],
     ids=[
         "range-short", "range-reversed", "t-end-list", "seed-float", "format-xml", "out-list",
-        "seed-negative", "range-inf", "range-width-overflow",
+        "seed-negative", "range-inf", "range-width-overflow", "range-bool",
     ],
 )
 def test_bad_config_value_is_usage_error(values, args, tmp_path, capsys):

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from z2top import gf2
 from z2top.errors import InvalidParameterError
 from z2top.geometry import (
     MAX_N_INCIDENCE,
@@ -25,6 +24,11 @@ from z2top.geometry import (
 )
 
 from classic_fixtures import CLASSIC_15_PAIRS, pairs_to_lines
+
+
+def _dot(u: int, v: int) -> int:
+    """GF(2) dot product of two int-encoded bit vectors: the reference pairing."""
+    return (u & v).bit_count() & 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -107,7 +111,7 @@ def test_hyperplane_membership_oracle():
         hs = hyperplanes(n)
         assert len(hs) == d
         for v, h in enumerate(hs, 1):
-            assert h == tuple(p for p in range(1, d + 1) if gf2.dot(v, p) == 0)
+            assert h == tuple(p for p in range(1, d + 1) if _dot(v, p) == 0)
 
 
 def test_collineation_identity_found_for_canonical():
@@ -330,7 +334,7 @@ def test_from_matrix_every_matrix(n):
             assert str(exc) == "rows must form an invertible n x n GF(2) matrix"
             continue
         for p in range(1, num_points(n) + 1):
-            assert coll(p) == sum(gf2.dot(r, p) << (n - 1 - i) for i, r in enumerate(rows))
+            assert coll(p) == sum(_dot(r, p) << (n - 1 - i) for i, r in enumerate(rows))
         assert {coll.apply_triple(t) for t in line_set} == line_set
         perms.append(coll.perm)
     assert len(perms) == len(set(perms)) == math.prod(2**n - 2**i for i in range(n))
@@ -339,6 +343,13 @@ def test_from_matrix_every_matrix(n):
 def test_from_matrix_rejects_singular():
     with pytest.raises(InvalidParameterError):
         Collineation.from_matrix((1, 1, 0), 3)
+
+
+@pytest.mark.parametrize("rows", [(9, 2, 4), (-7, 2, 4)])
+def test_from_matrix_rejects_rows_outside_n_bits(rows):
+    # Both agree with (1, 2, 4) in their low three bits.
+    with pytest.raises(InvalidParameterError, match="row bitmasks must lie in 0..7"):
+        Collineation.from_matrix(rows, 3)
 
 
 def test_classic_planes_15_shape():
