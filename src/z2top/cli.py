@@ -239,7 +239,7 @@ def _cmd_geometry(args: argparse.Namespace) -> int:
     if args.fmt == "dot":
         _emit(args.out, geometry.incidence_dot(args.n))
     else:
-        _emit(args.out, _json_text(geometry.geometry_json(args.n)))
+        _emit(args.out, geometry.geometry_json_text(args.n))
     return EXIT_OK
 
 

@@ -236,8 +236,7 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The words of every 4-digit group, the significant-digit ends of every
     group at each of its four places, and the head and tail words of a row."""
     g = np.arange(10_000, dtype=np.int16)  # small dtypes keep the build's peak low
-    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
-    group_words = (digits + ord("0")).astype(np.uint8).view("<u4").ravel()
+    group_words = geometry._number_words()[10_000:20_000]  # g zero-padded to four digits
     # The significant digits of N through group j's last nonzero digit, or 1
     # (the lead digit) when group j is zero.
     sig = 4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0)

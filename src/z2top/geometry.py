@@ -7,7 +7,8 @@ exactly when their indices XOR to zero, so line generation is branch-free.
 
 Incidence is plain ints.  ``lines(n)`` gives each line as a sorted triple
 (p, q, p ^ q) of point indices, and ``hyperplanes(n)[v - 1]`` is the sorted
-tuple of points orthogonal to the normal v.
+tuple of points orthogonal to the normal v.  Both are read off two integer
+arrays, which also feed the JSON and DOT text through one template kernel.
 
 Classical labellings from the literature (the octonion triples for n = 3 and
 a classical listing of the fifteen 7-point planes for n = 4) are shipped as
@@ -16,7 +17,9 @@ fixtures and related to the canonical labelling by a relabelling search.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -52,22 +55,33 @@ def num_lines(n: int) -> int:
     return (2**n - 1) * (2 ** (n - 1) - 1) // 3
 
 
-def lines(n: int) -> list[tuple[int, int, int]]:
-    """All lines as sorted triples (p, q, p ^ q), ordered by p, then q."""
-    _check_n(n)
+def _line_rows(n: int) -> np.ndarray:
+    """The (num_lines, 3) rows (p, q, p ^ q), p < q < p ^ q, ordered by p, then q."""
     pts = np.arange(1, num_points(n) + 1, dtype=np.uint16)  # 16 bits hold every n <= MAX_N_INCIDENCE
     row, col = pts[:, None], pts
     # np.nonzero walks row-major: p first, then q.
     p, q = (pts[i] for i in np.nonzero((row < col) & (col < (row ^ col))))
-    return list(zip(p.tolist(), q.tolist(), (p ^ q).tolist()))
+    return np.stack([p, q, p ^ q], axis=1)
+
+
+def _hyperplane_rows(n: int) -> np.ndarray:
+    """Row v - 1 holds the 2^(n-1) - 1 points orthogonal to the normal v, increasing."""
+    d = num_points(n)
+    pts = np.arange(1, d + 1, dtype=np.uint16)
+    on = parity(pts[:, None] & pts, n) == 0
+    return np.broadcast_to(pts, (d, d))[on].reshape(d, 2 ** (n - 1) - 1)
+
+
+def lines(n: int) -> list[tuple[int, int, int]]:
+    """All lines as sorted triples (p, q, p ^ q), ordered by p, then q."""
+    _check_n(n)
+    return list(zip(*_line_rows(n).T.tolist()))
 
 
 def hyperplanes(n: int) -> list[tuple[int, ...]]:
     """Entry v - 1 holds the 2^(n-1) - 1 points orthogonal to the normal v."""
     _check_n(n)
-    pts = np.arange(1, num_points(n) + 1, dtype=np.uint16)
-    on = parity(pts[:, None] & pts, n) == 0
-    return [tuple(pts[row].tolist()) for row in on]
+    return list(map(tuple, _hyperplane_rows(n).tolist()))
 
 
 @dataclass(frozen=True)
@@ -275,32 +289,123 @@ def classic_line_set(n: int) -> list[tuple[int, ...]]:
     raise InvalidParameterError(f"classical labelling available for n in 2..4, got {n}")
 
 
+# Text of int matrices.  Every row is written into one literal template,
+# pieces[0] v_0 pieces[1] ... v_{k-1} pieces[k], from '<u4' words: each
+# piece NUL-padded to whole words, and each value v < 10^8 as one word (the
+# digits of v < 10^4, NUL-padded) or, in a block holding some v >= 10^4, as
+# two (the digits of v // 10^4, NUL-padded, then v % 10^4 zero-padded to
+# four digits, or a NUL word when v < 10^4).  One gather through an index
+# matrix per row block, then one strip of the NULs, gives the block's text.
+
+#: Words per block of _template_blocks' index matrix; a wider row is a block of its own.
+_TEMPLATE_BLOCK_WORDS = 1 << 15
+_GROUP = 10_000
+_NUL_WORD = 2 * _GROUP
+
+
+@functools.cache
+def _number_words() -> np.ndarray:
+    """'<u4' words: [g] the digits of g < 10^4 NUL-padded (a number's leading
+    group), [10^4 + g] those of g zero-padded to four (a group after it), and
+    [2 10^4] a NUL word."""
+    g = np.arange(_GROUP, dtype=np.int16)  # small dtypes keep the build's peak low
+    padded = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1) + ord("0")
+    # Byte c of g's leading word is byte c + 4 - (digits of g) of the padded one.
+    shift = np.arange(4) + (3 - (g >= 10) - (g >= 100) - (g >= 1000))[:, None]
+    lead = np.where(shift < 4, np.take_along_axis(padded, np.minimum(shift, 3), axis=1), 0)
+    words = np.concatenate([lead, padded, np.zeros((1, 4), dtype=np.int16)])
+    return words.astype(np.uint8).view("<u4").ravel()
+
+
+def _template_blocks(values: np.ndarray, pieces: Sequence[str], sep: str = "") -> list[str]:
+    """The text of the rows of a (rows, k) int matrix with entries in 0..10^8 - 1,
+    each row written as pieces[0] v_0 pieces[1] ... v_{k-1} pieces[k] and the
+    rows joined by sep, in blocks whose concatenation is that text.
+
+    The pieces are ASCII text without NULs.
+    """
+    rows, k = values.shape
+    if values.size and not (values.min() >= 0 and values.max() < _GROUP**2):
+        raise ValueError("template values must lie in 0..10^8 - 1")
+    text = [piece.encode("ascii") for piece in pieces]
+    text[-1] += sep.encode("ascii")
+    text = [t + b"\0" * (-len(t) % 4) for t in text]
+    widths = np.array([len(t) // 4 for t in text])  # words of each piece
+    numbers = _number_words()
+    source = np.concatenate([numbers, np.frombuffer(b"".join(text), dtype="<u4")])
+
+    def layout(per: int) -> tuple[np.ndarray, np.ndarray]:
+        """The index row of the template with per words a value (placeholders
+        in the values' places) and the columns of the values' words."""
+        at = np.repeat(np.cumsum(widths[:-1]), per)  # value j's words follow piece j
+        return np.insert(np.arange(len(numbers), len(source)), at, 0), at + np.arange(len(at))
+
+    layouts = {}
+    step = max(1, _TEMPLATE_BLOCK_WORDS // max(1, widths.sum() + 2 * k))
+    blocks = []
+    for start in range(0, rows, step):
+        v = values[start : start + step].astype(np.intp)
+        if v.size and v.max() >= _GROUP:
+            high, low = np.divmod(v, _GROUP)
+            cells = np.stack([np.where(high > 0, high, v), np.where(high > 0, _GROUP + low, _NUL_WORD)], axis=2)
+        else:
+            cells = v[:, :, None]
+        per = cells.shape[2]
+        if per not in layouts:
+            layouts[per] = layout(per)
+        const, cols = layouts[per]
+        index = np.empty((len(v), len(const)), dtype=np.intp)
+        index[:] = const
+        index[:, cols] = cells.reshape(len(v), -1)
+        blocks.append(np.take(source, index).tobytes().translate(None, b"\0").decode("ascii"))
+    if blocks and sep:
+        blocks[-1] = blocks[-1][: -len(sep)]
+    return blocks
+
+
+def geometry_json_text(n: int) -> str:
+    """Geometry dump as json.dumps(geometry_json(n), sort_keys=True, indent=1) + "\\n":
+    points as bit strings, line triples, hyperplane incidences."""
+    _check_n(n)
+    h = 2 ** (n - 1) - 1
+    normals = np.arange(1, num_points(n) + 1, dtype=np.uint16)[:, None]
+    # The row arrays are arguments only, so they are freed before the join.
+    parts = ['{\n "hyperplanes": [\n']
+    parts += _template_blocks(
+        np.hstack([normals, _hyperplane_rows(n)]),
+        ['  {\n   "normal": ', ',\n   "points": [\n    ', *[",\n    "] * (h - 1), "\n   ]\n  }"],
+        ",\n",
+    )
+    parts.append('\n ],\n "lines": [\n')
+    parts += _template_blocks(_line_rows(n), ["  [\n   ", ",\n   ", ",\n   ", "\n  ]"], ",\n")
+    points = ",\n  ".join([f'"{p:0{n}b}"' for p in range(1, num_points(n) + 1)])
+    parts.append(f'\n ],\n "n": {n},\n "points": [\n  {points}\n ],\n "schema_version": 1\n}}\n')
+    return "".join(parts)
+
+
 def geometry_json(n: int) -> dict:
     """Geometry dump: points as bit strings, line triples, hyperplane incidences."""
-    _check_n(n)
-    return {
-        "schema_version": 1,
-        "n": n,
-        "points": [format(p, f"0{n}b") for p in range(1, num_points(n) + 1)],
-        "lines": [list(line) for line in lines(n)],
-        "hyperplanes": [
-            {"normal": v, "points": list(h)} for v, h in enumerate(hyperplanes(n), start=1)
-        ],
-    }
+    return json.loads(geometry_json_text(n))
+
+
+def _dot_line_rows(n: int) -> np.ndarray:
+    """Rows (i, i, p, i, q, i, r, i) of the lines L_i = {p, q, r}, i from 1."""
+    triples = _line_rows(n)
+    rows = np.empty((len(triples), 8), dtype=np.uint32)
+    rows[:, [0, 1, 3, 5, 7]] = np.arange(1, len(triples) + 1, dtype=np.uint32)[:, None]
+    rows[:, 2::2] = triples
+    return rows
 
 
 def incidence_dot(n: int) -> str:
     """Bipartite point-line incidence graph in DOT format."""
     _check_n(n)
-    d = num_points(n)
-    # Each index is turned into text once; the statements below join strings only.
-    num = [str(i) for i in range(max(d, num_lines(n)) + 1)]
-    out = [f"graph incidence_{n} {{"]
-    out += [f'  p{p} [shape=circle, label="{p}"];' for p in num[1 : d + 1]]
-    out += [
-        f'  L{i} [shape=box, label="L{i}"];\n'
-        f"  p{num[p]} -- L{i};\n  p{num[q]} -- L{i};\n  p{num[r]} -- L{i};"
-        for i, (p, q, r) in zip(num[1:], lines(n))
-    ]
-    out.append("}\n")  # the closing newline here spares a copy of the joined text
-    return "\n".join(out)
+    pts = np.arange(1, num_points(n) + 1, dtype=np.uint16)
+    parts = [f"graph incidence_{n} {{\n"]
+    parts += _template_blocks(np.stack([pts, pts], axis=1), ["  p", ' [shape=circle, label="', '"];\n'])
+    parts += _template_blocks(
+        _dot_line_rows(n),
+        ["  L", ' [shape=box, label="L', '"];\n  p', " -- L", ";\n  p", " -- L", ";\n  p", " -- L", ";\n"],
+    )
+    parts.append("}\n")
+    return "".join(parts)

@@ -125,6 +125,14 @@ def _last_grid_index(t_end: float, sample_interval: float) -> int:
     return last
 
 
+def finite_vector(x0: Sequence[float]) -> np.ndarray:
+    """x0 as a new float array; it must be a finite 1-d vector."""
+    y = np.asarray(x0, dtype=float).copy()
+    if y.ndim != 1 or not np.all(np.isfinite(y)):
+        raise InvalidParameterError("x0 must be a finite 1-d vector")
+    return y
+
+
 def adaptive_rk(
     f: Callable[[float, np.ndarray], np.ndarray],
     x0: Sequence[float],
@@ -154,9 +162,7 @@ def adaptive_rk(
     if not (0 < sample_interval <= t_end):
         raise InvalidParameterError("sample_interval must lie in (0, t_end]")
 
-    y = np.asarray(x0, dtype=float).copy()
-    if y.ndim != 1 or not np.all(np.isfinite(y)):
-        raise InvalidParameterError("x0 must be a finite 1-d vector")
+    y = finite_vector(x0)
 
     # times holds the whole grid up front, plus one spare slot for an
     # off-grid blow-up time; rows [0, count) of times and states are output.

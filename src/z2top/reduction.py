@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import TopSystem, Trajectory, a_transform, integrate
 from .errors import BranchError, DegenerateOrbitError, InvalidParameterError
-from .integrate import adaptive_rk
+from .integrate import adaptive_rk, finite_vector
 from .invariants import _product_root, big_T
 
 _IDENTITY_TOL = 1e-10
@@ -155,7 +155,7 @@ def compare_routes(
     The two routes share one output grid.  Error is relative to the
     full-flow values, reported per component and as an overall max.
     """
-    omega0 = system.check_state(omega0)
+    omega0 = finite_vector(system.check_state(omega0))  # the transform would make inf nan
     a0 = a_transform(system, omega0)
     data = compute_reduction(system, a0)
     if sample_interval is None:

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -47,6 +48,16 @@ def test_geometry_dot(capsys):
     assert code == 0
     assert out.startswith("graph")
     assert "--" in out
+
+
+def test_reduce_nonfinite_state_is_usage_error(capsys):
+    # reduce checks the state before the a-transform, as run does: exit 2
+    # with run's message, and no numpy warning from the transform.
+    for cmd in ("run", "reduce"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli([cmd, "--n", "2", "--omega0=inf,1,2", "--t-end", "1"], capsys)
+        assert (code, out, err) == (2, "", "error: x0 must be a finite 1-d vector\n")
 
 
 def test_geometry_bad_n(capsys):

@@ -1,9 +1,11 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from z2top.cli import main
 from z2top.errors import InvalidParameterError
 from z2top.geometry import (
     MAX_N_INCIDENCE,
@@ -419,6 +421,29 @@ def test_geometry_json_schema():
     assert len(doc["lines"]) == 7
     assert len(doc["hyperplanes"]) == 7
     assert all(set(h) == {"normal", "points"} for h in doc["hyperplanes"])
+
+
+def _reference_geometry_json(n):
+    """geometry_json as it was, a dict literal built from lines() and hyperplanes()."""
+    return {
+        "schema_version": 1,
+        "n": n,
+        "points": [format(p, f"0{n}b") for p in range(1, num_points(n) + 1)],
+        "lines": [list(line) for line in lines(n)],
+        "hyperplanes": [
+            {"normal": v, "points": list(h)} for v, h in enumerate(hyperplanes(n), start=1)
+        ],
+    }
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_geometry_json_cli_matches_reference(n, capsys, tmp_path):
+    reference = json.dumps(_reference_geometry_json(n), sort_keys=True, indent=1) + "\n"
+    assert main(["geometry", "--n", str(n)]) == 0
+    assert capsys.readouterr().out == reference
+    path = tmp_path / "g.json"
+    assert main(["geometry", "--n", str(n), "--out", str(path)]) == 0
+    assert path.read_bytes() == reference.encode()
 
 
 def test_incidence_dot():

@@ -4,7 +4,8 @@ The JSON writer must give exactly json.dumps(obj, sort_keys=True, indent=1)
 + "\\n", and Trajectory.to_csv exactly what csv.writer gives for
 format(x, ".17g") cells; _reference_csv is the csv.writer code that
 to_csv replaced.  The '%.17g' kernel under to_csv is held to '%.17g' % x,
-value by value.
+value by value.  The integer template kernel under the geometry JSON and
+DOT is held to str() and "".join, row by row.
 """
 
 import csv
@@ -186,6 +187,51 @@ def test_json_text_peak_memory_is_about_twice_the_text():
     tracemalloc.start()
     try:
         text = _json_text(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 10_000_000
+    assert peak <= 2.1 * len(text)
+
+
+_TEMPLATE_INTS = st.integers(0, 10**8 - 1) | st.sampled_from([0, 9, 10, 9999, 10_000, 10**8 - 1])
+_PIECES = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=7)
+
+
+@st.composite
+def templates(draw):
+    k = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(_TEMPLATE_INTS, min_size=k, max_size=k), max_size=10))
+    pieces = draw(st.lists(_PIECES, min_size=k + 1, max_size=k + 1))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), k), pieces, draw(_PIECES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(templates(), st.integers(1, 40))
+def test_template_kernel_matches_str_join(template, block_words):
+    # Small blocks, so that one call mixes one- and two-word blocks and a row
+    # can be wider than a block.
+    values, pieces, sep = template
+    reference = sep.join(
+        ["".join([p + str(v) for p, v in zip(pieces, row)]) + pieces[-1] for row in values.tolist()]
+    )
+    with mock.patch.object(geometry, "_TEMPLATE_BLOCK_WORDS", block_words):
+        assert "".join(geometry._template_blocks(values, pieces, sep)) == reference
+
+
+@pytest.mark.parametrize("value", [-1, 10**8])
+def test_template_kernel_refuses_values_outside_eight_digits(value):
+    with pytest.raises(ValueError):
+        geometry._template_blocks(np.array([[value]]), ["", ""])
+
+
+@pytest.mark.parametrize("write", [geometry.geometry_json_text, geometry.incidence_dot])
+def test_geometry_text_peak_memory_is_about_twice_the_text(write):
+    # Row blocks bound the kernel's index matrices; the row arrays are freed
+    # before the blocks are joined.
+    tracemalloc.start()
+    try:
+        text = write(10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

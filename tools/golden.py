@@ -12,7 +12,7 @@ otherwise the sha256 of its JSON text.  So the diff can say which fields of
 a report changed, and by how much.
 
 Only the standard library is used, so the script runs against any checkout.
-Commands run one at a time; the whole list takes about 20 s on a 2-vCPU host.
+Commands run one at a time; the whole list takes about 25 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -52,7 +52,9 @@ COMMANDS = (
     ]
     # A horizon below 1e-14: the integrator's step floor scales with t_end.
     + ["run --n 2 --omega0 0.1,0.2,0.3 --t-end 1e-15 --out a"]
-    + [f"geometry --n {n}{fmt}" for n in (3, 4, 8) for fmt in ("", " --format dot")]
+    # Every n the geometry tests cover, in both formats, and one file output.
+    + [f"geometry --n {n}{fmt}" for n in range(2, 11) for fmt in ("", " --format dot")]
+    + ["geometry --n 6 --out g.json"]
     + [f"equations --n {n}" for n in (3, 4, 8)]
     + [f"equations --n {n} --labelling classic" for n in (3, 4)]
 )
