@@ -15,6 +15,7 @@ the closed-form inverse used by a_inverse.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
@@ -32,8 +33,13 @@ MAX_N_SYSTEM = 10
 #: Fraction of the majorant's earliest pole time that the default horizon spans.
 HORIZON_BUDGET = 0.4
 
-#: Values per block of Trajectory.to_csv; a wider row is a block of its own.
-_CSV_BLOCK_VALUES = 4096
+#: Values per block of both text writers; a wider row is a block of its own.
+_BLOCK_VALUES = 4096
+
+#: json.dumps with keys sorted and no indent, so that json's C encoder runs.
+_json_dumps = functools.partial(json.dumps, sort_keys=True, check_circular=False)
+#: The exact types that _json_dumps writes as JSON scalars.
+_JSON_SCALARS = frozenset([str, int, float, bool, type(None)])
 
 RhsKind = Literal["omega", "a"]
 
@@ -118,7 +124,7 @@ class Trajectory:
     def to_csv(self) -> str:
         """Header t,x_1..x_dim, then one row per sample, every value as '%.17g'."""
         dim = self.states.shape[1]
-        rows = max(1, _CSV_BLOCK_VALUES // (dim + 1))
+        rows = max(1, _BLOCK_VALUES // (dim + 1))
         blocks = ["t," + ",".join([f"x_{j}" for j in range(1, dim + 1)]) + "\n"]
         for start in range(0, len(self.times), rows):
             stop = start + rows
@@ -351,71 +357,58 @@ def _format_g17(values: np.ndarray) -> str:
     return text.tobytes().translate(None, b" ").decode("ascii")
 
 
-def _json_float_text(text: str) -> str:
-    """'%r' text of floats with nan and inf spelled as json does (only they spell an n)."""
-    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+def _json_rows(rows, kinds: set, ind: str, parts: list) -> bool:
+    """Append rows, one per line at indent ind, to parts if they are all
+    non-empty exact lists or tuples, or all such dicts, of exact scalars;
+    return whether they were.
 
-
-def _json_items(items, ind: str, parts: list) -> None:
-    """Append the items of a non-empty list, one per line at indent ind,
-    comma-separated, to parts.
-
-    Items that are all exactly float or all exactly int, or equal-length rows
-    of such, go through one % template, as one part.  The type test is exact
-    because '%r' % np.float64(x) and '%d' % True misprint.
+    Each chunk of about _BLOCK_VALUES values is one encoder call, whose item
+    separator lays out every row as indent=1 does.  json escapes every line
+    break inside a string, so only the seams between rows are left to fix.
     """
-    sep = ",\n" + ind
-    rows = set(map(type, items)) <= {list, tuple} and len(set(map(len, items))) == 1
-    values = tuple(chain.from_iterable(items)) if rows else items
-    kinds = set(map(type, values))
-    if kinds == {float} or kinds == {int}:
-        cell = "%r" if kinds == {float} else "%d"
-        if rows:
-            nl = "\n" + ind + " "
-            cell = "[" + nl + ("," + nl).join([cell] * len(items[0])) + "\n" + ind + "]"
-        block = sep.join([cell] * len(items)) % tuple(values)
-        parts.append(_json_float_text(block))
-        return
-    for i, x in enumerate(items):
-        if i:
-            parts.append(sep)
-        _json_parts(x, ind, parts)
+    if kinds <= {list, tuple}:
+        values, brackets = chain.from_iterable(rows), "[]"
+    elif kinds == {dict}:
+        values, brackets = chain.from_iterable(map(dict.values, rows)), "{}"
+    else:
+        return False
+    if not all(rows) or not set(map(type, values)) <= _JSON_SCALARS:
+        return False
+    row_sep = ",\n" + ind + " "
+    first, last = brackets[0] + "\n" + ind + " ", "\n" + ind + brackets[1]
+    seam, fixed = brackets[1] + row_sep + brackets[0], last + ",\n" + ind + first
+    step = max(1, _BLOCK_VALUES * len(rows) // sum(map(len, rows)))
+    for start in range(0, len(rows), step):
+        text = _json_dumps(rows[start : start + step], separators=(row_sep, ": "))
+        parts += [first, text[2:-2].replace(seam, fixed), last, ",\n" + ind]
+    parts.pop()
+    return True
 
 
 def _json_parts(obj, ind: str, parts: list) -> None:
     """Append obj as json.dumps(obj, sort_keys=True, indent=1) writes it, nested
-    at indent ind, to parts."""
-    if isinstance(obj, str):
-        parts.append(_json_str(obj))
-    elif obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
-        parts.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        parts.append(_json_float_text(float.__repr__(obj)))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        inner = ind + " "
-        parts.append("[\n" + inner)
-        _json_items(obj, inner, parts)
-        parts.append("\n" + ind + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        inner = ind + " "
-        for i, key in enumerate(sorted(obj)):
-            parts.append(("{\n" if i == 0 else ",\n") + inner + _json_str(key) + ": ")
+    at indent ind, to parts.
+
+    Scalars and empty containers are json.dumps(obj).  json's C encoder also
+    writes a container of exact scalars, whose item separator lays it out as
+    indent=1 does, and a list of rows of them; any other container is walked
+    one child at a time.
+    """
+    if not isinstance(obj, (list, tuple, dict)) or not obj:
+        parts.append(json.dumps(obj))
+        return
+    inner = ind + " "
+    sep = ",\n" + inner
+    is_dict = isinstance(obj, dict)
+    kinds = set(map(type, obj.values() if is_dict else obj))
+    parts.append("{\n" + inner if is_dict else "[\n" + inner)
+    if kinds <= _JSON_SCALARS:
+        parts.append(_json_dumps(obj, separators=(sep, ": "))[1:-1])
+    elif is_dict or not _json_rows(obj, kinds, inner, parts):
+        for i, key in enumerate(sorted(obj) if is_dict else range(len(obj))):
+            parts.append((sep if i else "") + (_json_str(key) + ": " if is_dict else ""))
             _json_parts(obj[key], inner, parts)
-        parts.append("\n" + ind + "}")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    parts.append("\n" + ind + ("}" if is_dict else "]"))
 
 
 def _json_text(obj) -> str:

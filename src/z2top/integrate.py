@@ -133,6 +133,7 @@ def finite_vector(x0: Sequence[float]) -> np.ndarray:
     return y
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite step ends the run
 def adaptive_rk(
     f: Callable[[float, np.ndarray], np.ndarray],
     x0: Sequence[float],

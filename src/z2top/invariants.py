@@ -136,6 +136,7 @@ def _series_drift(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a NaN drift fails the gate
 def drift_report(system: TopSystem, trajectory: Trajectory) -> DriftReport:
     """Max drift of the N_1j and gamma_i along a trajectory, against t = 0.
 

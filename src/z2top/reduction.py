@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import TopSystem, Trajectory, a_transform, integrate
 from .errors import BranchError, DegenerateOrbitError, InvalidParameterError
 from .integrate import adaptive_rk, finite_vector
-from .invariants import _product_root, big_T
+from .invariants import _product_root
 
 _IDENTITY_TOL = 1e-10
 
@@ -42,6 +42,7 @@ class ReductionData:
     closure_residual: float  # |prod(R0 + M_j) / T0^(2^(n-1)) - 1|, evaluated in logs
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a NaN closure raises
 def compute_reduction(system: TopSystem, a0: Sequence[float]) -> ReductionData:
     """Constants M_j, T0, U0, R0 for strictly positive, pairwise distinct a0."""
     a0 = system.check_state(a0)
@@ -49,7 +50,7 @@ def compute_reduction(system: TopSystem, a0: Sequence[float]) -> ReductionData:
         raise DegenerateOrbitError("a0 must be strictly positive")
     if len(np.unique(a0)) != system.d:
         raise DegenerateOrbitError("a0 entries must be pairwise distinct")
-    t0 = big_T(system, a0)
+    t0 = float(_product_root(a0, 2 ** (system.n - 1) - 1))
     inverse = 1.0 / a0
     u0 = float(np.mean(inverse))
     m = t0 * (inverse - u0)

@@ -97,6 +97,7 @@ def integrate_zk(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a NaN drift fails the gate
 def zk_drift_report(system: ZkSystem, trajectory: Trajectory) -> DriftReport:
     """Drift of the pairwise square-difference integrals along a trajectory."""
     if trajectory.states.shape[1] != system.dim:

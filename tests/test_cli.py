@@ -236,7 +236,9 @@ def test_random_range_must_be_finite(spec, capsys):
 def test_overflowing_initial_rhs_is_step_failure(tmp_path, capsys):
     # omega_j omega_k overflows at t = 0, so no first step exists.
     base = tmp_path / "big"
-    with pytest.warns(RuntimeWarning):  # the RHS and the drift report overflow
+    # The RHS and the drift report overflow, but the outcome is the only report.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, _, err = run_cli(
             ["run", "--n", "2", "--omega0", "1e200,1e200,1e200", "--out", str(base)], capsys
         )
@@ -346,6 +348,16 @@ def test_zk_drift_threshold(tmp_path, capsys):
         capsys,
     )
     assert code == 1
+
+
+def test_zk_k2_csv_is_the_n2_top_csv(tmp_path, capsys):
+    # At k = 2 each velocity is the product of the other two, as in the n = 2
+    # top, so the two commands write the same trajectory, byte for byte.
+    for cmd in (["zk", "--k", "2"], ["run", "--n", "2"]):
+        code, _, _ = run_cli(cmd + ["--seed", "1", "--out", str(tmp_path / cmd[0])], capsys)
+        assert code == 0
+    zk_csv = (tmp_path / "zk.trajectory.csv").read_bytes()
+    assert zk_csv == (tmp_path / "run.trajectory.csv").read_bytes()
 
 
 @pytest.mark.parametrize("args", [["run", "--n", "2"], ["zk", "--k", "3"]], ids=["run", "zk"])

@@ -323,6 +323,27 @@ def test_integrate_symmetric_blowup_solution(systems):
     assert np.max(np.abs(traj.states[-1] - 2.0)) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "flow, size", [("top", n) for n in range(2, 7)] + [("zk", k) for k in (2, 4, 6, 12)]
+)
+def test_time_reversal_returns_to_start(flow, size, systems):
+    # Both flows are homogeneous of even degree, so u(t) = -omega(T - t)
+    # solves the same equation: integrating from -omega(T) over T must
+    # arrive at -omega0.
+    if flow == "top":
+        system, horizon, dim = systems[size], guarded_horizon, 2**size - 1
+        run = lambda x0, t_end: integrate(system, "omega", x0, t_end)
+    else:
+        system, horizon, dim = ZkSystem(size), zk_guarded_horizon, size + 1
+        run = lambda x0, t_end: integrate_zk(system, x0, t_end)
+    w0 = np.random.default_rng(size).uniform(0.1, 0.5, dim)
+    t_end = horizon(system, w0)
+    forward = run(w0, t_end)
+    back = run(-forward.states[-1], t_end)
+    assert forward.completed and back.completed
+    assert np.max(np.abs(back.states[-1] + w0) / w0) < 1e-9
+
+
 def test_integrate_blow_up_termination(systems):
     traj = integrate(systems[2], "omega", np.ones(3), 2.0, 1e-10, 1e-12)
     assert traj.termination == "blow_up"

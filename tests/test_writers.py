@@ -70,6 +70,31 @@ def test_json_writer_matches_json_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
+_SEAM_TEXT = text | st.sampled_from(['"', "\\", "\n", "],", "}", ",\n  [", '"},\n {"'])
+_ROW_SCALARS = st.none() | st.booleans() | ints | floats | _SEAM_TEXT
+_ROW_ITEMS = _ROW_SCALARS | floats.map(np.float64)
+
+# Lists that the writer hands json's encoder in chunks, and near misses that
+# it must walk: flat dicts with differing key sets, rows that mix lists and
+# tuples, np.float64 inside rows, and empty rows.
+row_lists = (
+    st.lists(st.dictionaries(_SEAM_TEXT, _ROW_SCALARS, min_size=1, max_size=4), max_size=10)
+    | st.lists(st.dictionaries(_SEAM_TEXT, _ROW_ITEMS, max_size=4), max_size=10)
+    | st.lists(st.lists(_ROW_SCALARS, min_size=1, max_size=4).map(tuple)
+               | st.lists(_ROW_SCALARS, min_size=1, max_size=4), max_size=10)
+    | st.lists(st.lists(_ROW_ITEMS, max_size=4), max_size=10)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_lists, st.integers(1, 12), _SEAM_TEXT)
+def test_json_writer_chunks_match_json_dumps(rows, block_values, key):
+    # Small blocks, so that one list spans several encoder calls.
+    with mock.patch.object(dynamics, "_BLOCK_VALUES", block_values):
+        for obj in (rows, [rows], {key: rows}):
+            assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
 @pytest.mark.parametrize("obj", [np.int64(1), np.bool_(True), object()])
 def test_json_writer_refuses_what_json_refuses(obj):
     with pytest.raises(TypeError):
@@ -100,7 +125,7 @@ def trajectories(draw):
 def test_to_csv_matches_csv_writer(trajectory, block_values):
     # Small blocks, so that a trajectory spans several of them, and a row can
     # be wider than a block.
-    with mock.patch.object(dynamics, "_CSV_BLOCK_VALUES", block_values):
+    with mock.patch.object(dynamics, "_BLOCK_VALUES", block_values):
         assert trajectory.to_csv() == _reference_csv(trajectory)
 
 

@@ -50,6 +50,13 @@ COMMANDS = (
         "run --n 2 --omega0 1e-7,2e-7,3e-7 --t-end 1 --out k",
         "run --n 2 --omega0 2e16,3e17,1 --t-end 1e-20 --out k",
     ]
+    # States that overflow in the RHS, the drift report or the reduction's
+    # closure check end in their outcome line alone (exits 4, 4 and 5).
+    + [
+        "run --n 2 --seed 1 --random-range=0.5,1e300 --t-end 1 --out o",
+        "zk --k 12 --seed 1 --random-range=0.5,1e300 --t-end 1 --out o",
+        "reduce --n 2 --seed 1 --random-range=0.5,1e300 --t-end 1 --out o.json",
+    ]
     # A horizon below 1e-14: the integrator's step floor scales with t_end.
     + ["run --n 2 --omega0 0.1,0.2,0.3 --t-end 1e-15 --out a"]
     # Every n the geometry tests cover, in both formats, and one file output.
