@@ -317,6 +317,26 @@ def _number_words() -> np.ndarray:
     return words.astype(np.uint8).view("<u4").ravel()
 
 
+@functools.lru_cache(maxsize=32)
+def _template(pieces: tuple[str, ...], sep: str) -> tuple[np.ndarray, tuple]:
+    """The words of a template's pieces, and for one and for two words a value
+    the index row into _number_words() followed by those words (placeholders
+    in the values' places) and the values' columns."""
+    text = [piece.encode("ascii") for piece in pieces]
+    text[-1] += sep.encode("ascii")
+    text = [t + b"\0" * (-len(t) % 4) for t in text]
+    widths = np.array([len(t) // 4 for t in text])  # words of each piece
+    words = np.frombuffer(b"".join(text), dtype="<u4")
+    numbers = len(_number_words())
+    layouts = []
+    for per in (1, 2):
+        at = np.repeat(np.cumsum(widths[:-1]), per)  # value j's words follow piece j
+        layouts.append((np.insert(np.arange(numbers, numbers + len(words)), at, 0), at + np.arange(len(at))))
+    for array in (*layouts[0], *layouts[1]):
+        array.setflags(write=False)  # shared by every call with these pieces
+    return words, tuple(layouts)
+
+
 def _template_blocks(values: np.ndarray, pieces: Sequence[str], sep: str = "") -> list[str]:
     """The text of the rows of a (rows, k) int matrix with entries in 0..10^8 - 1,
     each row written as pieces[0] v_0 pieces[1] ... v_{k-1} pieces[k] and the
@@ -327,21 +347,9 @@ def _template_blocks(values: np.ndarray, pieces: Sequence[str], sep: str = "") -
     rows, k = values.shape
     if values.size and not (values.min() >= 0 and values.max() < _GROUP**2):
         raise ValueError("template values must lie in 0..10^8 - 1")
-    text = [piece.encode("ascii") for piece in pieces]
-    text[-1] += sep.encode("ascii")
-    text = [t + b"\0" * (-len(t) % 4) for t in text]
-    widths = np.array([len(t) // 4 for t in text])  # words of each piece
-    numbers = _number_words()
-    source = np.concatenate([numbers, np.frombuffer(b"".join(text), dtype="<u4")])
-
-    def layout(per: int) -> tuple[np.ndarray, np.ndarray]:
-        """The index row of the template with per words a value (placeholders
-        in the values' places) and the columns of the values' words."""
-        at = np.repeat(np.cumsum(widths[:-1]), per)  # value j's words follow piece j
-        return np.insert(np.arange(len(numbers), len(source)), at, 0), at + np.arange(len(at))
-
-    layouts = {}
-    step = max(1, _TEMPLATE_BLOCK_WORDS // max(1, widths.sum() + 2 * k))
+    words, layouts = _template(tuple(pieces), sep)
+    source = np.concatenate([_number_words(), words])
+    step = max(1, _TEMPLATE_BLOCK_WORDS // max(1, len(words) + 2 * k))
     blocks = []
     for start in range(0, rows, step):
         v = values[start : start + step].astype(np.intp)
@@ -350,10 +358,7 @@ def _template_blocks(values: np.ndarray, pieces: Sequence[str], sep: str = "") -
             cells = np.stack([np.where(high > 0, high, v), np.where(high > 0, _GROUP + low, _NUL_WORD)], axis=2)
         else:
             cells = v[:, :, None]
-        per = cells.shape[2]
-        if per not in layouts:
-            layouts[per] = layout(per)
-        const, cols = layouts[per]
+        const, cols = layouts[cells.shape[2] - 1]
         index = np.empty((len(v), len(const)), dtype=np.intp)
         index[:] = const
         index[:, cols] = cells.reshape(len(v), -1)

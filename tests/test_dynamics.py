@@ -9,8 +9,10 @@ from hypothesis.extra import numpy as hnp
 import z2top.dynamics
 import z2top.zktop
 from z2top.dynamics import (
+    _HADAMARD_MIN_N,
     MAX_N_SYSTEM,
     TopSystem,
+    _hadamard,
     a_inverse,
     a_rhs,
     a_transform,
@@ -213,6 +215,55 @@ def test_omega_rhs_classic_labelling_15d(systems):
         )
         for p in range(1, 16):
             assert rhs_canon[p - 1] == pytest.approx(direct[coll(p) - 1], abs=1e-13)
+
+
+def _pair_sums(system, w):
+    """The line sums of omega_rhs through the pair table: sum of w_j w_k over
+    the pairs {j, k} of the lines through each point."""
+    return (w[system.pair_idx[:, :, 0]] * w[system.pair_idx[:, :, 1]]).sum(axis=1)
+
+
+@pytest.mark.parametrize("n", range(_HADAMARD_MIN_N, MAX_N_SYSTEM + 1))
+def test_omega_rhs_hadamard_route_matches_pair_sums(n, systems):
+    # Positive states, as the flow has them, and mixed-sign ones, where the
+    # transform's sums cancel: each component lies within 4 d eps of the sum
+    # of |w_j w_k| over its pairs.
+    system = systems[n]
+    rng = np.random.default_rng(500 + n)
+    eps = np.finfo(float).eps
+    for low in [0.1] * 30 + [-1.0] * 30:
+        w = rng.uniform(low, 0.5 if low > 0 else 1.0, system.d)
+        scale = _pair_sums(system, np.abs(w))
+        assert np.all(np.abs(omega_rhs(system, w) - _pair_sums(system, w)) <= 4 * system.d * eps * scale)
+
+
+@pytest.mark.parametrize("n", range(2, _HADAMARD_MIN_N))
+def test_omega_rhs_below_hadamard_threshold_is_the_pair_sum(n, systems):
+    # Below the threshold the bytes are the pair table's, which the seeded
+    # trajectory files of n <= 7 pin.
+    system = systems[n]
+    rng = np.random.default_rng(600 + n)
+    for low, high in [(0.1, 0.5)] * 10 + [(-1.0, 1.0)] * 10:
+        w = rng.uniform(low, high, system.d)
+        assert np.array_equal(omega_rhs(system, w), _pair_sums(system, w))
+
+
+@pytest.mark.parametrize("n", range(2, MAX_N_SYSTEM + 1))
+def test_hadamard_is_exact_on_integers(n, systems):
+    # _hadamard is the dense Sylvester product, and (z_0 - z[rev]) / 2 with
+    # z = H [0, x] is A x: omega_rhs's route and a_matrix encode one A.
+    sylvester = np.ones((1, 1), dtype=np.int64)
+    for _ in range(n):
+        sylvester = np.kron(np.array([[1, 1], [1, -1]]), sylvester)
+    rev = np.array([int(format(v, f"0{n}b")[::-1], 2) for v in range(1, 2**n)])
+    rng = np.random.default_rng(700 + n)
+    for _ in range(5):
+        x = rng.integers(-1024, 1025, 2**n)
+        z = _hadamard(x.astype(float), n)
+        assert np.array_equal(z, sylvester @ x)
+        x[0] = 0
+        z = _hadamard(x.astype(float), n)
+        assert np.array_equal((z[0] - z[rev]) / 2, systems[n].a_matrix @ x[1:])
 
 
 def test_a_transform_matches_classic_7_sums(systems):

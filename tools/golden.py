@@ -12,7 +12,8 @@ otherwise the sha256 of its JSON text.  So the diff can say which fields of
 a report changed, and by how much.
 
 Only the standard library is used, so the script runs against any checkout.
-Commands run one at a time; the whole list takes about 25 s on a 2-vCPU host.
+Commands run one at a time; the whole list takes about 22 s on a 2-vCPU host,
+of which `run --n 9` and `run --n 10` take about 2 s.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ COMMANDS = (
     [f"run --n {n} --seed 1 --format {fmt} --out r" for n in range(2, 9) for fmt in ("csv", "json")]
     + [f"reduce --n {n} --seed {seed} --out c.json" for n in range(3, 10) for seed in (1, 2, 3)]
     + ["reduce --n 3 --seed 1"]
+    # omega_rhs's Walsh-Hadamard route serves n = 8..10; n = 8 is above.
+    + [f"run --n {n} --seed 1 --out r" for n in (9, 10)]
     + [f"zk --k {k} --seed 1 --out z" for k in (3, 6, 12)]
     + [
         "run --n 2 --omega0 1,1,1 --t-end 2.0 --out b",
