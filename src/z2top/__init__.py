@@ -30,7 +30,6 @@ from .geometry import (
     lines,
 )
 from .invariants import (
-    DriftEntry,
     DriftReport,
     big_T,
     drift_report,

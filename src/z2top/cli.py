@@ -13,9 +13,10 @@ program entry point (z2top.__main__) exits 70 on any other exception.
 
 run and zk share one pipeline.  --drift-threshold gates both the same way,
 with or without --out: a max drift above the threshold, or a non-finite
-one, exits 1.  The drift table and the threshold line go to stdout with
---out and to stderr without it, where the trajectory owns stdout; reduce
-routes its genus and max-relative-error lines the same way.
+one, exits 1, and a negative or NaN threshold exits 2 before the flow
+runs.  The drift table and the threshold line go to stdout with --out and
+to stderr without it, where the trajectory owns stdout; reduce routes its
+genus and max-relative-error lines the same way.
 
 --config FILE reads a JSON object keyed by flag names ("t-end", "seed",
 ...).  Each value is converted and checked by the flag it names, with the
@@ -286,6 +287,9 @@ def _exit_code(*terminations: str) -> int:
 
 
 def _cmd_flow(args: argparse.Namespace) -> int:
+    threshold = args.drift_threshold
+    if threshold is not None and not threshold >= 0.0:  # NaN fails >= too
+        raise InvalidParameterError(f"--drift-threshold must be >= 0 and not NaN, got {threshold}")
     system, state, t_end = _prepare(args)
     flow_args = (state, t_end, args.rel_tol, args.abs_tol)
     if args.subcommand == "zk":
@@ -308,16 +312,16 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     stream = sys.stderr if args.out is None else sys.stdout
     _emit(None if args.out is None else f"{args.out}.{suffix}", traj_text)
     if args.out is not None:
-        atomic_write(f"{args.out}.drift.json", _json_text(report.to_json_dict()))
+        atomic_write(f"{args.out}.drift.json", report.json_text())
     print(report.table(), file=stream)
 
     code = _exit_code(trajectory.termination)
-    if code != EXIT_OK or args.drift_threshold is None:
+    if code != EXIT_OK or threshold is None:
         return code
     # A NaN max drift fails the comparison, so it never passes the gate.
-    ok = report.max_drift <= args.drift_threshold
+    ok = report.worst_drift <= threshold
     verdict = "within" if ok else "EXCEEDS"
-    text = f"max drift {report.max_drift:.3e} {verdict} threshold {args.drift_threshold:.3e}"
+    text = f"max drift {report.worst_drift:.3e} {verdict} threshold {threshold:.3e}"
     print(_status_line(ok, text, stream), file=stream)
     return EXIT_OK if ok else EXIT_DRIFT
 

@@ -84,7 +84,7 @@ class TopSystem:
         d = geometry.num_points(n)
         pts = np.arange(1, d + 1, dtype=np.int64)
         rev = np.array(geometry.Collineation.from_matrix([1 << k for k in range(n)], n).perm)
-        a = geometry.parity(rev[:, None] & pts, n)
+        a = (np.kron(_sylvester(n // 2), _sylvester(n - n // 2))[rev, 1:] < 0).astype(np.int64)
         # The line through i and q is {i, q, q ^ i}; take each pair once, q < q ^ i.
         i = pts[:, None]
         q = np.broadcast_to(pts, (d, d))[pts < (pts ^ i)].reshape(d, 2 ** (n - 1) - 1)
@@ -404,24 +404,19 @@ def _format_g17(values: np.ndarray) -> str:
 
 def _json_rows(rows, kinds: set, ind: str, parts: list) -> bool:
     """Append rows, one per line at indent ind, to parts if they are all
-    non-empty exact lists or tuples, or all such dicts, of exact scalars;
-    return whether they were.
+    non-empty exact lists or tuples of exact scalars; return whether they were.
 
     Each chunk of about _BLOCK_VALUES values is one encoder call, whose item
     separator lays out every row as indent=1 does.  json escapes every line
     break inside a string, so only the seams between rows are left to fix.
     """
-    if kinds <= {list, tuple}:
-        values, brackets = chain.from_iterable(rows), "[]"
-    elif kinds == {dict}:
-        values, brackets = chain.from_iterable(map(dict.values, rows)), "{}"
-    else:
+    if not (kinds <= {list, tuple} and all(rows)):
         return False
-    if not all(rows) or not set(map(type, values)) <= _JSON_SCALARS:
+    if not set(map(type, chain.from_iterable(rows))) <= _JSON_SCALARS:
         return False
     row_sep = ",\n" + ind + " "
-    first, last = brackets[0] + "\n" + ind + " ", "\n" + ind + brackets[1]
-    seam, fixed = brackets[1] + row_sep + brackets[0], last + ",\n" + ind + first
+    first, last = "[\n" + ind + " ", "\n" + ind + "]"
+    seam, fixed = "]" + row_sep + "[", last + ",\n" + ind + first
     step = max(1, _BLOCK_VALUES * len(rows) // sum(map(len, rows)))
     for start in range(0, len(rows), step):
         text = _json_dumps(rows[start : start + step], separators=(row_sep, ": "))

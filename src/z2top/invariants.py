@@ -15,11 +15,12 @@ to MAX_N_SYSTEM; the reduction takes its 2^(n-1)-th root the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .dynamics import TopSystem, Trajectory, a_transform
+from .dynamics import TopSystem, Trajectory, _json_dumps, _json_str, a_transform
 from .errors import BranchError, DegenerateOrbitError, InvalidParameterError
 
 #: Initial values smaller than this are tracked by absolute drift.
@@ -42,25 +43,26 @@ def _product_root(x: np.ndarray, k: int) -> np.ndarray:
     return np.exp(np.add.reduce(np.log(x), axis=-1) / k)
 
 
-def _n_block(a: np.ndarray, n: int, rows: slice, cols: slice) -> np.ndarray:
-    """N_ij = T (a_i - a_j) / (a_i a_j) for i in rows, j in cols, over (..., d) arrays."""
-    t = _product_root(a, 2 ** (n - 1) - 1)[..., None, None]
-    ai = a[..., rows, None]
-    aj = a[..., None, cols]
+def _n_entries(t, ai, aj) -> np.ndarray:
+    """N_ij = T (a_i - a_j) / (a_i a_j), broadcast over T, a_i and a_j."""
     return t * (ai - aj) / (ai * aj)
 
 
 def _gamma(a: np.ndarray, pair_idx: np.ndarray) -> np.ndarray:
-    """gamma_i = a_i * prod over lines {i,j,k} of (a_j - a_k), over (..., d) arrays.
+    """gamma_i = a_i * prod over lines {i,j,k} of (a_j - a_k), over (d, ...) arrays.
 
-    The product runs over the pairs in order, one (..., d) factor at a time,
-    so no temporary outgrows a.
+    The product runs over the pairs in order, one (d, ...) factor at a time
+    gathered into two buffers; on a (d, samples) array it gathers whole rows.
     """
     j, k = pair_idx[:, :, 0], pair_idx[:, :, 1]
-    prod = a[..., j[:, 0]] - a[..., k[:, 0]]
+    prod = a[j[:, 0]] - a[k[:, 0]]
+    aj, ak = np.empty_like(prod), np.empty_like(prod)
     for col in range(1, j.shape[1]):
-        prod *= a[..., j[:, col]] - a[..., k[:, col]]
-    return a * prod
+        # mode="clip" changes no index here; it keeps take from buffering out.
+        np.take(a, j[:, col], axis=0, out=aj, mode="clip")
+        np.take(a, k[:, col], axis=0, out=ak, mode="clip")
+        prod *= np.subtract(aj, ak, out=aj)
+    return np.multiply(prod, a, out=prod)  # a * prod in place: IEEE products commute
 
 
 def big_T(system: TopSystem, a: Sequence[float]) -> float:
@@ -70,7 +72,8 @@ def big_T(system: TopSystem, a: Sequence[float]) -> float:
 
 def n_matrix(system: TopSystem, a: Sequence[float]) -> np.ndarray:
     """Antisymmetric matrix N_ij = T (a_i - a_j) / (a_i a_j); requires a > 0."""
-    return _n_block(_positive_a(system, a), system.n, slice(None), slice(None))
+    a = _positive_a(system, a)
+    return _n_entries(_product_root(a, 2 ** (system.n - 1) - 1), a[:, None], a)
 
 
 def gamma(system: TopSystem, a: Sequence[float]) -> np.ndarray:
@@ -81,59 +84,57 @@ def gamma(system: TopSystem, a: Sequence[float]) -> np.ndarray:
     return _gamma(system.check_state(a), system.pair_idx)
 
 
-@dataclass(frozen=True)
-class DriftEntry:
-    name: str
-    initial: float
-    max_drift: float
-    t_at_max: float
-    mode: str  # "relative" | "absolute"
+#: drift.json as json.dumps(doc, sort_keys=True, indent=1) lays out the document and one entry.
+_DRIFT_DOC = (
+    '{\n "invariants": [%s],\n "max_drift": %s,\n "schema_version": 1,\n "skipped_samples": %d\n}\n'
+)
+_DRIFT_ENTRY = "\n  {%s\n  }," % ",".join(
+    f'\n   "{key}": %s' for key in ("initial", "max_drift", "mode", "name", "t_at_max")
+)
+_TABLE_HEADER = f"{'invariant':<12} {'initial':>24} {'max drift':>13} {'t(max)':>10}"
+_TABLE_ROW = "\n%-12s %24.16e %13.3e %10.6f"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriftReport:
-    entries: tuple[DriftEntry, ...]
+    """One row per invariant in each column: name, initial value, largest drift, time of
+    that drift, and whether that drift is relative to |initial| (else absolute)."""
+
+    names: tuple[str, ...]
+    initial: np.ndarray
+    max_drift: np.ndarray
+    t_at_max: np.ndarray
+    relative: np.ndarray  # bool
     skipped_samples: int  # samples where positivity failed for the N row
 
     @property
-    def max_drift(self) -> float:
+    def worst_drift(self) -> float:
         """Largest drift of any entry; NaN when any entry is NaN, so a gate fails."""
-        return float(np.max([e.max_drift for e in self.entries], initial=0.0))
+        return float(np.max(self.max_drift, initial=0.0))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "skipped_samples": self.skipped_samples,
-            "max_drift": self.max_drift,
-            "invariants": [dict(vars(e)) for e in self.entries],  # copies: entries stay frozen
-        }
+    def json_text(self) -> str:
+        """drift.json: json.dumps(doc, sort_keys=True, indent=1) + "\\n", each float as
+        json's C encoder writes it (float.__repr__, NaN, Infinity, -Infinity), in one call."""
+        k = len(self.names)
+        values = np.concatenate((self.initial, self.max_drift, self.t_at_max, [self.worst_drift]))
+        num = _json_dumps(values.tolist())[1:-1].split(", ")
+        modes = np.where(self.relative, '"relative"', '"absolute"').tolist()
+        rows = zip(num[:k], num[k : 2 * k], modes, map(_json_str, self.names), num[2 * k : -1])
+        entries = (_DRIFT_ENTRY * k)[:-1] % tuple(chain.from_iterable(rows)) + "\n " if k else ""
+        return _DRIFT_DOC % (entries, num[-1], self.skipped_samples)
 
     def table(self) -> str:
-        lines = [f"{'invariant':<12} {'initial':>24} {'max drift':>13} {'t(max)':>10}"]
-        row = "%-12s %24.16e %13.3e %10.6f"
-        for e in self.entries:
-            lines.append(row % (e.name, e.initial, e.max_drift, e.t_at_max))
-        return "\n".join(lines)
+        rows = zip(self.names, *(c.tolist() for c in (self.initial, self.max_drift, self.t_at_max)))
+        return (_TABLE_HEADER + _TABLE_ROW * len(self.names)) % tuple(chain.from_iterable(rows))
 
 
-def _series_drift(
-    names: Sequence[str], times: np.ndarray, values: np.ndarray
-) -> tuple[DriftEntry, ...]:
-    """One entry per column of values (samples x series), each against its t = 0 value."""
-    v0 = values[0]
+def _series_drift(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(initial, max drift, t at max, relative) of each row (series) of values, from sample 0."""
+    v0 = values[:, 0]
     relative = ~(np.abs(v0) < ABS_DRIFT_FLOOR)  # a NaN start stays relative
-    drift = np.abs(values - v0) / np.where(relative, np.abs(v0), 1.0)
-    worst = np.argmax(drift, axis=0)
-    return tuple(
-        DriftEntry(
-            name=name,
-            initial=float(v0[j]),
-            max_drift=float(drift[i, j]),
-            t_at_max=float(times[i]),
-            mode="relative" if relative[j] else "absolute",
-        )
-        for j, (name, i) in enumerate(zip(names, worst))
-    )
+    drift = np.abs(values - v0[:, None]) / np.where(relative, np.abs(v0), 1.0)[:, None]
+    worst = np.argmax(drift, axis=1)
+    return v0, drift[np.arange(len(worst)), worst], times[worst], relative
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a NaN drift fails the gate
@@ -153,18 +154,19 @@ def drift_report(system: TopSystem, trajectory: Trajectory) -> DriftReport:
     else:
         raise InvalidParameterError(f"unsupported trajectory kind {trajectory.kind!r}")
 
-    times = trajectory.times
-    d = system.d
-    entries = _series_drift(
-        [f"gamma_{i + 1}" for i in range(d)], times, _gamma(a_samples, system.pair_idx)
-    )
+    times, d = trajectory.times, system.d
     positive = np.all(a_samples > 0.0, axis=1)
-    skipped = int(len(times) - positive.sum())
+    keep = slice(None) if positive.all() else positive  # a slice takes views, not copies
+    # T sums each sample's logs along a contiguous (samples, d) row, in numpy's order.
+    t = _product_root(a_samples[keep], 2 ** (system.n - 1) - 1) if positive[0] else None
+    a = np.ascontiguousarray(a_samples.T)  # (d, samples): each gather takes whole rows
+    del a_samples  # the transform's (samples, d) result is not needed past here
+    names = [f"gamma_{i + 1}" for i in range(d)]
+    columns = [_series_drift(times, _gamma(a, system.pair_idx))]
     if positive[0]:
-        n_rows = _n_block(a_samples[positive], system.n, slice(0, 1), slice(1, None))[:, 0]
-        names = [f"N_1_{j + 2}" for j in range(d - 1)]
-        entries += _series_drift(names, times[positive], n_rows)
-    return DriftReport(entries=entries, skipped_samples=skipped)
+        names += [f"N_1_{j + 2}" for j in range(d - 1)]
+        columns.append(_series_drift(times[keep], _n_entries(t, a[0, keep], a[1:, keep])))
+    return DriftReport(tuple(names), *map(np.concatenate, zip(*columns)), int((~positive).sum()))
 
 
 def _rank(jacobian: np.ndarray) -> int:
@@ -181,7 +183,7 @@ def independent_count(system: TopSystem, a: Sequence[float]) -> int:
     a = _positive_a(system, a)
     k = 2 ** (system.n - 1) - 1
     t = _product_root(a, k)
-    jac = np.outer(_n_block(a, system.n, slice(0, 1), slice(1, None))[0], 1.0 / (k * a))
+    jac = np.outer(_n_entries(t, a[0], a[1:]), 1.0 / (k * a))
     jac[:, 0] += t / a[0] ** 2
     jac[:, 1:] -= np.diag(t / a[1:] ** 2)
     return _rank(jac)

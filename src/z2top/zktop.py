@@ -102,6 +102,6 @@ def zk_drift_report(system: ZkSystem, trajectory: Trajectory) -> DriftReport:
     """Drift of the pairwise square-difference integrals along a trajectory."""
     if trajectory.states.shape[1] != system.dim:
         raise InvalidParameterError("trajectory dimension does not match the system")
-    names = [f"D_{i + 1}_{i + 2}" for i in range(system.k)]
-    entries = _series_drift(names, trajectory.times, _square_differences(trajectory.states))
-    return DriftReport(entries=entries, skipped_samples=0)
+    names = tuple(f"D_{i + 1}_{i + 2}" for i in range(system.k))
+    values = _square_differences(trajectory.states).T  # (k, samples)
+    return DriftReport(names, *_series_drift(trajectory.times, values), skipped_samples=0)

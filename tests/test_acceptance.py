@@ -111,7 +111,7 @@ def _max_drift(system: TopSystem, rel_tol: float, abs_tol: float, seed: int) -> 
         assert traj.completed
         report = drift_report(system, traj)
         assert report.skipped_samples == 0
-        worst = max(worst, report.max_drift)
+        worst = max(worst, report.worst_drift)
     return worst
 
 
@@ -185,7 +185,7 @@ def test_criterion_09_zk_conservation(systems):
         w0 = rng.uniform(0.1, 0.5, k + 1)
         traj = integrate_zk(system, w0, zk_guarded_horizon(system, w0), 1e-10, 1e-12)
         ok &= traj.completed
-        worst = max(worst, zk_drift_report(system, traj).max_drift)
+        worst = max(worst, zk_drift_report(system, traj).worst_drift)
     ok &= worst < 1e-8
 
     w0 = np.array([0.2, 0.3, 0.4])

@@ -6,13 +6,20 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from z2top import cli
 from z2top.cli import main
-from z2top.invariants import DriftEntry, DriftReport
+from z2top.invariants import DriftReport
 
 from classic_fixtures import CLASSIC_15_PAIRS, CLASSIC_7_PAIRS
+
+
+#: A one-entry drift report whose drift is NaN.
+_NAN_REPORT = DriftReport(
+    ("N_1_2",), np.ones(1), np.full(1, np.nan), np.zeros(1), np.ones(1, dtype=bool), 0
+)
 
 
 def run_cli(args, capsys):
@@ -370,8 +377,7 @@ def test_drift_threshold_without_out(args, capsys):
 
 def test_nan_drift_fails_threshold(tmp_path, capsys, monkeypatch):
     # However a NaN drift arises, it must not pass the gate.
-    nan_entry = DriftEntry("N_1_2", 1.0, math.nan, 0.0, "relative")
-    monkeypatch.setattr(cli, "drift_report", lambda *_: DriftReport((nan_entry,), 0))
+    monkeypatch.setattr(cli, "drift_report", lambda *_: _NAN_REPORT)
     base = tmp_path / "nan"
     code, out, _ = run_cli(
         ["run", "--n", "2", "--seed", "1", "--drift-threshold", "1e-8", "--out", str(base)],
@@ -381,6 +387,37 @@ def test_nan_drift_fails_threshold(tmp_path, capsys, monkeypatch):
     assert "max drift nan EXCEEDS" in out
     doc = json.loads((tmp_path / "nan.drift.json").read_text())
     assert math.isnan(doc["max_drift"])
+
+
+@pytest.mark.parametrize("cmd", [["run", "--n", "2"], ["zk", "--k", "3"]], ids=["run", "zk"])
+@pytest.mark.parametrize("threshold", ["nan", "-1e-8", "-inf"])
+def test_bad_drift_threshold_is_usage_error(cmd, threshold, tmp_path, capsys, monkeypatch):
+    # Exit 1 means "drift exceeded"; a threshold no drift can meet is a usage
+    # error, refused before the flow runs.
+    monkeypatch.setattr(cli, "integrate", None)
+    monkeypatch.setattr(cli, "integrate_zk", None)
+    args = [*cmd, "--seed", "1", f"--drift-threshold={threshold}", "--out", str(tmp_path / "o")]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "--drift-threshold" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "cmd, report", [(["run", "--n", "2"], "drift_report"), (["zk", "--k", "3"], "zk_drift_report")],
+    ids=["run", "zk"],
+)
+def test_infinite_drift_threshold(cmd, report, tmp_path, capsys, monkeypatch):
+    # inf is a threshold: every finite drift is within it, and a NaN drift still fails it.
+    args = [*cmd, "--seed", "1", "--drift-threshold", "inf", "--out", str(tmp_path / "o")]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert out.splitlines()[-1].endswith("within threshold inf")
+    monkeypatch.setattr(cli, report, lambda *_: _NAN_REPORT)
+    code, out, _ = run_cli(args, capsys)
+    assert code == 1
+    assert out.splitlines()[-1] == "max drift nan EXCEEDS threshold inf"
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ import pytest
 
 from z2top.cli import _json_text, main
 from z2top.dynamics import Trajectory, trajectory_json
-from z2top.invariants import DriftEntry, DriftReport
+from z2top.invariants import DriftReport
 from z2top.reduction import RouteComparison
 
 GOLDEN = {
@@ -53,14 +53,14 @@ def _writer_outputs() -> dict[str, str]:
     )
     times = np.array([0.0, 0.125, 1 / 3, 2.5e-7, 1e16])
     trajectory = Trajectory("omega", times, states, "blow_up")
-    entries = (
-        DriftEntry("gamma_1", 0.125, 3.1e-12, 0.5, "relative"),
-        DriftEntry("gamma_2", np.float64(-2.5e-13), np.float64(4e-17), 1 / 3, "absolute"),
-        DriftEntry("N_1_2", -0.0, 5e-324, 0.0, "relative"),
-        DriftEntry("N_1_3", 1e16, np.inf, -np.inf, "relative"),
-        DriftEntry("N_1_4", np.nan, np.nan, np.nan, "relative"),
+    drift = DriftReport(
+        names=("gamma_1", "gamma_2", "N_1_2", "N_1_3", "N_1_4"),
+        initial=np.array([0.125, -2.5e-13, -0.0, 1e16, np.nan]),
+        max_drift=np.array([3.1e-12, 4e-17, 5e-324, np.inf, np.nan]),
+        t_at_max=np.array([0.5, 1 / 3, 0.0, -np.inf, np.nan]),
+        relative=np.array([True, False, True, True, True]),
+        skipped_samples=3,
     )
-    drift = DriftReport(entries, skipped_samples=3)
     comparison = RouteComparison(
         n=2,
         genus=0,
@@ -74,7 +74,7 @@ def _writer_outputs() -> dict[str, str]:
     return {
         "trajectory.csv": trajectory.to_csv(),
         "trajectory.json": trajectory_json(trajectory, **meta, omega0=[0.1, 0.2, 0.3]),
-        "drift.json": _json_text(drift.to_json_dict()),
+        "drift.json": drift.json_text(),
         "drift table": drift.table(),
         "comparison.json": _json_text(comparison.to_json_dict()),
     }

@@ -5,7 +5,8 @@ The JSON writer must give exactly json.dumps(obj, sort_keys=True, indent=1)
 format(x, ".17g") cells; _reference_csv is the csv.writer code that
 to_csv replaced.  The '%.17g' kernel under to_csv is held to '%.17g' % x,
 value by value.  The integer template kernel under the geometry JSON and
-DOT is held to str() and "".join, row by row.
+DOT is held to str() and "".join, row by row.  The drift report's columnar
+writers are held to the per-entry dict and row loop that they replaced.
 """
 
 import csv
@@ -20,11 +21,12 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from z2top import dynamics, geometry  # noqa: E402
 from z2top.dynamics import Trajectory, _format_g17, _json_text  # noqa: E402
+from z2top.invariants import DriftReport  # noqa: E402
 
 _EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16, 1 / 3]
 
@@ -74,9 +76,9 @@ _SEAM_TEXT = text | st.sampled_from(['"', "\\", "\n", "],", "}", ",\n  [", '"},\
 _ROW_SCALARS = st.none() | st.booleans() | ints | floats | _SEAM_TEXT
 _ROW_ITEMS = _ROW_SCALARS | floats.map(np.float64)
 
-# Lists that the writer hands json's encoder in chunks, and near misses that
-# it must walk: flat dicts with differing key sets, rows that mix lists and
-# tuples, np.float64 inside rows, and empty rows.
+# Lists of rows that the writer hands json's encoder in chunks, and lists it
+# must walk: flat dicts, rows that mix lists and tuples, np.float64 inside
+# rows, and empty rows.
 row_lists = (
     st.lists(st.dictionaries(_SEAM_TEXT, _ROW_SCALARS, min_size=1, max_size=4), max_size=10)
     | st.lists(st.dictionaries(_SEAM_TEXT, _ROW_ITEMS, max_size=4), max_size=10)
@@ -101,6 +103,56 @@ def test_json_writer_refuses_what_json_refuses(obj):
         json.dumps(obj, sort_keys=True, indent=1)
     with pytest.raises(TypeError):
         _json_text(obj)
+
+
+def _reference_drift_json(report: DriftReport) -> str:
+    entries = [
+        {"name": name, "initial": x0, "max_drift": drift, "t_at_max": t,
+         "mode": "relative" if rel else "absolute"}
+        for name, x0, drift, t, rel in zip(
+            report.names, report.initial, report.max_drift, report.t_at_max, report.relative
+        )
+    ]
+    doc = {
+        "schema_version": 1,
+        "skipped_samples": report.skipped_samples,
+        "max_drift": float(np.max([e["max_drift"] for e in entries], initial=0.0)),
+        "invariants": entries,
+    }
+    return _json_text(doc)
+
+
+def _reference_drift_table(report: DriftReport) -> str:
+    lines = [f"{'invariant':<12} {'initial':>24} {'max drift':>13} {'t(max)':>10}"]
+    row = "%-12s %24.16e %13.3e %10.6f"
+    for e in zip(report.names, report.initial, report.max_drift, report.t_at_max):
+        lines.append(row % e)
+    return "\n".join(lines)
+
+
+@st.composite
+def drift_reports(draw):
+    k = draw(st.integers(0, 12))
+    column = st.lists(floats | floats.map(np.float64), min_size=k, max_size=k).map(np.array)
+    return DriftReport(
+        names=tuple(draw(st.lists(_SEAM_TEXT, min_size=k, max_size=k))),
+        initial=draw(column),
+        max_drift=draw(column),
+        t_at_max=draw(column),
+        relative=np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)), dtype=bool),
+        skipped_samples=draw(st.integers(0, 10**6)),
+    )
+
+
+_EMPTY = np.empty(0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drift_reports())
+@example(DriftReport((), _EMPTY, _EMPTY, _EMPTY, _EMPTY.astype(bool), 0))
+def test_drift_writers_match_per_entry_references(report):
+    assert report.json_text() == _reference_drift_json(report)
+    assert report.table() == _reference_drift_table(report)
 
 
 def _reference_csv(trajectory: Trajectory) -> str:

@@ -75,7 +75,7 @@ def test_zk_conservation(k):
         traj = integrate_zk(system, w0, t_end, 1e-10, 1e-12)
         assert traj.completed
         report = zk_drift_report(system, traj)
-        assert report.max_drift < 1e-8
+        assert report.worst_drift < 1e-8
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -62,6 +62,13 @@ COMMANDS = (
     ]
     # A horizon below 1e-14: the integrator's step floor scales with t_end.
     + ["run --n 2 --omega0 0.1,0.2,0.3 --t-end 1e-15 --out a"]
+    # The drift gate: within (exit 0), exceeded (exit 1) and a NaN threshold
+    # refused before the flow runs (exit 2).
+    + [
+        "run --n 8 --seed 1 --drift-threshold 1e-8 --out r",
+        "zk --k 6 --seed 1 --drift-threshold 1e-30 --out z",
+        "run --n 2 --seed 1 --drift-threshold nan",
+    ]
     # Every n the geometry tests cover, in both formats, and one file output.
     + [f"geometry --n {n}{fmt}" for n in range(2, 11) for fmt in ("", " --format dot")]
     + ["geometry --n 6 --out g.json"]
