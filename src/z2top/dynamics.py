@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Literal, Optional, Sequence
 
@@ -59,8 +58,6 @@ _BLOCK_VALUES = 4096
 
 #: json.dumps with keys sorted and no indent, so that json's C encoder runs.
 _json_dumps = functools.partial(json.dumps, sort_keys=True, check_circular=False)
-#: The exact types that _json_dumps writes as JSON scalars.
-_JSON_SCALARS = frozenset([str, int, float, bool, type(None)])
 
 RhsKind = Literal["omega", "a"]
 
@@ -402,67 +399,38 @@ def _format_g17(values: np.ndarray) -> str:
     return text.tobytes().translate(None, b" ").decode("ascii")
 
 
-def _json_rows(rows, kinds: set, ind: str, parts: list) -> bool:
-    """Append rows, one per line at indent ind, to parts if they are all
-    non-empty exact lists or tuples of exact scalars; return whether they were.
+def _json_text(doc: dict) -> str:
+    """json.dumps(doc, sort_keys=True, indent=1) + "\\n" for the documents the CLI
+    writes, without json's pure-Python encoder, which indent selects.
 
-    Each chunk of about _BLOCK_VALUES values is one encoder call, whose item
-    separator lays out every row as indent=1 does.  json escapes every line
-    break inside a string, so only the seams between rows are left to fix.
+    doc maps str keys to JSON scalars, to flat lists of them, or to a list of
+    non-empty rows, each a list of numbers.  A scalar is json.dumps(value).
+    A flat list, and each chunk of about _BLOCK_VALUES row values, is one call
+    of json's C encoder, whose item separator lays it out as indent=1 does;
+    json escapes every line break inside a string, so only the seams between
+    rows are left to fix.  Every piece goes into one list that is joined
+    once, so the peak memory is about twice the text.
     """
-    if not (kinds <= {list, tuple} and all(rows)):
-        return False
-    if not set(map(type, chain.from_iterable(rows))) <= _JSON_SCALARS:
-        return False
-    row_sep = ",\n" + ind + " "
-    first, last = "[\n" + ind + " ", "\n" + ind + "]"
-    seam, fixed = "]" + row_sep + "[", last + ",\n" + ind + first
-    step = max(1, _BLOCK_VALUES * len(rows) // sum(map(len, rows)))
-    for start in range(0, len(rows), step):
-        text = _json_dumps(rows[start : start + step], separators=(row_sep, ": "))
-        parts += [first, text[2:-2].replace(seam, fixed), last, ",\n" + ind]
-    parts.pop()
-    return True
-
-
-def _json_parts(obj, ind: str, parts: list) -> None:
-    """Append obj as json.dumps(obj, sort_keys=True, indent=1) writes it, nested
-    at indent ind, to parts.
-
-    Scalars and empty containers are json.dumps(obj).  json's C encoder also
-    writes a container of exact scalars, whose item separator lays it out as
-    indent=1 does, and a list of rows of them; any other container is walked
-    one child at a time.
-    """
-    if not isinstance(obj, (list, tuple, dict)) or not obj:
-        parts.append(json.dumps(obj))
-        return
-    inner = ind + " "
-    sep = ",\n" + inner
-    is_dict = isinstance(obj, dict)
-    kinds = set(map(type, obj.values() if is_dict else obj))
-    parts.append("{\n" + inner if is_dict else "[\n" + inner)
-    if kinds <= _JSON_SCALARS:
-        parts.append(_json_dumps(obj, separators=(sep, ": "))[1:-1])
-    elif is_dict or not _json_rows(obj, kinds, inner, parts):
-        for i, key in enumerate(sorted(obj) if is_dict else range(len(obj))):
-            parts.append((sep if i else "") + (_json_str(key) + ": " if is_dict else ""))
-            _json_parts(obj[key], inner, parts)
-    parts.append("\n" + ind + ("}" if is_dict else "]"))
-
-
-def _json_text(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=1) + "\\n", without json's pure-Python encoder.
-
-    json drops to that encoder whenever indent is set.  Keys must be str.
-    Every piece goes into one list that is joined once, so the peak memory
-    is about twice the text.
-    """
-    parts: list[str] = []
-    _json_parts(obj, "", parts)
-    parts.append("\n")
+    parts = []
+    for key in sorted(doc):
+        value = doc[key]
+        parts += [",\n " if parts else "{\n ", _json_str(key), ": "]
+        if not isinstance(value, list) or not value:
+            parts.append(json.dumps(value))
+        elif set(map(type, value)) != {list}:
+            parts += ["[\n  ", _json_dumps(value, separators=(",\n  ", ": "))[1:-1], "\n ]"]
+        else:
+            step = max(1, _BLOCK_VALUES * len(value) // sum(map(len, value)))
+            lead = "[\n  [\n   "
+            for start in range(0, len(value), step):
+                text = _json_dumps(value[start : start + step], separators=(",\n   ", ": "))
+                parts += [lead, text[2:-2].replace("],\n   [", "\n  ],\n  [\n   "), "\n  ]"]
+                lead = ",\n  [\n   "
+            parts.append("\n ]")
+    parts.append("\n}\n" if parts else "{}\n")
     return "".join(parts)
 
 
 def trajectory_json(trajectory: Trajectory, **metadata) -> str:
+    """The trajectory JSON document, to_json_dict(**metadata), as text."""
     return _json_text(trajectory.to_json_dict(**metadata))

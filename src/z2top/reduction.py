@@ -42,7 +42,7 @@ class ReductionData:
     closure_residual: float  # |prod(R0 + M_j) / T0^(2^(n-1)) - 1|, evaluated in logs
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a NaN closure raises
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a NaN closure raises
 def compute_reduction(system: TopSystem, a0: Sequence[float]) -> ReductionData:
     """Constants M_j, T0, U0, R0 for strictly positive, pairwise distinct a0."""
     a0 = system.check_state(a0)

@@ -336,6 +336,19 @@ def test_reduce_degenerate_exit(capsys):
     assert "degenerate" in err
 
 
+@pytest.mark.parametrize(
+    "state", ["--n 3 --seed 1 --random-range=1e-160,2e-160", "--n 2 --omega0=1e-200,2e-200,3e-200"]
+)
+def test_reduce_underflowing_t0_is_degenerate_without_warning(state, capsys):
+    # T0 underflows to 0, so the closure check takes log(0); it refuses the
+    # orbit with its one line and no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["reduce", *state.split()], capsys)
+    assert (code, out) == (5, "")
+    assert err.startswith("degenerate orbit: ") and err.count("\n") == 1
+
+
 def test_zk_runs(tmp_path, capsys):
     code, out, _ = run_cli(
         ["zk", "--k", "3", "--seed", "2", "--out", str(tmp_path / "zk")], capsys

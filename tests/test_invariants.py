@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from z2top.dynamics import TopSystem, Trajectory, a_transform, guarded_horizon, integrate
-from z2top import invariants
+from z2top import geometry, invariants
 from z2top.errors import BranchError, DegenerateOrbitError, InvalidParameterError
 from z2top.invariants import (
     _gamma,
@@ -125,6 +125,43 @@ def test_gamma_equals_product_of_n_entries(n, systems):
             for j, k in systems[n].pair_idx[i]:
                 prod *= mat[j, k]
             assert prod == pytest.approx(g[i], rel=1e-10)
+
+
+def _random_collineation(n: int, rng) -> geometry.Collineation:
+    while True:
+        try:
+            return geometry.Collineation.from_matrix(rng.integers(1, 2**n, n).tolist(), n)
+        except InvalidParameterError:  # a singular draw
+            pass
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_invariants_follow_collineation_relabellings(n, systems):
+    # A collineation g relabels the state, omega'_g(p) = omega_p, and maps
+    # hyperplane complements onto hyperplane complements, so a' is a
+    # permutation sigma of a: row i of A read through g is row sigma[i].
+    system = systems[n]
+    eps, m, k = np.finfo(float).eps, 2 ** (n - 1), 2 ** (n - 1) - 1
+    rows = {row.tobytes(): i for i, row in enumerate(system.a_matrix)}
+    rng = np.random.default_rng(41 + n)
+    for _ in range(40):
+        perm = np.array(_random_collineation(n, rng).perm) - 1
+        sigma = np.array([rows[row.tobytes()] for row in system.a_matrix[:, perm]])
+        assert sorted(sigma) == list(range(system.d))
+        omega = rng.integers(1, 1000, system.d).astype(float)
+        relabelled = np.empty_like(omega)
+        relabelled[perm] = omega
+        # Integer states: both transforms are exact.
+        a, a2 = a_transform(system, omega), a_transform(system, relabelled)
+        assert np.array_equal(a2, a[sigma])
+        # Each gamma_i is a product of m factors, taken in another order.
+        g = np.abs(gamma(system, a))[sigma]
+        np.testing.assert_allclose(np.abs(gamma(system, a2)), g, rtol=m * eps, atol=0.0)
+        # The N_ij differ only through T, whose d logs are summed in another
+        # order: two sums of d terms differ by at most (d - 1) eps sum|log a|.
+        rtol = eps * (2 + (system.d - 1) * np.abs(np.log(a)).sum() / k)
+        n0 = n_matrix(system, a)[sigma][:, sigma]
+        np.testing.assert_allclose(n_matrix(system, a2), n0, rtol=rtol, atol=0.0)
 
 
 def _rank_states(system):

@@ -1,7 +1,9 @@
 """Property tests: the text writers equal the standard library's output.
 
-The JSON writer must give exactly json.dumps(obj, sort_keys=True, indent=1)
-+ "\\n", and Trajectory.to_csv exactly what csv.writer gives for
+The JSON writer must give exactly json.dumps(doc, sort_keys=True, indent=1)
++ "\\n" for every document of its grammar: str keys, and as values JSON
+scalars, flat lists of them, or lists of non-empty number rows.
+Trajectory.to_csv must give exactly what csv.writer gives for
 format(x, ".17g") cells; _reference_csv is the csv.writer code that
 to_csv replaced.  The '%.17g' kernel under to_csv is held to '%.17g' % x,
 value by value.  The integer template kernel under the geometry JSON and
@@ -34,75 +36,43 @@ floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(_EDGE_
 ints = st.integers() | st.integers(min_value=2**63 - 2, max_value=2**70)
 text = st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é", " ", "😀"])
 scalars = st.none() | st.booleans() | ints | floats | text | floats.map(np.float64)
+_SEAM_TEXT = text | st.sampled_from(['"', "\\", "\n", "],", "}", ",\n  [", "],\n   [", '"},\n {"'])
+numbers = floats | ints | floats.map(np.float64)
+flat_lists = st.lists(scalars, max_size=12) | st.lists(floats, max_size=12)
+# Non-empty rows of one width, as a trajectory's x, and of ragged widths.
+rows = st.integers(1, 4).flatmap(
+    lambda w: st.lists(st.lists(numbers, min_size=w, max_size=w), max_size=10)
+) | st.lists(st.lists(numbers, min_size=1, max_size=4), max_size=10)
+documents = st.dictionaries(_SEAM_TEXT, scalars | flat_lists | rows, max_size=6)
 
 
-def _rows(items):
-    """Equal-length rows of one item kind: the writer's row-template path."""
-    return st.integers(0, 4).flatmap(
-        lambda w: st.lists(st.lists(items, min_size=w, max_size=w), max_size=8)
-    )
-
-
-blocks = (
-    st.lists(floats, max_size=12)
-    | st.lists(ints, max_size=12)
-    | _rows(floats)
-    | _rows(ints)
-    | st.lists(floats.map(np.float64), max_size=6)
-    | st.lists(st.booleans(), max_size=6)
-    # Mixed kinds and ragged rows.
-    | st.lists(st.lists(floats | ints | st.booleans(), max_size=4), max_size=6)
-)
-
-
-def _containers(children):
-    return (
-        st.lists(children, max_size=5)
-        | st.lists(children, max_size=5).map(tuple)
-        | st.dictionaries(text, children, max_size=5)
-    )
-
-
-documents = st.recursive(scalars | blocks, _containers, max_leaves=30)
-
-
-@settings(max_examples=200, deadline=None)
-@given(documents | st.dictionaries(text, documents, max_size=6))
-def test_json_writer_matches_json_dumps(obj):
-    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=1) + "\n"
-
-
-_SEAM_TEXT = text | st.sampled_from(['"', "\\", "\n", "],", "}", ",\n  [", '"},\n {"'])
-_ROW_SCALARS = st.none() | st.booleans() | ints | floats | _SEAM_TEXT
-_ROW_ITEMS = _ROW_SCALARS | floats.map(np.float64)
-
-# Lists of rows that the writer hands json's encoder in chunks, and lists it
-# must walk: flat dicts, rows that mix lists and tuples, np.float64 inside
-# rows, and empty rows.
-row_lists = (
-    st.lists(st.dictionaries(_SEAM_TEXT, _ROW_SCALARS, min_size=1, max_size=4), max_size=10)
-    | st.lists(st.dictionaries(_SEAM_TEXT, _ROW_ITEMS, max_size=4), max_size=10)
-    | st.lists(st.lists(_ROW_SCALARS, min_size=1, max_size=4).map(tuple)
-               | st.lists(_ROW_SCALARS, min_size=1, max_size=4), max_size=10)
-    | st.lists(st.lists(_ROW_ITEMS, max_size=4), max_size=10)
-)
+def _reference_json(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 @settings(max_examples=300, deadline=None)
-@given(row_lists, st.integers(1, 12), _SEAM_TEXT)
-def test_json_writer_chunks_match_json_dumps(rows, block_values, key):
-    # Small blocks, so that one list spans several encoder calls.
+@given(documents)
+def test_json_writer_matches_json_dumps(doc):
+    assert _json_text(doc) == _reference_json(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents, rows, st.integers(1, 12), _SEAM_TEXT)
+def test_json_writer_chunks_match_json_dumps(doc, x, block_values, key):
+    # Small blocks, so that one list of rows spans several encoder calls.
+    doc = {**doc, key: x}
     with mock.patch.object(dynamics, "_BLOCK_VALUES", block_values):
-        for obj in (rows, [rows], {key: rows}):
-            assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=1) + "\n"
+        assert _json_text(doc) == _reference_json(doc)
 
 
 @pytest.mark.parametrize("obj", [np.int64(1), np.bool_(True), object()])
 def test_json_writer_refuses_what_json_refuses(obj):
-    with pytest.raises(TypeError):
-        json.dumps(obj, sort_keys=True, indent=1)
-    with pytest.raises(TypeError):
-        _json_text(obj)
+    # As a scalar, in a flat list and in a row.
+    for doc in ({"a": obj}, {"a": [0.5, obj]}, {"a": 1, "x": [[0.5], [obj, 1.0]]}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, sort_keys=True, indent=1)
+        with pytest.raises(TypeError):
+            _json_text(doc)
 
 
 def _reference_drift_json(report: DriftReport) -> str:
@@ -119,7 +89,7 @@ def _reference_drift_json(report: DriftReport) -> str:
         "max_drift": float(np.max([e["max_drift"] for e in entries], initial=0.0)),
         "invariants": entries,
     }
-    return _json_text(doc)
+    return _reference_json(doc)
 
 
 def _reference_drift_table(report: DriftReport) -> str:
@@ -260,7 +230,9 @@ def test_no_double_below_a_power_of_ten_rounds_up_to_it(k):
 
 
 def test_json_text_peak_memory_is_about_twice_the_text():
-    doc = geometry.geometry_json(10)
+    # A 20,000-sample trajectory at n = 5, about 15 MB of text.
+    states = np.random.default_rng(0).random((20_000, 31))
+    doc = Trajectory("omega", np.linspace(0.0, 1.0, 20_000), states, "completed").to_json_dict(n=5)
     tracemalloc.start()
     try:
         text = _json_text(doc)

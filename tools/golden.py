@@ -54,11 +54,19 @@ COMMANDS = (
         "run --n 2 --omega0 2e16,3e17,1 --t-end 1e-20 --out k",
     ]
     # States that overflow in the RHS, the drift report or the reduction's
-    # closure check end in their outcome line alone (exits 4, 4 and 5).
+    # closure check, or whose T0 underflows to 0 there, end in their outcome
+    # line alone (exits 4, 4, 5 and 5).
     + [
         "run --n 2 --seed 1 --random-range=0.5,1e300 --t-end 1 --out o",
         "zk --k 12 --seed 1 --random-range=0.5,1e300 --t-end 1 --out o",
         "reduce --n 2 --seed 1 --random-range=0.5,1e300 --t-end 1 --out o.json",
+        "reduce --n 3 --seed 1 --random-range=1e-160,2e-160 --out u.json",
+    ]
+    # Trajectory JSON with the zk metadata (k and genus), and with an
+    # explicit omega0 list, which writes that list and seed null.
+    + [
+        "zk --k 6 --seed 1 --format json --out z",
+        "run --n 3 --omega0 0.1,0.2,0.3,0.4,0.5,0.6,0.7 --format json --out j",
     ]
     # A horizon below 1e-14: the integrator's step floor scales with t_end.
     + ["run --n 2 --omega0 0.1,0.2,0.3 --t-end 1e-15 --out a"]
