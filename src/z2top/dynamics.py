@@ -12,21 +12,20 @@ bit-reversed pairing makes the 3-variable case read a_1 = omega_2 + omega_3
 the closed-form inverse used by a_inverse.
 
 omega_rhs has two routes.  Below n = _HADAMARD_MIN_N it gathers the pair
-products of each line sum through the pair_idx table, as it always has.
-From there up, where that gather of (d - 1) d / 2 products dominates, it
-uses A = (J - H_rev) / 2, with H the Sylvester-Hadamard matrix on the labels
-0..d and H_rev its rows in bit-reversed order: with z = H [0, omega], the
-vector a~ = (z_0 - z[1:]) / 2 is a in bit-reversed order, and
+products of each line sum through the pair_idx table.  From there up, where
+that gather of (d - 1) d / 2 products dominates, it uses that a line is a
+triple {i, j, k} with i ^ j ^ k = 0: omega' is half the XOR self-convolution
+of x = [0, omega], which the Walsh-Hadamard transform H turns into a square,
 
-    omega' = H [0, a~ o (a~ - s)][1:] / 2^(n-1),   s = sum(a~) / 2^(n-1),
+    omega' = H (H x)^2 [1:] / 2^(n+1),
 
-two O(d sqrt(d)) products instead of an O(d^2) gather: on a 2-vCPU x86
-host, 3 to 5 times faster at n = 8 and about 20 times at n = 10, and a tie
-at n = 7, hence the threshold.  Each component lies within
-4 d eps sum_{j,k} |omega_j omega_k| of the exact line sum (the worst seen
-on random states is 1.4 d eps), so from n = 8 up the trajectories differ
-from the pair-table route's in their last bits (at most 1.2e-15 relative
-on run --n 8 --seed 1); below the threshold the bytes are unchanged.
+two O(d sqrt(d)) products, about 4 times faster than the gather at n = 8
+and 20 times at n = 10 on a 2-vCPU x86 host.  Each component lies within
+d eps / 4 sum_{j,k} |omega_j omega_k| of the exact line sum (0.021 d eps at
+worst on random states) and is exact on small integer states, so from n = 8 up
+the trajectories differ from the pair table's in their last bits (the move
+from the earlier a-coordinate form was at most 1.2e-15 relative on run --n 8
+--seed 1 and 6.9e-15 on run --n 10).  Below n = 8 the bytes are unchanged.
 """
 
 from __future__ import annotations
@@ -46,8 +45,10 @@ from .integrate import COMPLETED, adaptive_rk
 #: Largest n for which the dense RHS index tables are built.
 MAX_N_SYSTEM = 10
 
-#: Smallest n whose omega_rhs runs through the Walsh-Hadamard transform; below
-#: it the pair-table gather is as fast (n = 7 is a tie on a 2-vCPU x86 host).
+#: Smallest n whose omega_rhs runs through the Walsh-Hadamard transform.  On a
+#: 2-vCPU x86 host the squared form wins from n = 7 (15-19 us against 23-24 us
+#: for the gather) and loses at n = 6 (13 us against 8 us); the threshold stays
+#: at 8 because no workload runs n = 6 or 7 and the n <= 7 bytes stay pinned.
 _HADAMARD_MIN_N = 8
 
 #: Fraction of the majorant's earliest pole time that the default horizon spans.
@@ -117,12 +118,8 @@ def omega_rhs(system: TopSystem, omega: Sequence[float]) -> np.ndarray:
     n = system.n
     if n < _HADAMARD_MIN_N:
         return (w[system.pair_idx[:, :, 0]] * w[system.pair_idx[:, :, 1]]).sum(axis=1)
-    # The transform route of the module docstring.  a * (a - s) is the
-    # negated a velocity, so no final negation turns an exact 0 into -0.
     z = _hadamard(np.concatenate(([0.0], w)), n)
-    a = (z[0] - z[1:]) / 2
-    s = a.sum() / 2 ** (n - 1)
-    return _hadamard(np.concatenate(([0.0], a * (a - s))), n)[1:] / 2 ** (n - 1)
+    return _hadamard(z * z, n)[1:] / 2 ** (n + 1)
 
 
 def a_transform(system: TopSystem, omega) -> np.ndarray:

@@ -3,8 +3,8 @@
 d omega_i / dt = prod_{j != i} omega_j.  All squares share one time
 derivative, so the pairwise differences omega_i^2 - omega_j^2 are conserved.
 The associated quadrature is hyperelliptic of genus k - 1.  Only the flow,
-these integrals and the genus count are in scope; no reduced solver exists
-for general k.
+these integrals and the genus count are in scope; the package does not ship
+a reduced solver for general k yet.
 """
 
 from __future__ import annotations
