@@ -65,7 +65,11 @@ RhsKind = Literal["omega", "a"]
 
 @dataclass(frozen=True, eq=False)
 class TopSystem:
-    """Immutable bundle of the transform matrix and the RHS index tables."""
+    """Immutable bundle of the transform matrix and the RHS index tables.
+
+    The tables depend on n alone: each is built once per n per process and is
+    read-only, so every system of that n shares the same two arrays.
+    """
 
     n: int
     d: int
@@ -79,21 +83,28 @@ class TopSystem:
     def create(cls, n: int) -> "TopSystem":
         if not isinstance(n, int) or n < 2 or n > MAX_N_SYSTEM:
             raise InvalidParameterError(f"n must be an integer in 2..{MAX_N_SYSTEM}, got {n!r}")
-        d = geometry.num_points(n)
-        pts = np.arange(1, d + 1, dtype=np.int64)
-        rev = np.array(geometry.Collineation.from_matrix([1 << k for k in range(n)], n).perm)
-        a = (np.kron(_sylvester(n // 2), _sylvester(n - n // 2))[rev, 1:] < 0).astype(np.int64)
-        # The line through i and q is {i, q, q ^ i}; take each pair once, q < q ^ i.
-        i = pts[:, None]
-        q = np.broadcast_to(pts, (d, d))[pts < (pts ^ i)].reshape(d, 2 ** (n - 1) - 1)
-        planes = np.stack([q - 1, (q ^ i) - 1]).astype(np.intp, copy=False)
-        return cls(n=n, d=d, a_matrix=a, pair_idx=planes.transpose(1, 2, 0))
+        return cls(n, geometry.num_points(n), *_tables(n))
 
     def check_state(self, x: Sequence[float]) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             raise InvalidParameterError(f"state must have length {self.d}, got shape {x.shape}")
         return x
+
+
+@functools.cache
+def _tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (a_matrix, pair_idx) of n; those of n = 2..10 take about 22 MB."""
+    d = geometry.num_points(n)
+    pts = np.arange(1, d + 1, dtype=np.int64)
+    rev = np.array(geometry.Collineation.from_matrix([1 << k for k in range(n)], n).perm)
+    a = (np.kron(_sylvester(n // 2), _sylvester(n - n // 2))[rev, 1:] < 0).astype(np.int64)
+    # The line through i and q is {i, q, q ^ i}; take each pair once, q < q ^ i.
+    i = pts[:, None]
+    q = np.broadcast_to(pts, (d, d))[pts < (pts ^ i)].reshape(d, 2 ** (n - 1) - 1)
+    planes = np.stack([q - 1, (q ^ i) - 1]).astype(np.intp, copy=False)
+    a.flags.writeable = planes.flags.writeable = False  # views taken after inherit it
+    return a, planes.transpose(1, 2, 0)
 
 
 @functools.cache

@@ -51,17 +51,17 @@ def _n_entries(t, ai, aj) -> np.ndarray:
 def _gamma(a: np.ndarray, pair_idx: np.ndarray) -> np.ndarray:
     """gamma_i = a_i * prod over lines {i,j,k} of (a_j - a_k), over (d, ...) arrays.
 
-    The product runs over the pairs in order, one (d, ...) factor at a time
-    gathered into two buffers; on a (d, samples) array it gathers whole rows.
+    The product runs over the pairs in order, one (d, ...) factor at a time.
+    Each factor is one take of both pair columns into a (2, d, ...) buffer, so
+    on a (d, samples) array it gathers whole rows.
     """
-    j, k = pair_idx[:, :, 0], pair_idx[:, :, 1]
-    prod = a[j[:, 0]] - a[k[:, 0]]
-    aj, ak = np.empty_like(prod), np.empty_like(prod)
-    for col in range(1, j.shape[1]):
+    cols = np.ascontiguousarray(pair_idx.transpose(1, 2, 0))  # (m - 1, 2, d)
+    prod = a[cols[0, 0]] - a[cols[0, 1]]
+    pair = np.empty((2,) + prod.shape, dtype=prod.dtype)
+    for col in cols[1:]:
         # mode="clip" changes no index here; it keeps take from buffering out.
-        np.take(a, j[:, col], axis=0, out=aj, mode="clip")
-        np.take(a, k[:, col], axis=0, out=ak, mode="clip")
-        prod *= np.subtract(aj, ak, out=aj)
+        np.take(a, col, axis=0, out=pair, mode="clip")
+        prod *= np.subtract(pair[0], pair[1], out=pair[0])
     return np.multiply(prod, a, out=prod)  # a * prod in place: IEEE products commute
 
 
@@ -92,7 +92,7 @@ _DRIFT_ENTRY = "\n  {%s\n  }," % ",".join(
     f'\n   "{key}": %s' for key in ("initial", "max_drift", "mode", "name", "t_at_max")
 )
 _TABLE_HEADER = f"{'invariant':<12} {'initial':>24} {'max drift':>13} {'t(max)':>10}"
-_TABLE_ROW = "\n%-12s %24.16e %13.3e %10.6f"
+_TABLE_ROW = "\n%-12s %24.16e %13.3e %s"  # t(max) is written "%10.6f" beforehand
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,18 +114,34 @@ class DriftReport:
 
     def json_text(self) -> str:
         """drift.json: json.dumps(doc, sort_keys=True, indent=1) + "\\n", each float as
-        json's C encoder writes it (float.__repr__, NaN, Infinity, -Infinity), in one call."""
+        json's C encoder writes it (float.__repr__, NaN, Infinity, -Infinity)."""
         k = len(self.names)
-        values = np.concatenate((self.initial, self.max_drift, self.t_at_max, [self.worst_drift]))
-        num = _json_dumps(values.tolist())[1:-1].split(", ")
+        values = np.concatenate((self.initial, self.max_drift, [self.worst_drift]))
+        num = _json_floats(values.tolist())
+        times = _each_time_once(self.t_at_max, _json_floats)
         modes = np.where(self.relative, '"relative"', '"absolute"').tolist()
-        rows = zip(num[:k], num[k : 2 * k], modes, map(_json_str, self.names), num[2 * k : -1])
+        rows = zip(num[:k], num[k : 2 * k], modes, map(_json_str, self.names), times)
         entries = (_DRIFT_ENTRY * k)[:-1] % tuple(chain.from_iterable(rows)) + "\n " if k else ""
         return _DRIFT_DOC % (entries, num[-1], self.skipped_samples)
 
     def table(self) -> str:
-        rows = zip(self.names, *(c.tolist() for c in (self.initial, self.max_drift, self.t_at_max)))
+        times = _each_time_once(self.t_at_max, lambda ts: ["%10.6f" % t for t in ts])
+        rows = zip(self.names, self.initial.tolist(), self.max_drift.tolist(), times)
         return (_TABLE_HEADER + _TABLE_ROW * len(self.names)) % tuple(chain.from_iterable(rows))
+
+
+def _json_floats(values: list) -> list[str]:
+    """Each float of values as json's C encoder writes it, in one call."""
+    return _json_dumps(values)[1:-1].split(", ")
+
+
+def _each_time_once(t: np.ndarray, write) -> list[str]:
+    """write's text of each sample time in t, calling write once on the distinct
+    values: a report repeats a few sample times hundreds of times.  The values
+    are told apart by their bits, so 0.0 and -0.0 keep their own text."""
+    bits, inverse = np.unique(t.view(np.int64), return_inverse=True)
+    texts = write(bits.view(np.float64).tolist())
+    return [texts[i] for i in inverse.tolist()]
 
 
 def _series_drift(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import z2top.dynamics
@@ -22,7 +22,7 @@ from z2top.dynamics import (
     trajectory_json,
 )
 from z2top.errors import BranchError, InvalidParameterError
-from z2top.geometry import Collineation, classic_fano_lines, find_collineation
+from z2top.geometry import Collineation, classic_fano_lines, find_collineation, lines
 from z2top.integrate import (
     _A,
     _B,
@@ -114,6 +114,32 @@ def test_tables_match_definition():
         assert system.pair_idx[:, :, 1].flags.c_contiguous
         assert np.array_equal(system.a_matrix, a)
         assert np.array_equal(system.pair_idx, pairs)
+
+
+@pytest.mark.parametrize("n", range(2, MAX_N_SYSTEM + 1))
+def test_tables_are_shared_and_read_only(n):
+    # Both tables are built once per n and shared by every system of that n,
+    # so no caller may write into them.
+    first, second = TopSystem.create(n), TopSystem.create(n)
+    assert first is not second
+    assert second.a_matrix is first.a_matrix
+    assert second.pair_idx is first.pair_idx
+    for table in (first.a_matrix, first.pair_idx):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        with pytest.raises(ValueError):
+            table += 0
+    # The shared tables are still the right ones: pair row i lists the other
+    # two points of each line through i, and A A = 2^(n-2) (I + J), exact in
+    # floats since every entry of A A is at most 2^(n-1).
+    d = first.d
+    expected = [[] for _ in range(d)]
+    for line in lines(n):
+        for i in line:
+            expected[i - 1].append(tuple(sorted(p - 1 for p in line if p != i)))
+    assert first.pair_idx.tolist() == [sorted(map(list, pairs)) for pairs in expected]
+    a = first.a_matrix.astype(float)
+    assert np.array_equal(a @ a, 2.0 ** (n - 2) * (np.eye(d) + 1.0))
 
 
 def test_largest_system_tables():
@@ -362,11 +388,14 @@ def test_collineation_equivariance(n, data, systems):
     # pairs of each line sum come in another order, so the two sides differ
     # by rounding: relative to the sum of |terms|, at most a few ulps.
     system = systems[n]
-    rows = data.draw(st.lists(st.integers(1, system.d), min_size=n, max_size=n))
-    try:
-        image = np.array(Collineation.from_matrix(rows, n).perm) - 1
-    except InvalidParameterError:
-        assume(False)  # a singular matrix
+    # An invertible GF(2) matrix, each row drawn from outside the span of the
+    # rows before it: no draw is discarded.
+    rows, span = [], {0}
+    for _ in range(n):
+        row = data.draw(st.sampled_from([v for v in range(1, system.d + 1) if v not in span]))
+        rows.append(row)
+        span |= {v ^ row for v in span}
+    image = np.array(Collineation.from_matrix(rows, n).perm) - 1
     w = data.draw(hnp.arrays(np.float64, system.d, elements=_components))
     w_perm = np.empty_like(w)
     w_perm[image] = w

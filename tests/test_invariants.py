@@ -97,6 +97,33 @@ def test_gamma_batch_matches_reference_product(n, systems):
     assert _gamma(a[0], system.pair_idx)[0] == 0.0
 
 
+def _gamma_four_calls(a, pair_idx):
+    # The loop _gamma replaced: per pair column, two takes, a subtract and a
+    # multiply, in the same product order.
+    j, k = pair_idx[:, :, 0], pair_idx[:, :, 1]
+    prod = a[j[:, 0]] - a[k[:, 0]]
+    aj, ak = np.empty_like(prod), np.empty_like(prod)
+    for col in range(1, j.shape[1]):
+        np.take(a, j[:, col], axis=0, out=aj, mode="clip")
+        np.take(a, k[:, col], axis=0, out=ak, mode="clip")
+        prod *= np.subtract(aj, ak, out=aj)
+    return np.multiply(prod, a, out=prod)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gamma_matches_four_call_loop_bit_for_bit(n, systems):
+    # One take of both pair columns per factor keeps every product's order,
+    # so the bits stay those of the loop on one state and on a sample stack.
+    system = systems[n]
+    rng = np.random.default_rng(100 + n)
+    for samples in (None, 1, 33, 257):
+        shape = (system.d,) if samples is None else (system.d, samples)
+        a = rng.uniform(-2.0, 2.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
+        a[system.pair_idx[0, -1, 1]] = a[system.pair_idx[0, -1, 0]]  # some factors are 0
+        expected = _gamma_four_calls(a, system.pair_idx)
+        assert np.array_equal(_gamma(a, system.pair_idx).view(np.int64), expected.view(np.int64))
+
+
 def test_gamma_vanishes_on_equal_pair(systems):
     # a_2 = a_3 kills the {1,2,3} factor of gamma_1.
     a = np.array([1.5, 0.7, 0.7])

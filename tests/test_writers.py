@@ -12,6 +12,7 @@ writers are held to the per-entry dict and row loop that they replaced.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -27,8 +28,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from z2top import dynamics, geometry  # noqa: E402
-from z2top.dynamics import Trajectory, _format_g17, _json_text  # noqa: E402
-from z2top.invariants import DriftReport  # noqa: E402
+from z2top.dynamics import TopSystem, Trajectory, _format_g17, _json_text  # noqa: E402
+from z2top.invariants import DriftReport, drift_report  # noqa: E402
 
 _EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16, 1 / 3]
 
@@ -123,6 +124,24 @@ _EMPTY = np.empty(0)
 def test_drift_writers_match_per_entry_references(report):
     assert report.json_text() == _reference_drift_json(report)
     assert report.table() == _reference_drift_table(report)
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_drift_writers_format_repeated_times_by_their_bits(n):
+    # A report repeats a few sample times over all its entries.  Each distinct
+    # time is written once; equal bits, not equal values, share a text, so
+    # -0.0 keeps its sign next to 0.0.
+    system = TopSystem.create(n)
+    rng = np.random.default_rng(n)
+    times = np.linspace(0.0, 1.0, 6)
+    a = rng.uniform(0.5, 1.5, (len(times), system.d))
+    report = drift_report(system, Trajectory("a", times, a, "completed"))
+    pool = np.array([0.0, -0.0, 5e-324, 1e300])
+    t_at_max = rng.permutation(np.resize(pool, len(report.names)))
+    report = dataclasses.replace(report, t_at_max=t_at_max)
+    assert report.json_text() == _reference_drift_json(report)
+    assert report.table() == _reference_drift_table(report)
+    assert "-0.000000" in report.table() and "-0.0" in report.json_text()
 
 
 def _reference_csv(trajectory: Trajectory) -> str:
