@@ -47,18 +47,28 @@ MAX_N_SYSTEM = 10
 
 #: Smallest n whose omega_rhs runs through the Walsh-Hadamard transform.  On a
 #: 2-vCPU x86 host the squared form wins from n = 7 (15-19 us against 23-24 us
-#: for the gather) and loses at n = 6 (13 us against 8 us); the threshold stays
-#: at 8 because no workload runs n = 6 or 7 and the n <= 7 bytes stay pinned.
+#: for the gather) and loses at n = 6 (13 us against 8 us), so n = 6, which
+#: reduce runs, stays on the gather; n = 7 is in no benchmark workload, and the
+#: threshold stays at 8 so that the n <= 7 bytes stay pinned.
 _HADAMARD_MIN_N = 8
 
 #: Fraction of the majorant's earliest pole time that the default horizon spans.
 HORIZON_BUDGET = 0.4
 
 #: Values per block of both text writers; a wider row is a block of its own.
+#: The JSON writer's arrays go in blocks of twice as many values: one kernel
+#: call fewer per run --n 5 document.  At that size the CSV writer's byte index
+#: (25 intp per value) raised the peak RSS of run --n 8 by 1.6 MB.
 _BLOCK_VALUES = 4096
 
 #: json.dumps with keys sorted and no indent, so that json's C encoder runs.
 _json_dumps = functools.partial(json.dumps, sort_keys=True, check_circular=False)
+
+
+def _json_floats(values: list) -> list[str]:
+    """Each float of values as json's C encoder writes it, in one call."""
+    return _json_dumps(values)[1:-1].split(", ")
+
 
 RhsKind = Literal["omega", "a"]
 
@@ -68,7 +78,7 @@ class TopSystem:
     """Immutable bundle of the transform matrix and the RHS index tables.
 
     The tables depend on n alone: each is built once per n per process and is
-    read-only, so every system of that n shares the same two arrays.
+    read-only, so every system of that n shares the same three arrays.
     """
 
     n: int
@@ -78,6 +88,9 @@ class TopSystem:
     # increasing) such that {i+1, j+1, k+1} is a line.  Its [:, :, 0] and
     # [:, :, 1] planes are contiguous, which keeps the gathers on them fast.
     pair_idx: np.ndarray = field(repr=False)
+    # The same pairs as an (m - 1, 2, d) array, m = (d + 1) / 2: pair_cols[p]
+    # holds the p-th j and k of every point, the layout invariants._gamma takes.
+    pair_cols: np.ndarray = field(repr=False)
 
     @classmethod
     def create(cls, n: int) -> "TopSystem":
@@ -93,8 +106,9 @@ class TopSystem:
 
 
 @functools.cache
-def _tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only (a_matrix, pair_idx) of n; those of n = 2..10 take about 22 MB."""
+def _tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only (a_matrix, pair_idx, pair_cols) of n; those of n = 2..10
+    take about 34 MB."""
     d = geometry.num_points(n)
     pts = np.arange(1, d + 1, dtype=np.int64)
     rev = np.array(geometry.Collineation.from_matrix([1 << k for k in range(n)], n).perm)
@@ -103,8 +117,10 @@ def _tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     i = pts[:, None]
     q = np.broadcast_to(pts, (d, d))[pts < (pts ^ i)].reshape(d, 2 ** (n - 1) - 1)
     planes = np.stack([q - 1, (q ^ i) - 1]).astype(np.intp, copy=False)
-    a.flags.writeable = planes.flags.writeable = False  # views taken after inherit it
-    return a, planes.transpose(1, 2, 0)
+    cols = np.ascontiguousarray(planes.transpose(2, 0, 1))
+    for table in (a, planes, cols):
+        table.flags.writeable = False  # views taken after inherit it
+    return a, planes.transpose(1, 2, 0), cols
 
 
 @functools.cache
@@ -179,17 +195,15 @@ class Trajectory:
         for start in range(0, len(self.times), rows):
             stop = start + rows
             values = np.column_stack((self.times[start:stop], self.states[start:stop]))
-            blocks.append(_format_g17(values))
+            blocks.append(_format_g17(values).decode("ascii"))
         return "".join(blocks)
 
     def to_json_dict(self, **metadata) -> dict:
-        out = {
-            "schema_version": 1,
-            "kind": self.kind,
-            "termination": self.termination,
-            "t": self.times.tolist(),
-            "x": self.states.tolist(),
-        }
+        return self._document(self.times.tolist(), self.states.tolist(), metadata)
+
+    def _document(self, t, x, metadata: dict) -> dict:
+        out = {"schema_version": 1, "kind": self.kind, "termination": self.termination,
+               "t": t, "x": x}
         out.update(metadata)
         return out
 
@@ -256,9 +270,25 @@ def integrate(
 # ['0', 'e', '5', '6'] and four spaces, which pad every text to one width
 # and are deleted at the end.  ±0.0 are kernel values too; nan, ±inf,
 # 0 < |x| <= 1e-6 and |x| >= 1e17 go through '%.17g' one value at a time.
+#
+# The shortest mode writes json's float text, repr's shortest digits, for
+# 1e-6 < |x| < 1e16, with '.0' after an integral value.  Let rest = hi + lo - N,
+# |rest| <= 1/2.  The candidates D16 and D15, |x| rounded to 16 and 15 digits,
+# come from N by int64 division; the sign of (N mod 10 - 5) + rest is exact,
+# so they are correctly rounded.  A candidate below 2^53 reads back as |x|
+# when one division by an exact power of ten gives |x| (Clinger's fast path).
+# A text of at most 15 digits that reads back as |x| lies within half an ulp
+# of it, less than half a unit in the 15th digit, so it is D15: when D15 reads
+# back, it is repr's text.  Otherwise repr writes 16 digits, the nearest of
+# them, when D16 reads back, and N when not; N becomes 100 D15 or 10 D16, or
+# stays.  Where D15 does not read back, ties between two 16- or 17-digit
+# candidates and D16 >= 2^53 go through json one value at a time.  A power of
+# two has a lopsided rounding interval, which the argument for D16 does not
+# cover; the tests check every one in the range.
 
 _X_MIN, _X_MAX = -6, 16
-#: Text columns per value: the longest '%.17g' text (24 bytes) and a separator.
+#: Text columns per value: the longest '%.17g' or json float text (24 bytes)
+#: and a separator.
 _G17_WIDTH = 25
 _G17_ROW = 28
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
@@ -271,15 +301,15 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x - hi
 
 
-_POW10_HI, _POW10_LO = _split(_POW10)
+#: Rows 10^k and its split halves, so that one take gathers all three.
+_POW10_SPLIT = np.stack([_POW10, *_split(_POW10)])
 
 
 def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """hi + lo = a * 10^(16 - x) exactly (Dekker's two-product)."""
-    k = _X_MAX - x
-    s_hi, s_lo = _POW10_HI[k], _POW10_LO[k]
+    scale, s_hi, s_lo = np.take(_POW10_SPLIT, _X_MAX - x, axis=1)
     a_hi, a_lo = _split(a)
-    hi = a * _POW10[k]
+    hi = a * scale
     return hi, ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
 
 
@@ -306,12 +336,12 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _text_templates() -> np.ndarray:
+def _text_templates(shortest: bool) -> np.ndarray:
     """Row byte sources of the text of every key ((X + 6) * 17 + nd - 1) * 2 + sign.
 
     Fixed notation, X >= -4: the digits after -X leading zeros when X < 0,
-    the point after the whole part unless nothing follows it.  X = -5, -6:
-    d.ddd, then e-05 or e-06.
+    the point after the whole part unless nothing follows it ('%.17g'), or
+    '.0' after an integral value (repr).  X = -5, -6: d.ddd, then e-05 or e-06.
     """
     sep, dot, minus, zero, e, five, six, pad = 1, 2, 3, 20, 21, 22, 23, 24
     x, nd = (m.reshape(-1, 1) for m in np.meshgrid(
@@ -323,28 +353,29 @@ def _text_templates() -> np.ndarray:
     whole = np.where(fixed, np.maximum(x, 0) + 1, 1)
     end = zeros + nd
     frac = end > whole
-    body = np.where(frac, end + 1, whole)
+    point = frac | (fixed & shortest)
+    body = np.where(frac, end + 1, np.where(point, whole + 2, whole))
     k = np.where(c < whole, c, c - 1) - zeros  # digit index
     digit = np.where(k < 0, zero, np.where(k == 0, 0, k + 3))
     t = c - body
     exponent = np.select([t == 0, t == 1, t == 2], [e, minus, zero], np.where(x == -5, five, six))
     tail = np.where(fixed, 0, 4)
     src = np.select(
-        [(c < whole) | (frac & (c > whole) & (c < body)), frac & (c == whole),
-         (t >= 0) & (t < tail), t == tail],
-        [digit, dot, exponent, sep],
+        [(c < whole) | (frac & (c > whole) & (c < body)), point & (c == whole),
+         point & (c == whole + 1), (t >= 0) & (t < tail), t == tail],
+        [digit, dot, zero, exponent, sep],
         pad,
     )
     negative = np.concatenate([np.full_like(src[:, :1], minus), src[:, :-1]], axis=1)
     return np.stack([src, negative], axis=1).reshape(-1, _G17_WIDTH).astype(np.intp)
 
 
-def _g17_decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _g17_decimal(v: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(N, X, slow) of a flat float64 array: the 17 digits N and the decimal
     exponent X of each |v| (both 0 at ±0.0), and the indices of the values
-    that '%.17g' itself must write."""
+    that '%.17g', or with shortest json, must write itself."""
     a = np.abs(v)
-    fast = (a > 1e-6) & (a < 1e17)  # the double 1e-6 is below 10^-6
+    fast = (a > 1e-6) & (a < (1e16 if shortest else 1e17))  # the double 1e-6 is below 10^-6
     a = np.where(fast, a, 1.0)
     x = np.clip(np.floor(np.log10(a)), _X_MIN, _X_MAX).astype(np.int64)
     hi, lo = _scaled(a, x)
@@ -356,18 +387,42 @@ def _g17_decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         x[miss] += np.where(high[miss], 1, -1)
         hi[miss], lo[miss] = _scaled(a[miss], x[miss])
     # No double below 10^(X+1) rounds up to it at 17 digits, so N < 10^17.
-    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    step = np.rint(lo)
+    n = hi.astype(np.int64) + step.astype(np.int64)
+    if shortest:
+        n, odd = _shortest(a, x, n, lo - step)  # lo - rint(lo) is exact
+        fast &= ~odd
     zero = v == 0.0
     n[zero] = 0
     x[zero] = 0
     return n, x, np.flatnonzero(~(fast | zero))
 
 
-def _g17_rows(v: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _shortest(a, x, n, rest) -> tuple[np.ndarray, np.ndarray]:
+    """(repr's digits as N, or N itself; the values json must write) of each
+    a = (N + rest) 10^(X - 16), |rest| <= 1/2."""
+    scale = _POW10[15 - x]
+    # D16 = m16 and D15 = m15 / 10; m15 <= 10^16 < 2^54 is even, so it is an
+    # exact double, as m16 is below 2^53.
+    q16 = n // 10
+    s16 = (n - q16 * 10 - 5) + rest
+    m16 = q16 + (s16 > 0)
+    q15 = q16 // 10
+    m15 = (q15 + ((n - q15 * 100 - 50) + rest > 0)) * 10
+    fits15 = m15 / scale == a
+    fits16 = m16 / scale == a
+    odd = ~fits15 & ((s16 == 0) | (np.abs(rest) == 0.5) | (m16 >= 2**53))
+    return np.where(fits15, 10 * m15, np.where(fits16, 10 * m16, n)), odd
+
+
+def _g17_rows(
+    v: np.ndarray, width: int, shortest: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 28-byte rows and template keys of a flat float64 array of rows of
-    width values, and the indices of the values that '%.17g' must write."""
+    width values, and the indices of the values that must be written one at
+    a time."""
     group_words, ends_table, head_words, tail_words = _digit_tables()
-    n, x, slow = _g17_decimal(v)
+    n, x, slow = _g17_decimal(v, shortest)
     q = n // 10**8
     lead = q // 10**8
     hi8, lo8 = q - lead * 10**8, n - q * 10**8
@@ -387,43 +442,60 @@ def _g17_rows(v: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return row, key, slow
 
 
-def _format_g17(values: np.ndarray) -> str:
+#: Row ends of the shortest mode: ']' is in no JSON number, unlike a line break.
+_ROW_END_BRACKET = bytes.maketrans(b"\n", b"]")
+
+
+def _format_g17(values: np.ndarray, shortest: bool = False) -> bytes:
     """The rows of a (rows, width) float64 block as text: each value as
-    '%.17g' % x, joined by ',' within a row, each row ended by a newline."""
+    '%.17g' % x, joined by ',' within a row, each row ended by a newline.
+    With shortest, each value as json writes it (float.__repr__, NaN,
+    Infinity, -Infinity) and each row ended by ']'."""
     width = values.shape[1]
     v = np.asarray(values, dtype=np.float64).ravel()
-    row, key, slow = _g17_rows(v, width)
-    templates = _text_templates()
+    row, key, slow = _g17_rows(v, width, shortest)
+    templates = _text_templates(shortest)
     source = row.view(np.uint8).ravel()
-    # The byte index holds 25 intp per value; to_csv's blocks bound its size.
+    # The byte index holds 25 intp per value; the writers' blocks bound its size.
     index = np.take(templates, key, axis=0)
     index += np.arange(0, v.size * _G17_ROW, _G17_ROW, dtype=np.intp)[:, None]
     text = np.take(source, index)
     if slow.size:
         row_ends = (slow % width == width - 1).tolist()
-        cells = ["%.17g" % y + ("\n" if e else ",") for y, e in zip(v[slow].tolist(), row_ends)]
+        y = v[slow].tolist()
+        cells = _json_floats(y) if shortest else ["%.17g" % value for value in y]
+        cells = [cell + ("\n" if e else ",") for cell, e in zip(cells, row_ends)]
         padded = "".join([cell.ljust(_G17_WIDTH) for cell in cells]).encode("ascii")
         text[slow] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, _G17_WIDTH)
-    return text.tobytes().translate(None, b" ").decode("ascii")
+    row_end = _ROW_END_BRACKET if shortest else None
+    return text.tobytes().translate(row_end, b" ")
 
 
 def _json_text(doc: dict) -> str:
     """json.dumps(doc, sort_keys=True, indent=1) + "\\n" for the documents the CLI
     writes, without json's pure-Python encoder, which indent selects.
 
-    doc maps str keys to JSON scalars, to flat lists of them, or to a list of
-    non-empty rows, each a list of numbers.  A scalar is json.dumps(value).
-    A flat list, and each chunk of about _BLOCK_VALUES row values, is one call
-    of json's C encoder, whose item separator lays it out as indent=1 does;
-    json escapes every line break inside a string, so only the seams between
-    rows are left to fix.  Every piece goes into one list that is joined
-    once, so the peak memory is about twice the text.
+    doc maps str keys to JSON scalars, to flat lists of them, to a list of
+    non-empty rows, each a list of numbers, or to a vector or (rows,
+    width >= 1) array, which stands for its .tolist().  A scalar is
+    json.dumps(value).  A flat list, and each chunk of about _BLOCK_VALUES
+    row values, is one call of json's C encoder, whose item separator lays
+    it out as indent=1 does; json escapes every line break inside a string,
+    so only the seams between rows are left to fix.  A non-empty float64
+    array goes through _format_g17's shortest mode in blocks of about
+    2 * _BLOCK_VALUES values, any other array through its .tolist().  Every
+    piece goes into one list that is joined once, so the peak memory is
+    about twice the text.
     """
     parts = []
     for key in sorted(doc):
         value = doc[key]
         parts += [",\n " if parts else "{\n ", _json_str(key), ": "]
-        if not isinstance(value, list) or not value:
+        if isinstance(value, np.ndarray) and (value.dtype != np.float64 or not value.size):
+            value = value.tolist()
+        if isinstance(value, np.ndarray):
+            _json_array(parts, value)
+        elif not isinstance(value, list) or not value:
             parts.append(json.dumps(value))
         elif set(map(type, value)) != {list}:
             parts += ["[\n  ", _json_dumps(value, separators=(",\n  ", ": "))[1:-1], "\n ]"]
@@ -439,6 +511,26 @@ def _json_text(doc: dict) -> str:
     return "".join(parts)
 
 
+def _json_array(parts: list, values: np.ndarray) -> None:
+    """Append the indent=1 text of a non-empty float64 vector or (rows, width)
+    array, the value of a top-level key, to parts.  The kernel ends each row
+    (each value of a vector) with ']' and joins a row's values with ','; two
+    replaces turn those into the item separators."""
+    rows = values.reshape(len(values), -1)
+    if values.ndim == 1:
+        lead, seam, close = "[\n  ", b",\n  ", "\n ]"
+    else:
+        lead, seam, close = "[\n  [\n   ", b"\n  ],\n  [\n   ", "\n  ]\n ]"
+    parts.append(lead)
+    step = max(1, 2 * _BLOCK_VALUES // rows.shape[1])
+    for start in range(0, len(rows), step):
+        text = _format_g17(rows[start : start + step], shortest=True)
+        if values.ndim > 1:
+            text = text.replace(b",", b",\n   ")
+        parts.append(text.replace(b"]", seam).decode("ascii"))
+    parts[-1] = parts[-1][: -len(seam)] + close
+
+
 def trajectory_json(trajectory: Trajectory, **metadata) -> str:
     """The trajectory JSON document, to_json_dict(**metadata), as text."""
-    return _json_text(trajectory.to_json_dict(**metadata))
+    return _json_text(trajectory._document(trajectory.times, trajectory.states, metadata))

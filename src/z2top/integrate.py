@@ -83,12 +83,6 @@ def check_tolerances(rel_tol: float, abs_tol: float) -> None:
             raise InvalidParameterError(f"{name} must lie in (0, 1e-2], got {tol!r}")
 
 
-def _error_norm(err: np.ndarray, y: np.ndarray, y_new: np.ndarray,
-                rel_tol: float, abs_tol: float) -> float:
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
-
-
 def _initial_step(f, y0, f0, t_end, rel_tol, abs_tol) -> float:
     scale = abs_tol + rel_tol * np.abs(y0)
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
@@ -164,6 +158,7 @@ def adaptive_rk(
         raise InvalidParameterError("sample_interval must lie in (0, t_end]")
 
     y = finite_vector(x0)
+    y_abs = np.abs(y)
 
     # times holds the whole grid up front, plus one spare slot for an
     # off-grid blow-up time; rows [0, count) of times and states are output.
@@ -215,10 +210,15 @@ def adaptive_rk(
             h = h_step * 0.25
             continue
 
-        if not np.all(np.isfinite(y_new)):
+        # One |y_new| serves the finite check (NaN and inf survive max), the
+        # error scale, the blow-up guard and, once accepted, the next |y|.
+        y_new_abs = np.abs(y_new)
+        peak = y_new_abs.max()
+        if not peak < math.inf:
             err = math.inf
         else:
-            err = _error_norm(err_vec, y, y_new, rel_tol, abs_tol)
+            q = err_vec / (abs_tol + rel_tol * np.maximum(y_abs, y_new_abs))
+            err = math.sqrt(np.add.reduce(q * q) / q.size)  # the RMS of q, as np.mean gives it
         branch_fail = False
 
         if err > 1.0:
@@ -243,7 +243,7 @@ def adaptive_rk(
         count = stop
 
         t = t_new
-        y = y_new
+        y, y_abs = y_new, y_new_abs
         K[0] = K[6]  # FSAL
         fac = err**_EXPO / fac_old**_BETA
         fac = max(1 / _MAX_FACTOR, min(1 / _MIN_FACTOR, fac / _SAFETY))
@@ -251,7 +251,7 @@ def adaptive_rk(
         h = max(h, h_step / fac) if at_end else h_step / fac
         fac_old = max(err, 1e-4)
 
-        if np.max(np.abs(y)) >= BLOW_UP_THRESHOLD:
+        if peak >= BLOW_UP_THRESHOLD:
             if times[count - 1] != t:
                 times[count] = t
                 states[count] = y

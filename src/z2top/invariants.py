@@ -20,11 +20,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import TopSystem, Trajectory, _json_dumps, _json_str, a_transform
+from .dynamics import TopSystem, Trajectory, _json_floats, _json_str, a_transform
 from .errors import BranchError, DegenerateOrbitError, InvalidParameterError
 
 #: Initial values smaller than this are tracked by absolute drift.
 ABS_DRIFT_FLOOR = 1e-12
+
+#: Largest (2, d, chunk) pair buffer of _gamma, in bytes.
+_GAMMA_BUFFER_BYTES = 512 * 1024
 
 
 def _positive_a(system: TopSystem, a: Sequence[float]) -> np.ndarray:
@@ -48,17 +51,26 @@ def _n_entries(t, ai, aj) -> np.ndarray:
     return t * (ai - aj) / (ai * aj)
 
 
-def _gamma(a: np.ndarray, pair_idx: np.ndarray) -> np.ndarray:
-    """gamma_i = a_i * prod over lines {i,j,k} of (a_j - a_k), over (d, ...) arrays.
+def _gamma(a: np.ndarray, pair_cols: np.ndarray) -> np.ndarray:
+    """gamma_i = a_i * prod over lines {i,j,k} of (a_j - a_k), over (d,) and
+    (d, samples) arrays, with the pairs as TopSystem.pair_cols lays them out.
 
-    The product runs over the pairs in order, one (d, ...) factor at a time.
-    Each factor is one take of both pair columns into a (2, d, ...) buffer, so
-    on a (d, samples) array it gathers whole rows.
+    The product runs over the pairs in order, one factor at a time.  Each
+    factor is one take of both pair columns into a (2, d, chunk) buffer, so on
+    a (d, samples) array it gathers whole rows; the samples go in chunks
+    whose buffer stays within _GAMMA_BUFFER_BYTES, which keeps it in cache.
     """
-    cols = np.ascontiguousarray(pair_idx.transpose(1, 2, 0))  # (m - 1, 2, d)
-    prod = a[cols[0, 0]] - a[cols[0, 1]]
+    step = max(1, _GAMMA_BUFFER_BYTES // (2 * a.itemsize * len(a)))
+    if a.ndim == 2 and a.shape[1] > step:
+        out = np.empty_like(a)
+        for start in range(0, a.shape[1], step):
+            # np.take would copy a strided chunk on every call; copy it once.
+            chunk = np.ascontiguousarray(a[:, start : start + step])
+            out[:, start : start + step] = _gamma(chunk, pair_cols)
+        return out
+    prod = a[pair_cols[0, 0]] - a[pair_cols[0, 1]]
     pair = np.empty((2,) + prod.shape, dtype=prod.dtype)
-    for col in cols[1:]:
+    for col in pair_cols[1:]:
         # mode="clip" changes no index here; it keeps take from buffering out.
         np.take(a, col, axis=0, out=pair, mode="clip")
         prod *= np.subtract(pair[0], pair[1], out=pair[0])
@@ -81,7 +93,7 @@ def gamma(system: TopSystem, a: Sequence[float]) -> np.ndarray:
 
     Pairs are ordered j < k by canonical index, which fixes the overall sign.
     """
-    return _gamma(system.check_state(a), system.pair_idx)
+    return _gamma(system.check_state(a), system.pair_cols)
 
 
 #: drift.json as json.dumps(doc, sort_keys=True, indent=1) lays out the document and one entry.
@@ -130,11 +142,6 @@ class DriftReport:
         return (_TABLE_HEADER + _TABLE_ROW * len(self.names)) % tuple(chain.from_iterable(rows))
 
 
-def _json_floats(values: list) -> list[str]:
-    """Each float of values as json's C encoder writes it, in one call."""
-    return _json_dumps(values)[1:-1].split(", ")
-
-
 def _each_time_once(t: np.ndarray, write) -> list[str]:
     """write's text of each sample time in t, calling write once on the distinct
     values: a report repeats a few sample times hundreds of times.  The values
@@ -178,7 +185,7 @@ def drift_report(system: TopSystem, trajectory: Trajectory) -> DriftReport:
     a = np.ascontiguousarray(a_samples.T)  # (d, samples): each gather takes whole rows
     del a_samples  # the transform's (samples, d) result is not needed past here
     names = [f"gamma_{i + 1}" for i in range(d)]
-    columns = [_series_drift(times, _gamma(a, system.pair_idx))]
+    columns = [_series_drift(times, _gamma(a, system.pair_cols))]
     if positive[0]:
         names += [f"N_1_{j + 2}" for j in range(d - 1)]
         columns.append(_series_drift(times[keep], _n_entries(t, a[0, keep], a[1:, keep])))

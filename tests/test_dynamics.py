@@ -36,7 +36,6 @@ from z2top.integrate import (
     _P,
     _SAFETY,
     BLOW_UP_THRESHOLD,
-    _error_norm,
     _initial_step,
     adaptive_rk,
 )
@@ -118,13 +117,14 @@ def test_tables_match_definition():
 
 @pytest.mark.parametrize("n", range(2, MAX_N_SYSTEM + 1))
 def test_tables_are_shared_and_read_only(n):
-    # Both tables are built once per n and shared by every system of that n,
+    # The tables are built once per n and shared by every system of that n,
     # so no caller may write into them.
     first, second = TopSystem.create(n), TopSystem.create(n)
     assert first is not second
     assert second.a_matrix is first.a_matrix
     assert second.pair_idx is first.pair_idx
-    for table in (first.a_matrix, first.pair_idx):
+    assert second.pair_cols is first.pair_cols
+    for table in (first.a_matrix, first.pair_idx, first.pair_cols):
         with pytest.raises(ValueError):
             table[0, 0] = 1
         with pytest.raises(ValueError):
@@ -138,6 +138,8 @@ def test_tables_are_shared_and_read_only(n):
         for i in line:
             expected[i - 1].append(tuple(sorted(p - 1 for p in line if p != i)))
     assert first.pair_idx.tolist() == [sorted(map(list, pairs)) for pairs in expected]
+    assert first.pair_cols.flags.c_contiguous
+    assert np.array_equal(first.pair_cols, first.pair_idx.transpose(1, 2, 0))
     a = first.a_matrix.astype(float)
     assert np.array_equal(a @ a, 2.0 ** (n - 2) * (np.eye(d) + 1.0))
 
@@ -586,7 +588,8 @@ def _per_sample_rk(f, x0, t_end, rel_tol, abs_tol, *, sample_interval=None):
         if not np.all(np.isfinite(y_new)):
             err = math.inf
         else:
-            err = _error_norm(err_vec, y, y_new, rel_tol, abs_tol)
+            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
         branch_fail = False
         if err > 1.0:
             h = h_step / min(1 / _MIN_FACTOR, err**_EXPO / _SAFETY)

@@ -3,6 +3,9 @@
 The JSON writer must give exactly json.dumps(doc, sort_keys=True, indent=1)
 + "\\n" for every document of its grammar: str keys, and as values JSON
 scalars, flat lists of them, or lists of non-empty number rows.
+Arrays in the document stand for their .tolist(): the text of float64
+ones, from the '%.17g' kernel's shortest mode, is held to json.dumps of
+those lists.
 Trajectory.to_csv must give exactly what csv.writer gives for
 format(x, ".17g") cells; _reference_csv is the csv.writer code that
 to_csv replaced.  The '%.17g' kernel under to_csv is held to '%.17g' % x,
@@ -16,6 +19,8 @@ import dataclasses
 import io
 import json
 import math
+import operator
+import struct
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -28,7 +33,13 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from z2top import dynamics, geometry  # noqa: E402
-from z2top.dynamics import TopSystem, Trajectory, _format_g17, _json_text  # noqa: E402
+from z2top.dynamics import (  # noqa: E402
+    TopSystem,
+    Trajectory,
+    _format_g17,
+    _json_text,
+    trajectory_json,
+)
 from z2top.invariants import DriftReport, drift_report  # noqa: E402
 
 _EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16, 1 / 3]
@@ -74,6 +85,79 @@ def test_json_writer_refuses_what_json_refuses(obj):
             json.dumps(doc, sort_keys=True, indent=1)
         with pytest.raises(TypeError):
             _json_text(doc)
+
+
+def _around(x: float, steps: int = 3) -> list[float]:
+    """x and the steps nearest doubles on each side of it."""
+    below, above = [x], [x]
+    for _ in range(steps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+# Doubles whose shortest text has 17, 16 or fewer digits, integers and powers
+# of two (whose digits can tie), and doubles next to the kernel's range ends.
+_SHORTEST = (
+    st.floats(0.1, 0.5)
+    | st.floats(-324.0, 308.25).map(lambda e: 10.0**e)  # log-uniform, subnormals to near max
+    | st.builds(operator.mul, st.integers(0, 2**20), st.floats(1e-6, 1.0))  # grid times
+    | st.builds(round, st.floats(-1e6, 1e6), st.integers(0, 16))
+    | st.integers(-(2**60), 2**60).map(float)
+    | st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e))
+    | st.integers(0, 2**64 - 1).map(_from_bits)
+    | st.sampled_from([x for p in (1e-6, 1e15, 1e16) for x in _around(p)])
+    | st.sampled_from([0.0, math.nan, math.inf])
+)
+_SHORTEST = _SHORTEST | _SHORTEST.map(operator.neg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(np.float64, st.integers(0, 30), elements=_SHORTEST),
+    hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(1, 6)), elements=_SHORTEST),
+    st.integers(1, 40) | st.just(dynamics._BLOCK_VALUES),
+)
+def test_json_writer_writes_arrays_as_their_lists(t, x, block_values):
+    # Small blocks, so that one array spans several kernel calls.
+    doc = {"n": 5, "t": t, "x": x}
+    with mock.patch.object(dynamics, "_BLOCK_VALUES", block_values):
+        assert _json_text(doc) == _reference_json({**doc, "t": t.tolist(), "x": x.tolist()})
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.arange(3), np.array([[1, -2]], dtype=np.int32), np.array([0.1], dtype=np.float32),
+     np.array([True]), np.empty((0, 3))],
+    ids=["int64", "int32-rows", "float32", "bool", "float64-empty"],
+)
+def test_json_writer_writes_other_arrays_as_their_lists(values):
+    assert _json_text({"x": values}) == _reference_json({"x": values.tolist()})
+
+
+def test_json_writer_writes_every_power_of_two_in_the_kernel_range():
+    # Their rounding interval is not symmetric, so the kernel's argument does
+    # not cover them; they are few enough to check every one.
+    powers = np.array([math.ldexp(1.0, e) for e in range(-19, 54)])
+    assert powers[0] > 1e-6 > powers[0] / 2 and powers[-1] < 1e16 < powers[-1] * 2
+    values = np.concatenate([powers, -powers])
+    # All but 2^53, whose D16 is not below 2^53, go through the kernel.
+    assert values[dynamics._g17_decimal(values, True)[2]].tolist() == [2.0**53, -(2.0**53)]
+    assert _json_text({"x": values}) == _reference_json({"x": values.tolist()})
+
+
+@pytest.mark.parametrize("m, dim", [(3000, 2), (2, 4999), (4097, 31)])
+def test_trajectory_json_matches_json_dumps(m, dim):
+    # Several rows per block; rows wider than a block; the fine grid.
+    rng = np.random.default_rng(m + dim)
+    times, states = _mixed_values(rng, m), _mixed_values(rng, (m, dim))
+    trajectory = Trajectory("omega", times, states, "completed")
+    expected = _reference_json(trajectory.to_json_dict(n=5, seed=None))
+    assert trajectory_json(trajectory, n=5, seed=None) == expected
 
 
 def _reference_drift_json(report: DriftReport) -> str:
@@ -200,13 +284,13 @@ _KERNEL_RANGE = st.floats(min_value=1e-6, max_value=1e17, exclude_max=True)
 @settings(max_examples=300, deadline=None)
 @given(hnp.arrays(np.float64, _SHAPES, elements=st.floats() | _EDGES))
 def test_format_g17_matches_percent(values):
-    assert _format_g17(values) == _reference_rows(values)
+    assert _format_g17(values).decode() == _reference_rows(values)
 
 
 @settings(max_examples=300, deadline=None)
 @given(hnp.arrays(np.float64, _SHAPES, elements=_KERNEL_RANGE | _KERNEL_RANGE.map(lambda x: -x)))
 def test_format_g17_matches_percent_in_kernel_range(values):
-    assert _format_g17(values) == _reference_rows(values)
+    assert _format_g17(values).decode() == _reference_rows(values)
 
 
 def _below(p: Fraction) -> float:
@@ -234,11 +318,11 @@ def _fixed_table() -> list[float]:
 def test_format_g17_fixed_table():
     values = np.array(_fixed_table())
     expected = "".join(["%.17g\n" % x for x in values.tolist()])
-    assert _format_g17(values[:, None]) == expected
-    assert _format_g17(values[None, :]) == expected.replace("\n", ",")[:-1] + "\n"
-    assert _format_g17(np.array([[math.nextafter(1e-4, 0.0)]])) == "9.9999999999999991e-05\n"
+    assert _format_g17(values[:, None]).decode() == expected
+    assert _format_g17(values[None, :]).decode() == expected.replace("\n", ",")[:-1] + "\n"
+    assert _format_g17(np.array([[math.nextafter(1e-4, 0.0)]])).decode() == "9.9999999999999991e-05\n"
     ties = np.array([[1 + 2**-17, 1 + 3 * 2**-17]])
-    assert _format_g17(ties) == "1.0000076293945312,1.0000228881835938\n"
+    assert _format_g17(ties).decode() == "1.0000076293945312,1.0000228881835938\n"
 
 
 @pytest.mark.parametrize("k", range(-5, 18))
@@ -246,6 +330,20 @@ def test_no_double_below_a_power_of_ten_rounds_up_to_it(k):
     # The kernel relies on this: N = round(|x| 10^(16 - X)) never reaches 10^17.
     p = Fraction(10) ** k
     assert Fraction("%.17g" % _below(p)) < p
+
+
+def test_json_array_document_peak_memory_is_about_twice_the_text():
+    # The same trajectory as arrays, as trajectory_json hands them over.
+    states = np.random.default_rng(0).random((20_000, 31))
+    trajectory = Trajectory("omega", np.linspace(0.0, 1.0, 20_000), states, "completed")
+    tracemalloc.start()
+    try:
+        text = trajectory_json(trajectory, n=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 10_000_000
+    assert peak <= 2.1 * len(text)
 
 
 def test_json_text_peak_memory_is_about_twice_the_text():
