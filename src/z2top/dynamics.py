@@ -23,9 +23,8 @@ two O(d sqrt(d)) products, about 4 times faster than the gather at n = 8
 and 20 times at n = 10 on a 2-vCPU x86 host.  Each component lies within
 d eps / 4 sum_{j,k} |omega_j omega_k| of the exact line sum (0.021 d eps at
 worst on random states) and is exact on small integer states, so from n = 8 up
-the trajectories differ from the pair table's in their last bits (the move
-from the earlier a-coordinate form was at most 1.2e-15 relative on run --n 8
---seed 1 and 6.9e-15 on run --n 10).  Below n = 8 the bytes are unchanged.
+the trajectories differ from the pair table's in their last bits.  Below n = 8
+the bytes are unchanged.
 """
 
 from __future__ import annotations
@@ -199,6 +198,8 @@ class Trajectory:
         return "".join(blocks)
 
     def to_json_dict(self, **metadata) -> dict:
+        """The trajectory document with t and x as lists, the form json.dumps
+        takes; _json_text does not take it, as x is a list of rows."""
         return self._document(self.times.tolist(), self.states.tolist(), metadata)
 
     def _document(self, t, x, metadata: dict) -> dict:
@@ -475,17 +476,15 @@ def _json_text(doc: dict) -> str:
     """json.dumps(doc, sort_keys=True, indent=1) + "\\n" for the documents the CLI
     writes, without json's pure-Python encoder, which indent selects.
 
-    doc maps str keys to JSON scalars, to flat lists of them, to a list of
-    non-empty rows, each a list of numbers, or to a vector or (rows,
-    width >= 1) array, which stands for its .tolist().  A scalar is
-    json.dumps(value).  A flat list, and each chunk of about _BLOCK_VALUES
-    row values, is one call of json's C encoder, whose item separator lays
-    it out as indent=1 does; json escapes every line break inside a string,
-    so only the seams between rows are left to fix.  A non-empty float64
-    array goes through _format_g17's shortest mode in blocks of about
-    2 * _BLOCK_VALUES values, any other array through its .tolist().  Every
-    piece goes into one list that is joined once, so the peak memory is
-    about twice the text.
+    doc maps str keys to JSON scalars, to flat lists of them, or to a float64
+    vector or (rows, width >= 1) array; an array of another dtype, or an
+    empty one, stands for its .tolist().  A scalar is json.dumps(value).  A
+    flat list is one call of json's C encoder, whose item separator lays it
+    out as indent=1 does; a list that holds a list or a dict raises
+    TypeError.  A non-empty float64 array goes through _format_g17's
+    shortest mode in blocks of about 2 * _BLOCK_VALUES values.  Every piece
+    goes into one list that is joined once, so the peak memory is about
+    twice the text.
     """
     parts = []
     for key in sorted(doc):
@@ -497,16 +496,10 @@ def _json_text(doc: dict) -> str:
             _json_array(parts, value)
         elif not isinstance(value, list) or not value:
             parts.append(json.dumps(value))
-        elif set(map(type, value)) != {list}:
-            parts += ["[\n  ", _json_dumps(value, separators=(",\n  ", ": "))[1:-1], "\n ]"]
         else:
-            step = max(1, _BLOCK_VALUES * len(value) // sum(map(len, value)))
-            lead = "[\n  [\n   "
-            for start in range(0, len(value), step):
-                text = _json_dumps(value[start : start + step], separators=(",\n   ", ": "))
-                parts += [lead, text[2:-2].replace("],\n   [", "\n  ],\n  [\n   "), "\n  ]"]
-                lead = ",\n  [\n   "
-            parts.append("\n ]")
+            if any(isinstance(item, (list, tuple, dict)) for item in value):
+                raise TypeError(f"the list of {key!r} holds a list or a dict; it must be flat")
+            parts += ["[\n  ", _json_dumps(value, separators=(",\n  ", ": "))[1:-1], "\n ]"]
     parts.append("\n}\n" if parts else "{}\n")
     return "".join(parts)
 

@@ -70,7 +70,7 @@ def test_criterion_02_labelling_certification():
     coll4 = find_hyperplane_collineation(4, classic_planes_15())
     ok &= coll4 is not None
     if coll4 is not None:
-        image4 = {frozenset(coll4(p) for p in h) for h in hyperplanes(4)}
+        image4 = {frozenset(coll4.perm[p - 1] for p in h) for h in hyperplanes(4)}
         ok &= image4 == {frozenset(b) for b in classic_planes_15()}
     elapsed = time.perf_counter() - start
     ok &= elapsed < 10.0

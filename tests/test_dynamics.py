@@ -211,14 +211,14 @@ def test_omega_rhs_classic_labelling_component(systems):
     # relabelling by the certifying collineation.
     coll = find_collineation(3, classic_fano_lines())
     w_classic = np.arange(1.0, 8.0)
-    w_canon = np.array([w_classic[coll(p) - 1] for p in range(1, 8)])
+    w_canon = np.array([w_classic[coll.perm[p - 1] - 1] for p in range(1, 8)])
     rhs_canon = omega_rhs(systems[3], w_canon)
     direct = np.array(
         [sum(w_classic[j - 1] * w_classic[k - 1] for j, k in CLASSIC_7_PAIRS[i]) for i in range(1, 8)]
     )
     assert direct[0] == 52.0
     for p in range(1, 8):
-        assert rhs_canon[p - 1] == pytest.approx(direct[coll(p) - 1], abs=1e-12)
+        assert rhs_canon[p - 1] == pytest.approx(direct[coll.perm[p - 1] - 1], abs=1e-12)
 
 
 def test_omega_rhs_classic_labelling_15d(systems):
@@ -233,7 +233,7 @@ def test_omega_rhs_classic_labelling_15d(systems):
     rng = np.random.default_rng(103)
     for _ in range(5):
         w_classic = rng.uniform(-1.0, 1.0, 15)
-        w_canon = np.array([w_classic[coll(p) - 1] for p in range(1, 16)])
+        w_canon = np.array([w_classic[coll.perm[p - 1] - 1] for p in range(1, 16)])
         rhs_canon = omega_rhs(systems[4], w_canon)
         direct = np.array(
             [
@@ -242,7 +242,7 @@ def test_omega_rhs_classic_labelling_15d(systems):
             ]
         )
         for p in range(1, 16):
-            assert rhs_canon[p - 1] == pytest.approx(direct[coll(p) - 1], abs=1e-13)
+            assert rhs_canon[p - 1] == pytest.approx(direct[coll.perm[p - 1] - 1], abs=1e-13)
 
 
 def _pair_sums(system, w):
@@ -324,7 +324,7 @@ def test_a_transform_matches_classic_7_sums(systems):
         w = rng.uniform(-1.0, 1.0, 7)
         w_classic = np.empty(7)
         for p in range(1, 8):
-            w_classic[coll(p) - 1] = w[p - 1]
+            w_classic[coll.perm[p - 1] - 1] = w[p - 1]
         canonical = np.sort(a_transform(systems[3], w))
         classic = np.sort([sum(w_classic[p - 1] for p in s) for s in CLASSIC_7_A_SETS])
         assert np.max(np.abs(canonical - classic)) < 1e-12

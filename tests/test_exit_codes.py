@@ -1,0 +1,135 @@
+"""Fuzz test of the CLI exit-code contract, in-process through cli.main.
+
+Each example draws a subcommand, n <= 5 or k <= 12, a --seed or an --omega0
+of the right or a wrong length, and every numeric flag from valid, edge and
+invalid values.  --t-end is capped at 4 and --sample-interval is only drawn
+with it, at 0.001 or more when valid, so a run writes at most about 4,000
+samples.  The integrator's step budget is cut from 1,000,000 to 5,000
+steps: an absolute-only tolerance (--rel-tol 1e-320) past a pole takes
+hundreds of thousands of steps, tens of seconds at n = 5, and with the
+smaller budget it ends in step_failure within a second.
+
+Whatever the flags, main must return a documented code (0..6; an argparse
+SystemExit counts as its code), raise nothing, warn nothing, exit 1 only
+under --drift-threshold, write no file on exit 2, and on exit 0 write a
+trajectory of finite numbers.  drift.json is not held to strict JSON: a
+state near the bottom of the double range can still leave NaN drifts in it.
+"""
+
+import contextlib
+import csv
+import importlib
+import io
+import json
+import math
+import os
+import tempfile
+import warnings
+from unittest import mock
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import event, given, settings, strategies as st  # noqa: E402
+
+from z2top.cli import main  # noqa: E402
+
+# The module; the package's own integrate attribute is dynamics.integrate.
+_integrate_module = importlib.import_module("z2top.integrate")
+
+_EDGE = ["0", "-0.0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "1e-320"]
+_T_END = (["0.5", "1", "4", "1e-15"], [v for v in _EDGE if v != "1e300"])
+_TOL = (["1e-10", "1e-6", "1e-2"], ["0.1", *_EDGE])
+_SAMPLE = (["0.001", "0.01", "0.5"], _EDGE)
+_THRESHOLD = (["0", "1e-8", "1"], _EDGE)
+_STATE = (["0.1", "0.3", "0.5", "1", "-0.5"], _EDGE)
+_RANGE = (
+    ["0.1,0.5", "0.5,2", "-0.5,0.5", "1e-300,2e-300", "0.5,1e300", "-1e300,1e300"],
+    ["0.5,0.1", "1,1", "nan,1", "0,inf", "-inf,0", "1e-320,-0.0"],
+)
+_SEED = (["0", "1", "2", "3"], ["-1", "1.5", "nan"])
+_FORMAT = (["csv", "json"], ["xml"])
+
+
+def _value(draw, values: tuple) -> str:
+    """One of the valid values three times in four, else an edge value."""
+    valid, edge = values
+    return draw(st.sampled_from(valid if draw(st.integers(0, 3)) else edge))
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    sub = draw(st.sampled_from(["run", "reduce", "zk", "geometry", "equations"]))
+    sizes = [str(size) for size in range(2, 13 if sub == "zk" else 6)]
+    size = int(_value(draw, (sizes, ["-1", "0", "1"])))
+    argv = [sub, f"--{'k' if sub == 'zk' else 'n'}={size}"]
+    if sub == "geometry":
+        return argv + [f"--format={draw(st.sampled_from(['json', 'dot']))}"]
+    if sub == "equations":
+        return argv + [f"--labelling={draw(st.sampled_from(['canonical', 'classic']))}"]
+    if draw(st.booleans()):
+        argv.append(f"--seed={_value(draw, _SEED)}")
+    else:
+        # A few distinct values, so that a state can be all tiny, all huge or mixed.
+        pool = [_value(draw, _STATE) for _ in range(draw(st.integers(1, 3)))]
+        dim = size + 1 if sub == "zk" else 2 ** max(size, 0) - 1
+        length = max(1, dim + draw(st.sampled_from([0] * 6 + [-1, 1])))
+        state = draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length))
+        argv.append("--omega0=" + ",".join(state))
+    flags = {"random-range": _RANGE, "t-end": _T_END, "rel-tol": _TOL, "abs-tol": _TOL}
+    if sub != "reduce":
+        flags.update({"format": _FORMAT, "drift-threshold": _THRESHOLD})
+    for flag, values in flags.items():
+        if draw(st.booleans()):
+            continue
+        argv.append(f"--{flag}={_value(draw, values)}")
+        if flag == "t-end" and draw(st.booleans()):
+            argv.append(f"--sample-interval={_value(draw, _SAMPLE)}")
+    return argv
+
+
+def _reject(constant):
+    raise ValueError(f"non-finite JSON number {constant}")
+
+
+def _check_finite_trajectory(text: str, fmt: str) -> None:
+    if fmt == "json":
+        doc = json.loads(text, parse_constant=_reject)
+        assert doc["x"] and doc["t"]
+    else:
+        header, *rows = csv.reader(io.StringIO(text))
+        assert header[0] == "t" and rows
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argv(), st.booleans())
+def test_every_flag_draw_exits_with_a_documented_code(argv, to_file):
+    with tempfile.TemporaryDirectory() as work:
+        out = os.path.join(work, "o.json" if argv[0] == "reduce" else "o")
+        argv = argv + [f"--out={out}"] if to_file else argv
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            with warnings.catch_warnings(), mock.patch.object(_integrate_module, "_MAX_STEPS", 5000):
+                warnings.simplefilter("error")
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse
+                    code = exc.code
+        files = os.listdir(work)
+        err = stderr.getvalue()
+        event(f"exit {code}")
+        assert code in range(7), err
+        assert "Traceback" not in err and "Warning" not in err
+        if code == 1:
+            assert any(arg.startswith("--drift-threshold") for arg in argv)
+        if code == 2:
+            assert not files
+        if code == 0 and argv[0] in ("run", "zk"):
+            fmt = "json" if "--format=json" in argv else "csv"
+            if to_file:
+                with open(f"{out}.trajectory.{fmt}") as fh:
+                    text = fh.read()
+            else:
+                text = stdout.getvalue()
+            _check_finite_trajectory(text, fmt)

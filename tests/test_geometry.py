@@ -310,7 +310,8 @@ def test_search_beyond_n4(n):
     blocks = _relabelled(rng, n, hyperplanes(n), sigma)
     coll = find_hyperplane_collineation(n, blocks)
     assert coll is not None
-    assert {frozenset(coll(p) for p in h) for h in hyperplanes(n)} == {frozenset(b) for b in blocks}
+    image = {frozenset(coll.perm[p - 1] for p in h) for h in hyperplanes(n)}
+    assert image == {frozenset(b) for b in blocks}
 
 
 def test_from_matrix_preserves_line_set():
@@ -336,7 +337,7 @@ def test_from_matrix_every_matrix(n):
             assert str(exc) == "rows must form an invertible n x n GF(2) matrix"
             continue
         for p in range(1, num_points(n) + 1):
-            assert coll(p) == sum(_dot(r, p) << (n - 1 - i) for i, r in enumerate(rows))
+            assert coll.perm[p - 1] == sum(_dot(r, p) << (n - 1 - i) for i, r in enumerate(rows))
         assert {coll.apply_triple(t) for t in line_set} == line_set
         perms.append(coll.perm)
     assert len(perms) == len(set(perms)) == math.prod(2**n - 2**i for i in range(n))
@@ -367,7 +368,7 @@ def test_classic_planes_15_shape():
 def test_hyperplane_collineation_classic_15():
     coll = find_hyperplane_collineation(4, classic_planes_15())
     assert coll is not None
-    image = {frozenset(coll(p) for p in h) for h in hyperplanes(4)}
+    image = {frozenset(coll.perm[p - 1] for p in h) for h in hyperplanes(4)}
     assert image == {frozenset(b) for b in classic_planes_15()}
 
 

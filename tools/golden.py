@@ -3,7 +3,8 @@
     python tools/golden.py SRC MANIFEST       run every command against SRC/z2top
     python tools/golden.py --diff A B         list the entries where A and B differ
 
-Each command runs in a fresh interpreter, with PYTHONPATH=SRC, in an empty
+Each command runs in a fresh interpreter, with PYTHONPATH=SRC and COLUMNS=80
+(argparse wraps its help and usage text to that width), in an empty
 temporary directory.  The manifest records, per command, the exit code, the
 sha256 of stdout, the stderr text, and for every file the command wrote its
 sha256.  A JSON object file also gets one record per top-level key: its
@@ -82,6 +83,9 @@ COMMANDS = (
     + ["geometry --n 6 --out g.json"]
     + [f"equations --n {n}" for n in (3, 4, 8)]
     + [f"equations --n {n} --labelling classic" for n in (3, 4)]
+    # The flag tables and the exit-code epilog.
+    + ["--help"]
+    + [f"{sub} --help" for sub in ("geometry", "equations", "run", "reduce", "zk")]
 )
 
 
@@ -113,7 +117,7 @@ def _file_record(path: str) -> dict:
 
 
 def run_command(src: str, command: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), COLUMNS="80")
     with tempfile.TemporaryDirectory() as work:
         proc = subprocess.run(
             [sys.executable, "-m", "z2top", *command.split()],
