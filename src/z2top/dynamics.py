@@ -265,12 +265,14 @@ def integrate(
 # 10^0..10^22 are exact doubles, Dekker's two-product gives the product
 # exactly as hi + lo, and hi is an even integer (the product is above 2^53),
 # so N = hi + rint(lo) rounds half to even, as dtoa does.  Each value's text
-# is gathered from a 28-byte row of its own through a template chosen by
-# (X, significant digits, sign).  The row is seven '<u4' words:
-# [lead digit, separator, '.', '-'], the four 4-digit groups of N,
-# ['0', 'e', '5', '6'] and four spaces, which pad every text to one width
-# and are deleted at the end.  ±0.0 are kernel values too; nan, ±inf,
-# 0 < |x| <= 1e-6 and |x| >= 1e17 go through '%.17g' one value at a time.
+# is gathered into a 25-byte slot from a 24-byte row of its own through a
+# template chosen by (X, significant digits, sign).  The row is six '<u4'
+# words: [lead digit, space, '.', '-'], the four 4-digit groups of N and
+# ['0', 'e', '5', '6'].  The space pads every text to the slot, whose last
+# column no text reaches (the longest, '%.17g' % -5e-324, has 24 bytes); the
+# separator goes there after the gather, and the pads are deleted at the
+# end.  ±0.0 are kernel values too; nan, ±inf, 0 < |x| <= 1e-6 and
+# |x| >= 1e17 go through '%.17g' one value at a time.
 #
 # The shortest mode writes json's float text, repr's shortest digits, for
 # 1e-6 < |x| < 1e16, with '.0' after an integral value.  Let rest = hi + lo - N,
@@ -291,7 +293,7 @@ _X_MIN, _X_MAX = -6, 16
 #: Text columns per value: the longest '%.17g' or json float text (24 bytes)
 #: and a separator.
 _G17_WIDTH = 25
-_G17_ROW = 28
+_G17_ROW = 24
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
 _POW10 = np.array([float(10**k) for k in range(_X_MAX - _X_MIN + 1)], dtype=np.float64)
 
@@ -321,7 +323,8 @@ def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @functools.cache
 def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The words of every 4-digit group, the significant-digit ends of every
-    group at each of its four places, and the head and tail words of a row."""
+    group at each of its four places, the head word of each lead digit and
+    the tail word of a row."""
     g = np.arange(10_000, dtype=np.int16)  # small dtypes keep the build's peak low
     group_words = geometry._number_words()[10_000:20_000]  # g zero-padded to four digits
     # The significant digits of N through group j's last nonzero digit, or 1
@@ -329,11 +332,9 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     sig = 4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0)
     places = np.arange(1, 17, 4, dtype=np.uint8)[:, None]
     ends = np.where(g > 0, places + sig.astype(np.uint8), 1).astype(np.uint8, copy=False)
-    head = np.frombuffer(b"0,.-0\n.-", dtype=np.uint8).reshape(2, 1, 4).repeat(10, axis=1)
-    head[:, :, 0] += np.arange(10, dtype=np.uint8)
-    head_words = head.view("<u4").ravel()  # [lead + 10 * row end]
-    tail_words = np.frombuffer(b"0e56    ", dtype="<u4")
-    return group_words, ends, head_words, tail_words
+    head = np.frombuffer(b"0 .-", dtype=np.uint8).reshape(1, 4).repeat(10, axis=0)
+    head[:, 0] += np.arange(10, dtype=np.uint8)
+    return group_words, ends, head.view("<u4").ravel(), np.frombuffer(b"0e56", dtype="<u4")
 
 
 @functools.cache
@@ -344,7 +345,7 @@ def _text_templates(shortest: bool) -> np.ndarray:
     the point after the whole part unless nothing follows it ('%.17g'), or
     '.0' after an integral value (repr).  X = -5, -6: d.ddd, then e-05 or e-06.
     """
-    sep, dot, minus, zero, e, five, six, pad = 1, 2, 3, 20, 21, 22, 23, 24
+    pad, dot, minus, zero, e, five, six = 1, 2, 3, 20, 21, 22, 23
     x, nd = (m.reshape(-1, 1) for m in np.meshgrid(
         np.arange(_X_MIN, _X_MAX + 1, dtype=np.int16), np.arange(1, 18, dtype=np.int16),
         indexing="ij"))
@@ -363,8 +364,8 @@ def _text_templates(shortest: bool) -> np.ndarray:
     tail = np.where(fixed, 0, 4)
     src = np.select(
         [(c < whole) | (frac & (c > whole) & (c < body)), point & (c == whole),
-         point & (c == whole + 1), (t >= 0) & (t < tail), t == tail],
-        [digit, dot, zero, exponent, sep],
+         point & (c == whole + 1), (t >= 0) & (t < tail)],
+        [digit, dot, zero, exponent],
         pad,
     )
     negative = np.concatenate([np.full_like(src[:, :1], minus), src[:, :-1]], axis=1)
@@ -416,13 +417,10 @@ def _shortest(a, x, n, rest) -> tuple[np.ndarray, np.ndarray]:
     return np.where(fits15, 10 * m15, np.where(fits16, 10 * m16, n)), odd
 
 
-def _g17_rows(
-    v: np.ndarray, width: int, shortest: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 28-byte rows and template keys of a flat float64 array of rows of
-    width values, and the indices of the values that must be written one at
-    a time."""
-    group_words, ends_table, head_words, tail_words = _digit_tables()
+def _g17_rows(v: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 24-byte rows and template keys of a flat float64 array, and the
+    indices of the values that must be written one at a time."""
+    group_words, ends_table, head_words, tail_word = _digit_tables()
     n, x, slow = _g17_decimal(v, shortest)
     q = n // 10**8
     lead = q // 10**8
@@ -434,27 +432,23 @@ def _g17_rows(
     key = ((x - _X_MIN) * 17 + nd - 1) * 2 + np.signbit(v)
 
     row = np.empty((v.size, _G17_ROW // 4), dtype="<u4")
-    row_end = np.zeros(width, dtype=np.int64)
-    row_end[-1] = 10
-    row[:, 0] = head_words[(lead.reshape(-1, width) + row_end).ravel()]
+    row[:, 0] = head_words[lead]
     for j, g in enumerate(groups):
         row[:, 1 + j] = group_words[g]
-    row[:, 5], row[:, 6] = tail_words
+    row[:, 5] = tail_word
     return row, key, slow
-
-
-#: Row ends of the shortest mode: ']' is in no JSON number, unlike a line break.
-_ROW_END_BRACKET = bytes.maketrans(b"\n", b"]")
 
 
 def _format_g17(values: np.ndarray, shortest: bool = False) -> bytes:
     """The rows of a (rows, width) float64 block as text: each value as
     '%.17g' % x, joined by ',' within a row, each row ended by a newline.
     With shortest, each value as json writes it (float.__repr__, NaN,
-    Infinity, -Infinity) and each row ended by ']'."""
+    Infinity, -Infinity) and each row ended by ']', which is in no JSON
+    number.  Each text is padded with spaces to _G17_WIDTH bytes, the last
+    of which takes the separator; the pads are deleted at the end."""
     width = values.shape[1]
     v = np.asarray(values, dtype=np.float64).ravel()
-    row, key, slow = _g17_rows(v, width, shortest)
+    row, key, slow = _g17_rows(v, shortest)
     templates = _text_templates(shortest)
     source = row.view(np.uint8).ravel()
     # The byte index holds 25 intp per value; the writers' blocks bound its size.
@@ -462,14 +456,13 @@ def _format_g17(values: np.ndarray, shortest: bool = False) -> bytes:
     index += np.arange(0, v.size * _G17_ROW, _G17_ROW, dtype=np.intp)[:, None]
     text = np.take(source, index)
     if slow.size:
-        row_ends = (slow % width == width - 1).tolist()
         y = v[slow].tolist()
         cells = _json_floats(y) if shortest else ["%.17g" % value for value in y]
-        cells = [cell + ("\n" if e else ",") for cell, e in zip(cells, row_ends)]
         padded = "".join([cell.ljust(_G17_WIDTH) for cell in cells]).encode("ascii")
         text[slow] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, _G17_WIDTH)
-    row_end = _ROW_END_BRACKET if shortest else None
-    return text.tobytes().translate(row_end, b" ")
+    text[:, -1] = ord(",")
+    text[width - 1 :: width, -1] = ord("]" if shortest else "\n")
+    return text.tobytes().translate(None, b" ")
 
 
 def _json_text(doc: dict) -> str:

@@ -69,6 +69,7 @@ _EXPO = 0.2 - _BETA * 0.75
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _MAX_STEPS = 1_000_000
+_EPS = float(np.finfo(float).eps)  # the smallest accepted rel_tol
 
 #: Powers theta^1..theta^4 of the dense-output interpolant.
 _POWERS = np.arange(1, 5)
@@ -78,9 +79,12 @@ BLOW_UP_THRESHOLD = 1e9
 
 
 def check_tolerances(rel_tol: float, abs_tol: float) -> None:
-    for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
-        if not (0.0 < tol <= 1e-2) or not math.isfinite(tol):
-            raise InvalidParameterError(f"{name} must lie in (0, 1e-2], got {tol!r}")
+    # No double resolves a relative tolerance below eps; with |x| >> abs_tol
+    # past a pole, the steps would shrink to the roundoff floor.
+    if not (_EPS <= rel_tol <= 1e-2):
+        raise InvalidParameterError(f"rel_tol must lie in [{_EPS!r}, 1e-2], got {rel_tol!r}")
+    if not (0.0 < abs_tol <= 1e-2):
+        raise InvalidParameterError(f"abs_tol must lie in (0, 1e-2], got {abs_tol!r}")
 
 
 def _initial_step(f, y0, f0, t_end, rel_tol, abs_tol) -> float:

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -280,6 +281,26 @@ def test_run_bad_tolerance(capsys):
         ["run", "--n", "2", "--seed", "1", "--rel-tol", "0.5"], capsys
     )
     assert code == 2
+
+
+def test_rel_tol_below_eps_is_usage_error(tmp_path, capsys):
+    # With an absolute-only tolerance this run used to grind about 35 s past
+    # its pole toward the step budget before exiting 4.
+    out = tmp_path / "c.json"
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        ["reduce", "--n", "5", "--seed", "1", "--t-end", "1", "--rel-tol", "1e-320",
+         "--out", str(out)], capsys,
+    )
+    assert code == 2 and time.perf_counter() - start < 5.0
+    assert err.startswith("error: rel_tol must lie in [2.220446049250313e-16, 1e-2]")
+    assert not os.listdir(tmp_path)
+    eps = str(np.finfo(float).eps)
+    code, _, _ = run_cli(
+        ["run", "--n", "2", "--seed", "1", "--t-end", "0.1", "--rel-tol", eps, "--out",
+         str(tmp_path / "r")], capsys,
+    )
+    assert code == 0 and eps == "2.220446049250313e-16"
 
 
 def test_impossible_sample_grid_is_usage_error(tmp_path, capsys):

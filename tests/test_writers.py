@@ -323,14 +323,20 @@ def _fixed_table() -> list[float]:
     # Exact ties at the 18th digit (odd integers / 2^k): the 17th goes to even.
     values += [m / 2**k for m in (131073, 131075, 1048577, 1048579) for k in (17, 20)]
     values += [2.0**53 - 2, 2.0**53 + 2]
+    # The 24-byte texts, which fill a value's slot up to its separator column:
+    # '%.17g' of -5e-324, and both modes' text of the last value.
+    values += [5e-324, 2.2250738585072014e-308]
     return values + [-x for x in values]
 
 
 def test_format_g17_fixed_table():
     values = np.array(_fixed_table())
-    expected = "".join(["%.17g\n" % x for x in values.tolist()])
-    assert _format_g17(values[:, None]).decode() == expected
-    assert _format_g17(values[None, :]).decode() == expected.replace("\n", ",")[:-1] + "\n"
+    for shortest, text, row_end in ((False, "%.17g".__mod__, "\n"), (True, json.dumps, "]")):
+        texts = [text(x) for x in values.tolist()]
+        assert max(map(len, texts)) == len(texts[-1]) == 24
+        column = _format_g17(values[:, None], shortest).decode()
+        assert column == "".join([cell + row_end for cell in texts])
+        assert _format_g17(values[None, :], shortest).decode() == ",".join(texts) + row_end
     assert _format_g17(np.array([[math.nextafter(1e-4, 0.0)]])).decode() == "9.9999999999999991e-05\n"
     ties = np.array([[1 + 2**-17, 1 + 3 * 2**-17]])
     assert _format_g17(ties).decode() == "1.0000076293945312,1.0000228881835938\n"

@@ -3,17 +3,20 @@
     python tools/golden.py SRC MANIFEST       run every command against SRC/z2top
     python tools/golden.py --diff A B         list the entries where A and B differ
 
-Each command runs in a fresh interpreter, with PYTHONPATH=SRC and COLUMNS=80
-(argparse wraps its help and usage text to that width), in an empty
-temporary directory.  The manifest records, per command, the exit code, the
-sha256 of stdout, the stderr text, and for every file the command wrote its
-sha256.  A JSON object file also gets one record per top-level key: its
-value when that is a number, a string, null or a flat list of numbers, and
-otherwise the sha256 of its JSON text.  So the diff can say which fields of
-a report changed, and by how much.
+Each command runs in a fresh interpreter, with PYTHONPATH=SRC, COLUMNS=80
+(argparse wraps its help and usage text to that width) and
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1 (the
+drift reports and the reduce reports hold BLAS products, whose last bits
+follow the thread count), in an empty temporary directory.  The manifest
+records, per command, the exit code, the sha256 of stdout, the stderr text,
+and for every file the command wrote its sha256.  A JSON object file also
+gets one record per top-level key: its value when that is a number, a
+string, null or a flat list of numbers, and otherwise the sha256 of its JSON
+text.  So the diff can say which fields of a report changed, and by how
+much.
 
 Only the standard library is used, so the script runs against any checkout.
-Commands run one at a time; the whole list takes about 22 s on a 2-vCPU host,
+Commands run one at a time; the whole list takes about 20 s on a 2-vCPU host,
 of which `run --n 9` and `run --n 10` take about 2 s.
 """
 
@@ -44,15 +47,20 @@ COMMANDS = (
         "zk --k 12 --seed 1 --sample-interval 0.02 --out z",
         "run --n 2 --seed 1 --t-end 0.9 --sample-interval 0.3 --out e",
     ]
-    # Trajectory CSVs that reach every branch of the '%.17g' kernel: negative
-    # values, exact zeros, nonzero values below 1e-6 and values at or above
-    # 1e16 and 1e17 (the last run ends as blow_up, exit 3, after two rows).
+    # Trajectory CSVs and JSON that reach every branch of the '%.17g' kernel
+    # and of its shortest mode: negative values, exact zeros, nonzero values
+    # below 1e-6 and values at or above 1e16 and 1e17 (the last run ends as
+    # blow_up, exit 3, after two rows).
     + [
-        "run --n 3 --seed 1 --random-range=-0.5,0.5 --out k",
-        "zk --k 3 --seed 3 --random-range=-2,2 --out k",
-        "run --n 3 --omega0 0,0,0,0,0,0,1 --t-end 1 --out k",
-        "run --n 2 --omega0 1e-7,2e-7,3e-7 --t-end 1 --out k",
-        "run --n 2 --omega0 2e16,3e17,1 --t-end 1e-20 --out k",
+        f"{command} --out k{fmt}"
+        for command in (
+            "run --n 3 --seed 1 --random-range=-0.5,0.5",
+            "zk --k 3 --seed 3 --random-range=-2,2",
+            "run --n 3 --omega0 0,0,0,0,0,0,1 --t-end 1",
+            "run --n 2 --omega0 1e-7,2e-7,3e-7 --t-end 1",
+            "run --n 2 --omega0 2e16,3e17,1 --t-end 1e-20",
+        )
+        for fmt in ("", " --format json")
     ]
     # States that overflow in the RHS, the drift report or the reduction's
     # closure check, or whose T0 underflows to 0 there, end in their outcome
@@ -89,6 +97,9 @@ COMMANDS = (
 )
 
 
+_ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -117,7 +128,7 @@ def _file_record(path: str) -> dict:
 
 
 def run_command(src: str, command: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), COLUMNS="80")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), COLUMNS="80", **_ONE_THREAD)
     with tempfile.TemporaryDirectory() as work:
         proc = subprocess.run(
             [sys.executable, "-m", "z2top", *command.split()],
