@@ -19,8 +19,9 @@ to stderr without it, where the trajectory owns stdout; reduce routes its
 genus and max-relative-error lines the same way.
 
 --config FILE reads a JSON object keyed by flag names ("t-end", "seed",
-...).  Each value is converted and checked by the flag it names, with the
-flag's own type and choices, so a bad value is a usage error (exit 2); a
+...); a file that does not decode as UTF-8 JSON is a usage error (exit 2).
+Each value is converted and checked by the flag it names, with the flag's
+own type and choices, so a bad value is a usage error too; a
 non-string value is read from its JSON text, and only "random-range" and
 "omega0" take a list, read as its comma-joined text.  Keys that name no
 flag of the chosen subcommand are ignored, so one file can serve run and
@@ -31,8 +32,11 @@ in-process main() calls share one parser, built on the first call, and a
 --config call parses with a fresh one.
 
 Identical flags and seed give byte-identical output files, each written
-atomically (temp + rename); a run that stops early still writes them, the
-trajectory up to termination.  Z2TOP_NO_COLOR disables summary-line color.
+atomically (temp + rename; through a symlink to its target, and in place to
+an existing FIFO or device).  A run that stops early still writes them:
+every trajectory ends with its last accepted state, on the grid or off it,
+so a step_failure shows where the run stalled.  Z2TOP_NO_COLOR disables
+summary-line color.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import json
 import math
 import os
 import secrets
+import stat
 import sys
 from typing import Optional, Sequence
 
@@ -79,11 +84,24 @@ def _status_line(ok: bool, text: str, stream) -> str:
 
 
 def atomic_write(path: str, data: str) -> None:
-    """Write data to path through a temp file in its directory and a rename.
+    """Write data to path through a temp file next to it and a rename.
 
-    The temp file is created with mode 0o666, so the umask (and a default
-    ACL) shapes its mode as for a plain open(); mkstemp would make it 0600.
+    A symlink stays a symlink (the file it resolves to is replaced), and an
+    existing FIFO or device is written in place.  The temp file is created
+    with mode 0o666, so the umask (and a default ACL) shapes its mode as for
+    a plain open(); mkstemp would make it 0600.
     """
+    try:
+        mode = os.lstat(path).st_mode
+        if stat.S_ISLNK(mode):
+            path = os.path.realpath(path)
+            mode = os.stat(path).st_mode
+    except FileNotFoundError:  # a new file, also at the end of a dangling symlink
+        mode = stat.S_IFREG
+    if not stat.S_ISREG(mode):
+        with open(path, "w") as fh:
+            fh.write(data)
+        return
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".z2top-{secrets.token_hex(8)}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -211,10 +229,14 @@ def _apply_config_file(
     explicit holds the flags of argv alone; when they pick the initial state
     (--omega0 or --seed), the file's omega0 and seed are skipped.
     """
-    with open(path) as fh:
-        values = json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            values = json.load(fh)
+        # Bad UTF-8, bad JSON, an int past the digit limit, or nesting too deep.
+        except (ValueError, RecursionError) as exc:
+            raise InvalidParameterError(f"--config {path}: not a UTF-8 JSON file: {exc}") from None
     if not isinstance(values, dict):
-        raise InvalidParameterError("--config file must hold a JSON object")
+        raise InvalidParameterError(f"--config {path}: the file must hold a JSON object")
     state_keys = ("omega0", "seed")
     argv_state = any(getattr(explicit, key, None) is not None for key in state_keys)
     defaults = {}
@@ -266,12 +288,10 @@ def _cmd_equations(args: argparse.Namespace) -> int:
 def _prepare(args: argparse.Namespace) -> tuple:
     """System, initial state and horizon of run, reduce or zk; --t-end beats the default."""
     if args.subcommand == "zk":
-        system = ZkSystem(args.k)
-        dim, horizon = system.dim, zk_guarded_horizon
+        system, horizon = ZkSystem(args.k), zk_guarded_horizon
     else:
-        system = TopSystem.create(args.n)
-        dim, horizon = system.d, guarded_horizon
-    state = _initial_state(args, dim)
+        system, horizon = TopSystem.create(args.n), guarded_horizon
+    state = _initial_state(args, system.d)
     t_end = args.t_end if args.t_end is not None else horizon(system, state)
     return system, state, t_end
 
@@ -358,7 +378,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _apply_config_file(subparsers[args.subcommand], args.config, args)
             args = parser.parse_args(argv)
         return _COMMANDS[args.subcommand](args)
-    except (InvalidParameterError, OSError, json.JSONDecodeError) as exc:
+    except (InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DegenerateOrbitError as exc:

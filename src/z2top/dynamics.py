@@ -98,6 +98,7 @@ class TopSystem:
         return cls(n, geometry.num_points(n), *_tables(n))
 
     def check_state(self, x: Sequence[float]) -> np.ndarray:
+        """x as a float array of shape (d,); zktop.ZkSystem shares this body."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             raise InvalidParameterError(f"state must have length {self.d}, got shape {x.shape}")

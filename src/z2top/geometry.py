@@ -102,9 +102,6 @@ class Collineation:
         if sorted(self.perm) != list(range(1, d + 1)):
             raise InvalidParameterError("perm is not a permutation of 1..2^n-1")
 
-    def apply_triple(self, triple: Iterable[int]) -> tuple[int, ...]:
-        return tuple(sorted(self.perm[p - 1] for p in triple))
-
     @classmethod
     def from_matrix(cls, rows: Sequence[int], n: int) -> "Collineation":
         """p -> M p, row i of M (a bitmask) giving z_i; M is singular iff some p maps to 0."""

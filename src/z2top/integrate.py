@@ -5,7 +5,8 @@ controller of Hairer's DOPRI5 and the matching quartic dense-output
 interpolant, so output samples land on an exact fixed grid while steps stay
 purely tolerance-controlled.  The flows integrated here blow up in finite
 time, so a blow-up guard and a clean termination status are part of the
-contract:
+contract.  Every run ends with its last accepted state, on the grid or off
+it, so a step_failure shows where the run stalled.  The terminations:
 
   completed      reached t_end
   blow_up        max|x| crossed BLOW_UP_THRESHOLD
@@ -147,11 +148,11 @@ def adaptive_rk(
     min(i * sample_interval, t_end) for i = 0 up to the first i with
     i * sample_interval >= t_end, so the last two samples can be closer
     together than sample_interval.  The first sample is (0, x0); the last is
-    the final accepted state regardless of termination, so a blow_up
-    trajectory ends with the state that crossed the threshold, on the grid or
-    off it.  A grid point on a step's end takes the accepted state itself;
-    the points strictly inside an accepted step come from one batched
-    evaluation of the dense-output interpolant.
+    the last accepted state, on the grid or off it, whatever the termination:
+    a blow_up trajectory ends with the state that crossed the threshold, a
+    failing one where it stalled.  A grid point on a step's end takes the
+    accepted state itself; the points strictly inside an accepted step come
+    from one batched evaluation of the dense-output interpolant.
     """
     check_tolerances(rel_tol, abs_tol)
     if not (t_end > 0.0) or not math.isfinite(t_end):
@@ -165,7 +166,7 @@ def adaptive_rk(
     y_abs = np.abs(y)
 
     # times holds the whole grid up front, plus one spare slot for an
-    # off-grid blow-up time; rows [0, count) of times and states are output.
+    # off-grid last state; rows [0, count) of times and states are output.
     last = _last_grid_index(t_end, sample_interval)
     try:
         times = np.empty(last + 2)
@@ -191,15 +192,16 @@ def adaptive_rk(
     fac_old = 1e-4
     branch_fail = False
 
+    termination = STEP_FAILURE  # unless the loop ends earlier, the step budget runs out
     for _ in range(_MAX_STEPS):
         if t >= t_end:
-            return times[:count], states[:count], COMPLETED
+            termination = COMPLETED
+            break
         # The floor scales with the run, so a horizon below 1e-14 still steps.
         h_floor = 1e-14 * max(min(1.0, t_end), abs(t))
         if h < h_floor:
-            return times[:count], states[:count], (
-                BRANCH_FAILURE if branch_fail else STEP_FAILURE
-            )
+            termination = BRANCH_FAILURE if branch_fail else STEP_FAILURE
+            break
         at_end = h >= t_end - t
         h_step = t_end - t if at_end else h
 
@@ -256,10 +258,10 @@ def adaptive_rk(
         fac_old = max(err, 1e-4)
 
         if peak >= BLOW_UP_THRESHOLD:
-            if times[count - 1] != t:
-                times[count] = t
-                states[count] = y
-                count += 1
-            return times[:count], states[:count], BLOW_UP
+            termination = BLOW_UP
+            break
 
-    return times[:count], states[:count], STEP_FAILURE
+    if times[count - 1] != t:  # the last accepted state lies off the grid
+        times[count], states[count] = t, y
+        count += 1
+    return times[:count], states[:count], termination

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import Trajectory, _majorant_horizon
+from .dynamics import TopSystem, Trajectory, _majorant_horizon
 from .errors import InvalidParameterError
 from .integrate import adaptive_rk
 from .invariants import DriftReport, _series_drift
@@ -32,14 +32,10 @@ class ZkSystem:
             raise InvalidParameterError(f"k must be an integer >= 2, got {self.k!r}")
 
     @property
-    def dim(self) -> int:
+    def d(self) -> int:
         return self.k + 1
 
-    def check_state(self, x: Sequence[float]) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise InvalidParameterError(f"state must have length {self.dim}, got shape {x.shape}")
-        return x
+    check_state = TopSystem.check_state
 
 
 @functools.lru_cache(maxsize=8)
@@ -54,7 +50,7 @@ def _others(dim: int) -> np.ndarray:
 def zk_rhs(system: ZkSystem, omega: Sequence[float]) -> np.ndarray:
     """Component i is the product of all other components, taken in index order."""
     w = system.check_state(omega)
-    return w[_others(system.dim)].prod(axis=1)
+    return w[_others(system.d)].prod(axis=1)
 
 
 def _square_differences(w: np.ndarray) -> np.ndarray:
@@ -100,7 +96,7 @@ def integrate_zk(
 @np.errstate(over="ignore", invalid="ignore")  # a NaN drift fails the gate
 def zk_drift_report(system: ZkSystem, trajectory: Trajectory) -> DriftReport:
     """Drift of the pairwise square-difference integrals along a trajectory."""
-    if trajectory.states.shape[1] != system.dim:
+    if trajectory.states.shape[1] != system.d:
         raise InvalidParameterError("trajectory dimension does not match the system")
     names = tuple(f"D_{i + 1}_{i + 2}" for i in range(system.k))
     values = _square_differences(trajectory.states).T  # (k, samples)

@@ -65,7 +65,7 @@ def test_criterion_02_labelling_certification():
     coll3 = find_collineation(3, classic_fano_lines())
     ok = coll3 is not None
     if ok:
-        image = {coll3.apply_triple(ln) for ln in lines(3)}
+        image = {tuple(sorted(coll3.perm[p - 1] for p in ln)) for ln in lines(3)}
         ok &= image == {tuple(sorted(t)) for t in classic_fano_lines()}
     coll4 = find_hyperplane_collineation(4, classic_planes_15())
     ok &= coll4 is not None

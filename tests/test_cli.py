@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import time
 import warnings
 
@@ -194,6 +195,24 @@ def test_run_blow_up_exit_code(tmp_path, capsys):
     assert [e["name"] for e in drift["invariants"]] == [
         "gamma_1", "gamma_2", "gamma_3", "N_1_2", "N_1_3"
     ]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_zk_stall_ends_at_the_pole(k, tmp_path, capsys):
+    # Near a zk pole the controller stalls before max|x| reaches the blow-up
+    # threshold (exit 4).  The last row is the last accepted state, at the
+    # pole t* = 1/2 int_0^inf prod_j (u + omega_j^2)^(-1/2) du.
+    quad = pytest.importorskip("scipy.integrate").quad
+    code, _, err = run_cli(
+        ["zk", "--k", str(k), "--seed", "1", "--t-end", "100", "--out", str(tmp_path / "z")],
+        capsys,
+    )
+    assert (code, err) == (4, "termination: step_failure\n")
+    last = (tmp_path / "z.trajectory.csv").read_text().splitlines()[-1]
+    w0 = np.random.default_rng(1).uniform(0.1, 0.5, k + 1)
+    integrand = lambda u: 0.5 / np.prod(np.sqrt(u + w0 * w0))
+    pole = quad(integrand, 0, np.inf, epsabs=0, epsrel=1e-13, limit=200)[0]
+    assert float(last.split(",")[0]) == pytest.approx(pole, rel=1e-9)
 
 
 def test_run_drift_threshold_exit(tmp_path, capsys):
@@ -599,6 +618,38 @@ def test_output_file_mode_follows_umask(umask, tmp_path, capsys):
     assert modes == dict.fromkeys(["g.dot", "r.trajectory.csv", "r.drift.json"], 0o666 & ~umask)
 
 
+@pytest.mark.skipif(os.name != "posix", reason="POSIX symlinks")
+@pytest.mark.parametrize("exists", [True, False], ids=["existing", "dangling"])
+def test_out_writes_through_a_symlink(exists, tmp_path, capsys):
+    # The link stays a link, and the file it names gets the output.
+    target = tmp_path / "target.json"
+    if exists:
+        target.write_text("old")
+    link = tmp_path / "link"
+    link.symlink_to(target.name)
+    assert main(["geometry", "--n", "2", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert json.loads(target.read_text())["schema_version"] == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "target.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="POSIX FIFOs")
+def test_out_writes_a_fifo_in_place(tmp_path, capsys):
+    # A FIFO (like a device) is written, not replaced by a regular file.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    # A daemon, so that a reader left waiting for a writer cannot hang the run.
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code = main(["geometry", "--n", "2", "--out", str(fifo)])
+    reader.join(timeout=10)
+    assert code == 0
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert json.loads(received[0])["schema_version"] == 1
+    assert os.listdir(tmp_path) == ["fifo"]
+
+
 @pytest.mark.parametrize(
     "values, args",
     [
@@ -630,6 +681,24 @@ def test_bad_config_value_is_usage_error(values, args, tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert "error: " in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'\xff\xfe{"seed": 1}', b"[" * 200_000, b"[1, 2]"],
+    ids=["not-utf8", "nested-200000-deep", "not-an-object"],
+)
+def test_undecodable_config_file_is_usage_error(data, tmp_path, capsys):
+    # Every decode failure, and a document that is no JSON object, is one
+    # error line that names the file, not a traceback.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    argv = ["--config", str(cfg), "run", "--n", "2", "--seed", "1", "--out", str(tmp_path / "r")]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: --config {cfg}: ")
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -472,7 +473,22 @@ def test_step_failure_on_nan_rhs():
 
     times, states, termination = adaptive_rk(rhs, [1.0], 2.0, 1e-10, 1e-12)
     assert termination == "step_failure"
-    assert times[-1] < 2.0
+    # The last row is the last accepted state, where the run stalled.
+    assert times[-1] == pytest.approx(0.5, rel=1e-12) and times[-1] <= 0.5
+    assert states[-1, 0] == pytest.approx(math.exp(times[-1]), rel=1e-9)
+
+
+def test_step_budget_ends_at_last_accepted_state(monkeypatch):
+    # dx/dt = 1 accepts every step and grows it tenfold: h = 1e-4, 1e-3 and
+    # 1e-2, so a budget of three steps stops at t = 0.0111, between the grid
+    # points 2/256 and 3/256.
+    # The module; the package's own integrate attribute is dynamics.integrate.
+    monkeypatch.setattr(importlib.import_module("z2top.integrate"), "_MAX_STEPS", 3)
+    times, states, termination = adaptive_rk(lambda t, x: np.ones(1), [0.0], 1.0, 1e-10, 1e-12)
+    assert termination == "step_failure"
+    assert times[-2] == 2 / 256
+    assert times[-1] == pytest.approx(0.0111, rel=1e-12)
+    assert states[-1, 0] == pytest.approx(times[-1], rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
@@ -552,7 +568,8 @@ def test_a_flow_integration_matches_transformed_omega_flow(systems):
 
 def _per_sample_rk(f, x0, t_end, rel_tol, abs_tol, *, sample_interval=None):
     """adaptive_rk as it was with one interpolant evaluation per grid point:
-    the reference that the batched dense output must match bit for bit."""
+    the reference that the batched dense output must match bit for bit.  Like
+    adaptive_rk, it ends every run with its last accepted state."""
     if sample_interval is None:
         sample_interval = t_end / 256
     y = np.asarray(x0, dtype=float).copy()
@@ -565,13 +582,18 @@ def _per_sample_rk(f, x0, t_end, rel_tol, abs_tol, *, sample_interval=None):
     sample_idx = 1
     branch_fail = False
     k = [k1] * 7
+
+    def end(termination):
+        if times[-1] != t:
+            times.append(t)
+            states.append(y.copy())
+        return np.array(times), np.array(states), termination
+
     for _ in range(_MAX_STEPS):
         if t >= t_end:
-            return np.array(times), np.array(states), "completed"
+            return end("completed")
         if h < 1e-14 * max(min(1.0, t_end), abs(t)):
-            return np.array(times), np.array(states), (
-                "branch_failure" if branch_fail else "step_failure"
-            )
+            return end("branch_failure" if branch_fail else "step_failure")
         at_end = h >= t_end - t
         h_step = t_end - t if at_end else h
         try:
@@ -620,11 +642,8 @@ def _per_sample_rk(f, x0, t_end, rel_tol, abs_tol, *, sample_interval=None):
         h = max(h, h_step / fac) if at_end else h_step / fac
         fac_old = max(err, 1e-4)
         if np.max(np.abs(y)) >= BLOW_UP_THRESHOLD:
-            if times[-1] != t:
-                times.append(t)
-                states.append(y.copy())
-            return np.array(times), np.array(states), "blow_up"
-    return np.array(times), np.array(states), "step_failure"
+            return end("blow_up")
+    return end("step_failure")
 
 
 def _flow_cases():
@@ -641,7 +660,7 @@ def _flow_cases():
             cases.append((t_end, call))
     for k in (3, 6, 12):
         system = ZkSystem(k)
-        w0 = np.random.default_rng(k).uniform(0.1, 0.5, system.dim)
+        w0 = np.random.default_rng(k).uniform(0.1, 0.5, system.d)
         t_end = zk_guarded_horizon(system, w0)
         call = lambda si, s=system, w0=w0, t=t_end: integrate_zk(s, w0, t, sample_interval=si)
         cases.append((t_end, call))
@@ -675,6 +694,11 @@ def test_batched_dense_output_matches_per_sample_edge_cases(systems, monkeypatch
     for interval in (2.0 / 7, None):
         traj = _assert_matches_per_sample(blow_up, interval, monkeypatch)
         assert traj.termination == "blow_up"
+    # A stall at a zk pole ends off the grid too, on the last accepted state.
+    w0 = np.random.default_rng(1).uniform(0.1, 0.5, 4)
+    stall = lambda si: integrate_zk(ZkSystem(3), w0, 100.0, sample_interval=si)
+    traj = _assert_matches_per_sample(stall, None, monkeypatch)
+    assert traj.termination == "step_failure" and traj.times[-1] % (100.0 / 256) != 0
     # 7 * (T / 7) falls one ulp short of T here, so T is a ninth grid point.
     w0 = np.random.default_rng(4).uniform(0.1, 0.5, 15)
     t_end = guarded_horizon(systems[4], w0)
@@ -703,7 +727,7 @@ def test_dopri5_agrees_with_scipy_dop853(case):
         t_end = guarded_horizon(system, w0)
     else:
         system = ZkSystem(size)
-        rhs, dim = (lambda x: zk_rhs(system, x)), system.dim
+        rhs, dim = (lambda x: zk_rhs(system, x)), system.d
         lipschitz = lambda peak: size * peak ** (size - 1)  # k products of k - 1 factors
         w0 = np.random.default_rng(size).uniform(0.1, 0.5, dim)
         t_end = zk_guarded_horizon(system, w0)

@@ -1,10 +1,15 @@
 """Fuzz test of the CLI exit-code contract, in-process through cli.main.
 
-Each example draws a subcommand, n <= 5 or k <= 12, a --seed or an --omega0
-of the right or a wrong length, and every numeric flag from valid, edge and
-invalid values.  --t-end is capped at 4 and --sample-interval is only drawn
-with it, at 0.001 or more when valid, so a run writes at most about 4,000
-samples.  The integrator's step budget is cut from 1,000,000 to 5,000
+Each example draws a subcommand, n <= 5 or k <= 12, a --seed, an --omega0
+of the right or a wrong length or no state, and every numeric flag from
+valid, edge and invalid values.  --t-end is capped at 4 and
+--sample-interval is only drawn with it, at 0.001 or more when valid, so a
+run writes at most about 4,000 samples.  Half the examples also pass a
+--config file: raw bytes, or a JSON object whose keys are this
+subcommand's flags, other subcommands' flags or unknown keys, with valid,
+edge and list values under the same caps ("sample-interval" only beside
+"t-end").  It has no "out" key, so every output stays in the example's
+directory.  The integrator's step budget is cut from 1,000,000 to 5,000
 steps, so that a draw that needs that many steps ends in step_failure
 within a second rather than grinding for tens of seconds.  The draws that
 did, with --rel-tol below eps, now exit 2 before the flow runs; at the full
@@ -12,7 +17,8 @@ budget, 15 runs of 500 draws took 3-6 s each, no draw over a second.
 
 Whatever the flags, main must return a documented code (0..6; an argparse
 SystemExit counts as its code), raise nothing, warn nothing, exit 1 only
-under --drift-threshold, write no file on exit 2, and on exit 0 write a
+under a drift threshold from argv or the file, write no file on exit 2
+(the config file aside), and on exit 0 write a
 trajectory of finite numbers.  drift.json is not held to strict JSON: a
 state near the bottom of the double range can still leave NaN drifts in it.
 """
@@ -50,6 +56,23 @@ _RANGE = (
 )
 _SEED = (["0", "1", "2", "3"], ["-1", "1.5", "nan"])
 _FORMAT = (["csv", "json"], ["xml"])
+_SIZE = (["2", "3", "4"], ["-1", "0", "1", "2.5"])
+
+#: Values of the --config keys; sample-interval is drawn beside t-end alone.
+_CONFIG_VALUES = {
+    "n": _SIZE,
+    "k": _SIZE,
+    "seed": _SEED,
+    "omega0": (["0.1,0.2,0.3", "0.1,0.2,0.3,0.4", "0.1,0.2,0.3,0.4,0.5,0.6,0.7"], _EDGE),
+    "random-range": _RANGE,
+    "t-end": _T_END,
+    "rel-tol": _TOL,
+    "abs-tol": _TOL,
+    "format": (["csv", "json", "dot"], ["xml"]),
+    "drift-threshold": _THRESHOLD,
+    "labelling": (["canonical", "classic"], ["octonion"]),
+}
+_UNKNOWN_KEYS = ["config", "colour", "", "--seed", "T-END", "t_end"]
 
 
 def _value(draw, values: tuple) -> str:
@@ -68,9 +91,10 @@ def _argv(draw) -> list[str]:
         return argv + [f"--format={draw(st.sampled_from(['json', 'dot']))}"]
     if sub == "equations":
         return argv + [f"--labelling={draw(st.sampled_from(['canonical', 'classic']))}"]
-    if draw(st.booleans()):
+    state = draw(st.sampled_from(["seed"] * 4 + ["omega0"] * 4 + [None]))
+    if state == "seed":
         argv.append(f"--seed={_value(draw, _SEED)}")
-    else:
+    elif state == "omega0":
         # A few distinct values, so that a state can be all tiny, all huge or mixed.
         pool = [_value(draw, _STATE) for _ in range(draw(st.integers(1, 3)))]
         dim = size + 1 if sub == "zk" else 2 ** max(size, 0) - 1
@@ -89,6 +113,40 @@ def _argv(draw) -> list[str]:
     return argv
 
 
+def _config_value(draw, text: str):
+    """text as a JSON string, a JSON number or a list of its comma-separated parts."""
+    form = draw(st.sampled_from(["string"] * 3 + ["number"] * 2 + ["list"]))
+    if form == "list":
+        return text.split(",")
+    if form == "number":
+        try:
+            return int(text)
+        except ValueError:
+            try:
+                return float(text)
+            except ValueError:
+                return text
+    return text
+
+
+@st.composite
+def _config(draw) -> bytes | None:
+    """None, raw bytes, or a JSON object of flag, other-flag and unknown keys."""
+    form = draw(st.sampled_from(["none"] * 4 + ["object"] * 3 + ["bytes"]))
+    if form == "none":
+        return None
+    if form == "bytes":
+        return draw(st.binary(max_size=40))
+    keys = draw(st.lists(st.sampled_from([*_CONFIG_VALUES, *_UNKNOWN_KEYS]), max_size=5))
+    doc = {}
+    for key in keys:
+        values = _CONFIG_VALUES.get(key, (["1", "x"], ["nan"]))
+        doc[key] = _config_value(draw, _value(draw, values))
+        if key == "t-end" and draw(st.booleans()):
+            doc["sample-interval"] = _config_value(draw, _value(draw, _SAMPLE))
+    return json.dumps(doc).encode()
+
+
 def _reject(constant):
     raise ValueError(f"non-finite JSON number {constant}")
 
@@ -104,11 +162,17 @@ def _check_finite_trajectory(text: str, fmt: str) -> None:
 
 
 @settings(max_examples=500, deadline=None)
-@given(_argv(), st.booleans())
-def test_every_flag_draw_exits_with_a_documented_code(argv, to_file):
+@given(_argv(), _config(), st.booleans())
+def test_every_flag_draw_exits_with_a_documented_code(argv, config, to_file):
+    sub = argv[0]
     with tempfile.TemporaryDirectory() as work:
-        out = os.path.join(work, "o.json" if argv[0] == "reduce" else "o")
+        out = os.path.join(work, "o.json" if sub == "reduce" else "o")
         argv = argv + [f"--out={out}"] if to_file else argv
+        if config is not None:
+            cfg = os.path.join(work, "cfg")
+            with open(cfg, "wb") as fh:
+                fh.write(config)
+            argv = ["--config", cfg, *argv]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             with warnings.catch_warnings(), mock.patch.object(_integrate_module, "_MAX_STEPS", 5000):
@@ -117,20 +181,25 @@ def test_every_flag_draw_exits_with_a_documented_code(argv, to_file):
                     code = main(argv)
                 except SystemExit as exc:  # argparse
                     code = exc.code
-        files = os.listdir(work)
+        files = [name for name in os.listdir(work) if name != "cfg"]
         err = stderr.getvalue()
         event(f"exit {code}")
         assert code in range(7), err
         assert "Traceback" not in err and "Warning" not in err
         if code == 1:
-            assert any(arg.startswith("--drift-threshold") for arg in argv)
+            assert any(arg.startswith("--drift-threshold") for arg in argv) or (
+                config is not None and b'"drift-threshold"' in config
+            )
         if code == 2:
             assert not files
-        if code == 0 and argv[0] in ("run", "zk"):
-            fmt = "json" if "--format=json" in argv else "csv"
+        if code == 0 and sub in ("run", "zk"):
+            # argv or the config file picked the format.
             if to_file:
-                with open(f"{out}.trajectory.{fmt}") as fh:
+                (name,) = [name for name in files if ".trajectory." in name]
+                fmt = name.rsplit(".", 1)[1]
+                with open(os.path.join(work, name)) as fh:
                     text = fh.read()
             else:
                 text = stdout.getvalue()
+                fmt = "json" if text.startswith("{") else "csv"
             _check_finite_trajectory(text, fmt)

@@ -126,7 +126,7 @@ def test_collineation_identity_found_for_canonical():
 def test_collineation_found_for_classic_fano():
     coll = find_collineation(3, classic_fano_lines())
     assert coll is not None
-    image = {coll.apply_triple(ln) for ln in lines(3)}
+    image = {tuple(sorted(coll.perm[p - 1] for p in ln)) for ln in lines(3)}
     assert image == {tuple(sorted(t)) for t in classic_fano_lines()}
 
 
@@ -306,7 +306,8 @@ def test_search_beyond_n4(n):
     target = _relabelled(rng, n, lines(n), sigma)
     coll = find_collineation(n, target)
     assert coll is not None
-    assert {coll.apply_triple(t) for t in lines(n)} == {tuple(sorted(t)) for t in target}
+    image = {tuple(sorted(coll.perm[p - 1] for p in t)) for t in lines(n)}
+    assert image == {tuple(sorted(t)) for t in target}
     blocks = _relabelled(rng, n, hyperplanes(n), sigma)
     coll = find_hyperplane_collineation(n, blocks)
     assert coll is not None
@@ -320,7 +321,7 @@ def test_from_matrix_preserves_line_set():
         line_set = set(lines(n))
         for _ in range(10):
             coll = _random_collineation(rng, n)
-            assert {coll.apply_triple(t) for t in line_set} == line_set
+            assert {tuple(sorted(coll.perm[p - 1] for p in t)) for t in line_set} == line_set
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -338,7 +339,7 @@ def test_from_matrix_every_matrix(n):
             continue
         for p in range(1, num_points(n) + 1):
             assert coll.perm[p - 1] == sum(_dot(r, p) << (n - 1 - i) for i, r in enumerate(rows))
-        assert {coll.apply_triple(t) for t in line_set} == line_set
+        assert {tuple(sorted(coll.perm[p - 1] for p in t)) for t in line_set} == line_set
         perms.append(coll.perm)
     assert len(perms) == len(set(perms)) == math.prod(2**n - 2**i for i in range(n))
 

@@ -173,7 +173,10 @@ def test_branch_failure_status():
 
     times, states, termination = adaptive_rk(rhs, [0.0], 1.0, 1e-10, 1e-12)
     assert termination == "branch_failure"
-    assert times[-1] <= 0.2
+    # The trajectory ends at the last accepted state, off the grid, not at
+    # the grid point 0.09765625 before it.
+    assert times[-1] == pytest.approx(0.1, rel=1e-12) and times[-1] <= 0.1
+    assert states[-1, 0] == pytest.approx(times[-1], rel=1e-12)
 
 
 def test_genus_values():

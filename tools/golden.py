@@ -71,6 +71,13 @@ COMMANDS = (
         "reduce --n 2 --seed 1 --random-range=0.5,1e300 --t-end 1 --out o.json",
         "reduce --n 3 --seed 1 --random-range=1e-160,2e-160 --out u.json",
     ]
+    # Runs that stop after stepping: zk stalls at its pole (exit 4) and
+    # reduce blows up (exit 3).  Each trajectory ends at its last accepted state.
+    + [
+        "zk --k 3 --seed 1 --t-end 100 --out s",
+        "zk --k 4 --seed 1 --t-end 100 --out s",
+        "reduce --n 3 --seed 1 --t-end 1.0 --out c.json",
+    ]
     # Trajectory JSON with the zk metadata (k and genus), and with an
     # explicit omega0 list, which writes that list and seed null.
     + [
