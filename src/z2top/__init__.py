@@ -53,7 +53,6 @@ from .zktop import (
     integrate_zk,
     zk_drift_report,
     zk_genus,
-    zk_guarded_horizon,
     zk_invariants,
     zk_rhs,
 )

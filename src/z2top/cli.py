@@ -59,7 +59,7 @@ from .errors import BranchError, DegenerateOrbitError, InvalidParameterError
 from .integrate import BLOW_UP, BRANCH_FAILURE, COMPLETED, STEP_FAILURE
 from .invariants import drift_report
 from .reduction import compare_routes
-from .zktop import ZkSystem, integrate_zk, zk_drift_report, zk_genus, zk_guarded_horizon
+from .zktop import ZkSystem, integrate_zk, zk_drift_report, zk_genus
 
 EXIT_OK = 0
 EXIT_DRIFT = 1
@@ -262,7 +262,7 @@ def _cmd_geometry(args: argparse.Namespace) -> int:
     if args.fmt == "dot":
         _emit(args.out, geometry.incidence_dot(args.n))
     else:
-        _emit(args.out, geometry.geometry_json_text(args.n))
+        _emit(args.out, geometry.geometry_json(args.n))
     return EXIT_OK
 
 
@@ -287,12 +287,9 @@ def _cmd_equations(args: argparse.Namespace) -> int:
 
 def _prepare(args: argparse.Namespace) -> tuple:
     """System, initial state and horizon of run, reduce or zk; --t-end beats the default."""
-    if args.subcommand == "zk":
-        system, horizon = ZkSystem(args.k), zk_guarded_horizon
-    else:
-        system, horizon = TopSystem.create(args.n), guarded_horizon
+    system = ZkSystem(args.k) if args.subcommand == "zk" else TopSystem.create(args.n)
     state = _initial_state(args, system.d)
-    t_end = args.t_end if args.t_end is not None else horizon(system, state)
+    t_end = args.t_end if args.t_end is not None else guarded_horizon(system, state)
     return system, state, t_end
 
 

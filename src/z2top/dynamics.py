@@ -97,6 +97,14 @@ class TopSystem:
             raise InvalidParameterError(f"n must be an integer in 2..{MAX_N_SYSTEM}, got {n!r}")
         return cls(n, geometry.num_points(n), *_tables(n))
 
+    #: Homogeneity degree q of the velocity: each term is a product of q components.
+    degree = 2
+
+    @property
+    def terms(self) -> int:
+        """Unit monomials per velocity component: the 2^(n-1) - 1 lines through a point."""
+        return 2 ** (self.n - 1) - 1
+
     def check_state(self, x: Sequence[float]) -> np.ndarray:
         """x as a float array of shape (d,); zktop.ZkSystem shares this body."""
         x = np.asarray(x, dtype=float)
@@ -210,15 +218,16 @@ class Trajectory:
         return out
 
 
-def _majorant_horizon(w: np.ndarray, rate: int, power: int) -> float:
-    """HORIZON_BUDGET times 1 / (rate power u0^power), the pole time of the
-    majorant u' = rate u^(power + 1) from u0 = max |w|; it must be a finite
-    positive double."""
-    peak = float(np.max(np.abs(w)))
+def guarded_horizon(system, x0: Sequence[float]) -> float:
+    """Pole-free default horizon of a TopSystem or a zktop.ZkSystem: u = max |x|
+    obeys u' <= terms u^q, q = system.degree, a majorant whose pole lies at
+    1 / (terms (q - 1) u0^(q - 1)); HORIZON_BUDGET keeps a margin below it."""
+    peak = float(np.max(np.abs(system.check_state(x0))))
     if peak == 0.0:
         return HORIZON_BUDGET
-    try:
-        horizon = HORIZON_BUDGET / (rate * power * peak**power)
+    power = system.degree - 1
+    try:  # terms * power is an exact int, so the closed forms hold bit for bit
+        horizon = HORIZON_BUDGET / (system.terms * power * peak**power)
     except (OverflowError, ZeroDivisionError):  # peak**power left the double range
         horizon = 0.0
     if not 0.0 < horizon < np.inf:  # NaN fails too
@@ -226,16 +235,6 @@ def _majorant_horizon(w: np.ndarray, rate: int, power: int) -> float:
             f"max |omega0| = {peak!r} gives no finite default horizon; pass --t-end"
         )
     return horizon
-
-
-def guarded_horizon(system: TopSystem, omega0: Sequence[float]) -> float:
-    """Pole-free default horizon for positive data.
-
-    Comparison with the uniform majorant u' = (2^(n-1) - 1) u^2 puts the
-    first pole no earlier than 1 / ((2^(n-1) - 1) max omega0); HORIZON_BUDGET
-    keeps a safety margin below it.
-    """
-    return _majorant_horizon(system.check_state(omega0), 2 ** (system.n - 1) - 1, 1)
 
 
 def integrate(

@@ -8,7 +8,8 @@ exactly when their indices XOR to zero, so line generation is branch-free.
 Incidence is plain ints.  ``lines(n)`` gives each line as a sorted triple
 (p, q, p ^ q) of point indices, and ``hyperplanes(n)[v - 1]`` is the sorted
 tuple of points orthogonal to the normal v.  Both are read off two integer
-arrays, which also feed the JSON and DOT text through one template kernel.
+arrays, which also feed the JSON and DOT text through one template kernel:
+``geometry_json(n)`` and ``incidence_dot(n)`` return the documents as text.
 
 Classical labellings from the literature (the octonion triples for n = 3 and
 a classical listing of the fifteen 7-point planes for n = 4) are shipped as
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -362,9 +362,10 @@ def _template_blocks(values: np.ndarray, pieces: Sequence[str], sep: str = "") -
     return blocks
 
 
-def geometry_json_text(n: int) -> str:
-    """Geometry dump as json.dumps(geometry_json(n), sort_keys=True, indent=1) + "\\n":
-    points as bit strings, line triples, hyperplane incidences."""
+def geometry_json(n: int) -> str:
+    """The geometry document as JSON text: points as bit strings, line triples
+    and hyperplane incidences, byte for byte json.dumps(doc, sort_keys=True,
+    indent=1) + "\\n" of that dict."""
     _check_n(n)
     h = 2 ** (n - 1) - 1
     normals = np.arange(1, num_points(n) + 1, dtype=np.uint16)[:, None]
@@ -380,11 +381,6 @@ def geometry_json_text(n: int) -> str:
     points = ",\n  ".join([f'"{p:0{n}b}"' for p in range(1, num_points(n) + 1)])
     parts.append(f'\n ],\n "n": {n},\n "points": [\n  {points}\n ],\n "schema_version": 1\n}}\n')
     return "".join(parts)
-
-
-def geometry_json(n: int) -> dict:
-    """Geometry dump: points as bit strings, line triples, hyperplane incidences."""
-    return json.loads(geometry_json_text(n))
 
 
 def _dot_line_rows(n: int) -> np.ndarray:

@@ -4,7 +4,9 @@ d omega_i / dt = prod_{j != i} omega_j.  All squares share one time
 derivative, so the pairwise differences omega_i^2 - omega_j^2 are conserved.
 The associated quadrature is hyperelliptic of genus k - 1.  Only the flow,
 these integrals and the genus count are in scope; the package does not ship
-a reduced solver for general k yet.
+a reduced solver for general k yet.  ZkSystem carries the flow's degree k
+and its one term per component, from which dynamics.guarded_horizon bounds
+the pole as it does the top's.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import TopSystem, Trajectory, _majorant_horizon
+from .dynamics import TopSystem, Trajectory
 from .errors import InvalidParameterError
 from .integrate import adaptive_rk
 from .invariants import DriftReport, _series_drift
@@ -31,9 +33,17 @@ class ZkSystem:
         if not isinstance(self.k, int) or self.k < 2:
             raise InvalidParameterError(f"k must be an integer >= 2, got {self.k!r}")
 
+    #: Unit monomials per velocity component: the product of the other k.
+    terms = 1
+
     @property
     def d(self) -> int:
         return self.k + 1
+
+    @property
+    def degree(self) -> int:
+        """Homogeneity degree q = k of the velocity."""
+        return self.k
 
     check_state = TopSystem.check_state
 
@@ -69,12 +79,6 @@ def zk_genus(k: int) -> int:
     if not isinstance(k, int) or k < 2:
         raise InvalidParameterError(f"k must be an integer >= 2, got {k!r}")
     return k - 1
-
-
-def zk_guarded_horizon(system: ZkSystem, omega0: Sequence[float]) -> float:
-    """Pole-free default horizon: the uniform majorant u' = u^k has its pole
-    at 1 / (k - 1) / max^(k-1); HORIZON_BUDGET keeps a margin below it."""
-    return _majorant_horizon(system.check_state(omega0), 1, system.k - 1)
 
 
 def integrate_zk(

@@ -35,7 +35,6 @@ from z2top.zktop import (
     integrate_zk,
     zk_drift_report,
     zk_genus,
-    zk_guarded_horizon,
 )
 
 
@@ -49,7 +48,7 @@ def test_criterion_01_geometry_counts():
     for n in range(2, 7):
         d = 2**n - 1
         on_each = 2 ** (n - 1) - 1
-        pts = geometry_json(n)["points"]
+        pts = json.loads(geometry_json(n))["points"]
         lns = lines(n)
         hps = hyperplanes(n)
         ok &= len(pts) == d and len(hps) == d
@@ -183,7 +182,7 @@ def test_criterion_09_zk_conservation(systems):
         system = ZkSystem(k)
         rng = np.random.default_rng(5000 + k)
         w0 = rng.uniform(0.1, 0.5, k + 1)
-        traj = integrate_zk(system, w0, zk_guarded_horizon(system, w0), 1e-10, 1e-12)
+        traj = integrate_zk(system, w0, guarded_horizon(system, w0), 1e-10, 1e-12)
         ok &= traj.completed
         worst = max(worst, zk_drift_report(system, traj).worst_drift)
     ok &= worst < 1e-8

@@ -40,7 +40,7 @@ from z2top.integrate import (
     _initial_step,
     adaptive_rk,
 )
-from z2top.zktop import ZkSystem, integrate_zk, zk_guarded_horizon, zk_rhs
+from z2top.zktop import ZkSystem, integrate_zk, zk_rhs
 
 from classic_fixtures import CLASSIC_7_A_SETS, CLASSIC_7_PAIRS
 
@@ -434,13 +434,13 @@ def test_time_reversal_returns_to_start(flow, size, systems):
     # solves the same equation: integrating from -omega(T) over T must
     # arrive at -omega0.
     if flow == "top":
-        system, horizon, dim = systems[size], guarded_horizon, 2**size - 1
+        system = systems[size]
         run = lambda x0, t_end: integrate(system, "omega", x0, t_end)
     else:
-        system, horizon, dim = ZkSystem(size), zk_guarded_horizon, size + 1
+        system = ZkSystem(size)
         run = lambda x0, t_end: integrate_zk(system, x0, t_end)
-    w0 = np.random.default_rng(size).uniform(0.1, 0.5, dim)
-    t_end = horizon(system, w0)
+    w0 = np.random.default_rng(size).uniform(0.1, 0.5, system.d)
+    t_end = guarded_horizon(system, w0)
     forward = run(w0, t_end)
     back = run(-forward.states[-1], t_end)
     assert forward.completed and back.completed
@@ -524,6 +524,97 @@ def test_guarded_horizon_scales(systems):
     w0 = np.full(15, 0.5)
     # Uniform majorant pole sits at 2/7 for n = 4; the guard stays below it.
     assert guarded_horizon(systems[4], w0) < 2.0 / 7.0
+
+
+@pytest.mark.parametrize(
+    "family, size", [("top", n) for n in range(2, 11)] + [("zk", k) for k in range(2, 13)]
+)
+def test_guarded_horizon_closed_forms(family, size, systems):
+    # One majorant 0.4 / (terms (q - 1) peak^(q - 1)) serves both families,
+    # with terms (q - 1) an int, so it is each family's closed form bit for bit.
+    system = systems[size] if family == "top" else ZkSystem(size)
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        w0 = rng.uniform(-1.0, 1.0, system.d) * 2.0 ** rng.integers(-8, 9)
+        peak = float(np.max(np.abs(w0)))
+        if family == "top":
+            expected = 0.4 / ((2 ** (size - 1) - 1) * peak)
+        else:
+            expected = 0.4 / ((size - 1) * peak ** (size - 1))
+        assert guarded_horizon(system, w0) == expected
+    # No finite positive horizon: 0.4 / peak overflows at size 2, and
+    # peak^(q - 1) underflows above it; infinite and NaN peaks.
+    for peak in (5e-324, np.inf, np.nan):
+        with pytest.raises(InvalidParameterError, match="no finite default horizon"):
+            guarded_horizon(system, np.full(system.d, peak))
+    # The largest double: at size 2 (the same flow u' = u^2 for both families)
+    # the horizon is a positive subnormal; above it terms (q - 1) peak^(q - 1)
+    # overflows.
+    huge = np.full(system.d, np.finfo(float).max)
+    if size == 2:
+        assert 0.0 < guarded_horizon(system, huge) < 1e-308
+    else:
+        with pytest.raises(InvalidParameterError, match="no finite default horizon"):
+            guarded_horizon(system, huge)
+
+
+def _random_collineation(n: int, rng: np.random.Generator) -> Collineation:
+    """A random invertible GF(2) map, each row drawn from outside the span of
+    the rows before it."""
+    rows, span = [], {0}
+    for _ in range(n):
+        row = int(rng.choice([v for v in range(1, 2**n) if v not in span]))
+        rows.append(row)
+        span |= {v ^ row for v in span}
+    return Collineation.from_matrix(rows, n)
+
+
+def _counted_run(system, w0, t_end):
+    """(final state, termination, RHS calls) of the omega flow at the default tolerances."""
+    calls = 0
+
+    def rhs(t, x):
+        nonlocal calls
+        calls += 1
+        return omega_rhs(system, x)
+
+    times, states, termination = adaptive_rk(rhs, w0, t_end, 1e-10, 1e-12)
+    return states[-1], termination, calls
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(3, 11) for k in range(2, n)])
+def test_sub_geometry_is_invariant(n, k, systems):
+    # The image V of labels 1..2^k - 1 under a collineation is a Z2P_{k-1}
+    # inside Z2P_{n-1}: a line through two points of V lies in V, and a line
+    # through one point of V meets V only there.  So a state on V stays on
+    # V, and there the n-top is the k-top.
+    rng = np.random.default_rng(100 * n + k)
+    big, small = systems[n], systems[k]
+    w_small = rng.uniform(0.1, 0.5, small.d)
+    on_v = np.array(_random_collineation(n, rng).perm[: small.d]) - 1
+    w_big = np.zeros(big.d)
+    w_big[on_v] = w_small
+    t_end = guarded_horizon(small, w_small) / 2
+    y_small, term_small, calls_small = _counted_run(small, w_small, t_end)
+    y_big, term_big, calls_big = _counted_run(big, w_big, t_end)
+    assert term_small == term_big == "completed"
+    peak = float(np.max(np.abs(y_small)))  # at t_end: these positive flows only grow
+    growth = math.exp(np.abs(y_small).sum() * t_end)  # bounds both Lipschitz rates on V
+    off_v = np.delete(y_big, on_v)
+    if n < _HADAMARD_MIN_N:
+        # The pair route multiplies an off-V zero into every off-V product.
+        assert np.all(off_v == 0.0)
+    else:
+        # The transform route's roundoff, d eps / 4 (sum |omega|)^2 per unit
+        # time (omega_rhs's error bound), grows at most by the linear rate.
+        roundoff = big.d * np.finfo(float).eps / 4 * np.abs(y_small).sum() ** 2
+        assert np.max(np.abs(off_v)) <= roundoff * t_end * growth
+    # Each step of either run adds at most sqrt(d) (abs_tol + rel_tol peak)
+    # on a component (the RMS error test), 6 RHS calls a step, and the
+    # difference grows at most by the Lipschitz factor, as in the DOP853 check.
+    steps = (math.sqrt(big.d) * calls_big + math.sqrt(small.d) * calls_small) / 6
+    bound = steps * (1e-12 + 1e-10 * peak) * growth
+    assert np.max(np.abs(y_big[on_v] - y_small)) <= bound
 
 
 def test_trajectory_serialization(systems):
@@ -661,7 +752,7 @@ def _flow_cases():
     for k in (3, 6, 12):
         system = ZkSystem(k)
         w0 = np.random.default_rng(k).uniform(0.1, 0.5, system.d)
-        t_end = zk_guarded_horizon(system, w0)
+        t_end = guarded_horizon(system, w0)
         call = lambda si, s=system, w0=w0, t=t_end: integrate_zk(s, w0, t, sample_interval=si)
         cases.append((t_end, call))
     return cases
@@ -730,7 +821,7 @@ def test_dopri5_agrees_with_scipy_dop853(case):
         rhs, dim = (lambda x: zk_rhs(system, x)), system.d
         lipschitz = lambda peak: size * peak ** (size - 1)  # k products of k - 1 factors
         w0 = np.random.default_rng(size).uniform(0.1, 0.5, dim)
-        t_end = zk_guarded_horizon(system, w0)
+        t_end = guarded_horizon(system, w0)
     rel_tol, abs_tol = 1e-10, 1e-12
     ref_rel, ref_abs = 1e-12, 1e-14
     calls = 0

@@ -37,7 +37,7 @@ def _dot(u: int, v: int) -> int:
 def test_counts(n):
     lns = lines(n)
     hps = hyperplanes(n)
-    assert len(geometry_json(n)["points"]) == num_points(n) == 2**n - 1
+    assert len(json.loads(geometry_json(n))["points"]) == num_points(n) == 2**n - 1
     assert len(hps) == 2**n - 1
     assert len(lns) == (2**n - 1) * (2 ** (n - 1) - 1) // 3
     for h in hps:
@@ -49,7 +49,7 @@ def test_counts(n):
 
 def test_point_bits_bijection():
     # Point p is written (z_0, ..., z_{n-1}) with z_{n-1} the least-significant bit.
-    pts = geometry_json(3)["points"]
+    pts = json.loads(geometry_json(3))["points"]
     assert [int(bits, 2) for bits in pts] == list(range(1, 8))
     assert pts[0] == "001"
     assert pts[1] == "010"
@@ -58,7 +58,7 @@ def test_point_bits_bijection():
 
 
 def test_points_n2():
-    assert geometry_json(2)["points"] == ["01", "10", "11"]
+    assert json.loads(geometry_json(2))["points"] == ["01", "10", "11"]
 
 
 def test_points_out_of_range():
@@ -415,7 +415,7 @@ def test_classic_line_set_n4_consistent_with_planes():
 
 
 def test_geometry_json_schema():
-    doc = geometry_json(3)
+    doc = json.loads(geometry_json(3))
     assert doc["schema_version"] == 1
     assert doc["n"] == 3
     assert len(doc["points"]) == 7

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from z2top.dynamics import a_transform, guarded_horizon, integrate
+from z2top.dynamics import HORIZON_BUDGET, a_transform, guarded_horizon, integrate
 from z2top.errors import BranchError, DegenerateOrbitError, InvalidParameterError
 from z2top.integrate import adaptive_rk
 from z2top.invariants import big_T, n_matrix
@@ -16,6 +16,7 @@ from z2top.reduction import (
     reconstruct_a,
     scalar_rhs,
 )
+from z2top.zktop import ZkSystem
 
 
 def test_compute_reduction_worked_example(systems):
@@ -270,3 +271,58 @@ def test_t_and_u_rates_match_finite_differences(systems):
     assert coarse_t < 1e-4 and coarse_u < 1e-4
     assert fine_t < 0.6 * coarse_t
     assert fine_u < 0.6 * coarse_u
+
+
+def _quad_to_infinity(integrand, lo):
+    quad = pytest.importorskip("scipy.integrate").quad
+    return quad(integrand, lo, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def _top_pole_time(system, w0):
+    """t* of the top from w0 > 0: R_F(w0^2) at n = 2, else the quadrature
+    of dR / prod_j (R + M_j)^(1/m) from R0 to infinity, m = 2^(n-1)."""
+    if system.n == 2:
+        return float(pytest.importorskip("scipy.special").elliprf(*w0**2))
+    data = compute_reduction(system, a_transform(system, w0))
+    m = 2 ** (system.n - 1)
+    return _quad_to_infinity(lambda r: math.exp(-np.log(r + data.M).sum() / m), data.r0)
+
+
+def _zk_pole_time(w0):
+    """t* of the zk flow from w0 > 0: 1/2 the integral over u > 0 of
+    prod_j (u + w0_j^2)^(-1/2)."""
+    return 0.5 * _quad_to_infinity(lambda u: math.exp(-0.5 * np.log(u + w0**2).sum()), 0.0)
+
+
+@pytest.mark.parametrize("n, seed", [(n, 1) for n in range(2, 7)] + [(2, s) for s in range(2, 9)])
+def test_blow_up_time_matches_quadrature_pole(n, seed, systems):
+    # Near the pole each omega_i ~ c / (t* - t) with c = 1 / (m - 1), so the
+    # last state gives t* - t_last = 1 / ((m - 1) max |omega|) up to terms
+    # far below the integrator's phase error, about rel_tol t*.  The raw stop
+    # lands about 3e-10 t* early, where max |omega| crosses 1e9.
+    system = systems[n]
+    w0 = np.random.default_rng(seed).uniform(0.1, 0.5, system.d)
+    t_star = _top_pole_time(system, w0)
+    traj = integrate(system, "omega", w0, 2.0 * t_star)
+    assert traj.termination == "blow_up"
+    m = 2 ** (n - 1)
+    predicted = traj.times[-1] + 1.0 / ((m - 1) * np.max(np.abs(traj.states[-1])))
+    assert abs(predicted - t_star) <= 1e-10 * t_star
+
+
+@pytest.mark.parametrize(
+    "family, size", [("top", n) for n in range(2, 7)] + [("zk", k) for k in range(2, 9)]
+)
+def test_guarded_horizon_is_a_budget_of_the_pole_time(family, size, systems):
+    # The majorant blows up no later than the flow, so the default horizon
+    # is at most HORIZON_BUDGET t*.
+    for seed in range(1, 6):
+        if family == "top":
+            system = systems[size]
+            w0 = np.random.default_rng(seed).uniform(0.1, 0.5, system.d)
+            t_star = _top_pole_time(system, w0)
+        else:
+            system = ZkSystem(size)
+            w0 = np.random.default_rng(seed).uniform(0.1, 0.5, system.d)
+            t_star = _zk_pole_time(w0)
+        assert guarded_horizon(system, w0) <= HORIZON_BUDGET * t_star

@@ -394,7 +394,7 @@ def test_template_kernel_refuses_values_outside_eight_digits(value):
         geometry._template_blocks(np.array([[value]]), ["", ""])
 
 
-@pytest.mark.parametrize("write", [geometry.geometry_json_text, geometry.incidence_dot])
+@pytest.mark.parametrize("write", [geometry.geometry_json, geometry.incidence_dot])
 def test_geometry_text_peak_memory_is_about_twice_the_text(write):
     # Row blocks bound the kernel's index matrices; the row arrays are freed
     # before the blocks are joined.

@@ -3,14 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from z2top.dynamics import integrate, omega_rhs
+from z2top.dynamics import guarded_horizon, integrate, omega_rhs
 from z2top.errors import InvalidParameterError
 from z2top.zktop import (
     ZkSystem,
     integrate_zk,
     zk_drift_report,
     zk_genus,
-    zk_guarded_horizon,
     zk_invariants,
     zk_rhs,
 )
@@ -57,12 +56,12 @@ def test_zk_invariants_definition():
 
 def test_zk_guarded_horizon_value_and_range():
     # 0.4 / ((k - 1) max^(k-1)), in that order of operations.
-    assert zk_guarded_horizon(ZkSystem(3), [0.3, 0.7, 0.2, 0.5]) == 0.4 / (2 * 0.7**2)
+    assert guarded_horizon(ZkSystem(3), [0.3, 0.7, 0.2, 0.5]) == 0.4 / (2 * 0.7**2)
     for k, peak in ((1100, 0.5), (2000, 3.0)):  # max^(k-1) under- and overflows
         with pytest.raises(InvalidParameterError, match="--t-end"):
-            zk_guarded_horizon(ZkSystem(k), np.full(k + 1, peak))
+            guarded_horizon(ZkSystem(k), np.full(k + 1, peak))
     with pytest.raises(InvalidParameterError):
-        zk_guarded_horizon(ZkSystem(2), [0.1, np.nan, 0.2])
+        guarded_horizon(ZkSystem(2), [0.1, np.nan, 0.2])
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -71,7 +70,7 @@ def test_zk_conservation(k):
     rng = np.random.default_rng(83 + k)
     for _ in range(5):
         w0 = rng.uniform(0.1, 0.5, k + 1)
-        t_end = zk_guarded_horizon(system, w0)
+        t_end = guarded_horizon(system, w0)
         traj = integrate_zk(system, w0, t_end, 1e-10, 1e-12)
         assert traj.completed
         report = zk_drift_report(system, traj)
