@@ -54,7 +54,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import geometry
-from .dynamics import TopSystem, _json_text, guarded_horizon, integrate, trajectory_json
+from .dynamics import TopSystem, guarded_horizon, integrate, trajectory_json
 from .errors import BranchError, DegenerateOrbitError, InvalidParameterError
 from .integrate import BLOW_UP, BRANCH_FAILURE, COMPLETED, STEP_FAILURE
 from .invariants import drift_report
@@ -348,7 +348,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     comparison = compare_routes(
         system, omega0, t_end, args.rel_tol, args.abs_tol, sample_interval=args.sample_interval
     )
-    _emit(args.out, _json_text(comparison.to_json_dict()))
+    _emit(args.out, comparison.json_text())
     stream = sys.stderr if args.out is None else sys.stdout
     print(f"genus = {comparison.genus}", file=stream)
     print(f"max relative error {comparison.max_rel_err:.3e}", file=stream)

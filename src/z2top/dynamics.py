@@ -123,7 +123,7 @@ def _tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = (np.kron(_sylvester(n // 2), _sylvester(n - n // 2))[rev, 1:] < 0).astype(np.int64)
     # The line through i and q is {i, q, q ^ i}; take each pair once, q < q ^ i.
     i = pts[:, None]
-    q = np.broadcast_to(pts, (d, d))[pts < (pts ^ i)].reshape(d, 2 ** (n - 1) - 1)
+    q = np.broadcast_to(pts, (d, d))[pts < (pts ^ i)].reshape(d, -1)
     planes = np.stack([q - 1, (q ^ i) - 1]).astype(np.intp, copy=False)
     cols = np.ascontiguousarray(planes.transpose(2, 0, 1))
     for table in (a, planes, cols):
@@ -205,17 +205,6 @@ class Trajectory:
             values = np.column_stack((self.times[start:stop], self.states[start:stop]))
             blocks.append(_format_g17(values).decode("ascii"))
         return "".join(blocks)
-
-    def to_json_dict(self, **metadata) -> dict:
-        """The trajectory document with t and x as lists, the form json.dumps
-        takes; _json_text does not take it, as x is a list of rows."""
-        return self._document(self.times.tolist(), self.states.tolist(), metadata)
-
-    def _document(self, t, x, metadata: dict) -> dict:
-        out = {"schema_version": 1, "kind": self.kind, "termination": self.termination,
-               "t": t, "x": x}
-        out.update(metadata)
-        return out
 
 
 def guarded_horizon(system, x0: Sequence[float]) -> float:
@@ -518,5 +507,8 @@ def _json_array(parts: list, values: np.ndarray) -> None:
 
 
 def trajectory_json(trajectory: Trajectory, **metadata) -> str:
-    """The trajectory JSON document, to_json_dict(**metadata), as text."""
-    return _json_text(trajectory._document(trajectory.times, trajectory.states, metadata))
+    """The trajectory JSON document as text: kind, termination, the float64 t
+    and x arrays and the metadata; json.loads gives its dict."""
+    return _json_text({"schema_version": 1, "kind": trajectory.kind,
+                       "termination": trajectory.termination, "t": trajectory.times,
+                       "x": trajectory.states, **metadata})

@@ -79,13 +79,39 @@ _POWERS = np.arange(1, 5)
 BLOW_UP_THRESHOLD = 1e9
 
 
-def check_tolerances(rel_tol: float, abs_tol: float) -> None:
+def check_run(t_end, rel_tol, abs_tol, sample_interval=None, samples=256) -> tuple[float, int]:
+    """Check a run's arguments before any flow is evaluated.  Returns the sample
+    interval, t_end / samples by default, and the grid's last index: the first
+    i with i * sample_interval >= t_end, in the grid's own float products."""
     # No double resolves a relative tolerance below eps; with |x| >> abs_tol
     # past a pole, the steps would shrink to the roundoff floor.
     if not (_EPS <= rel_tol <= 1e-2):
         raise InvalidParameterError(f"rel_tol must lie in [{_EPS!r}, 1e-2], got {rel_tol!r}")
     if not (0.0 < abs_tol <= 1e-2):
         raise InvalidParameterError(f"abs_tol must lie in (0, 1e-2], got {abs_tol!r}")
+    if not (t_end > 0.0) or not math.isfinite(t_end):
+        raise InvalidParameterError(f"t_end must be finite and > 0.0, got {t_end!r}")
+    if sample_interval is None:
+        sample_interval = t_end / samples
+        if sample_interval == 0.0:
+            raise InvalidParameterError(
+                f"--t-end {t_end!r} leaves the default sample interval t_end / {samples} "
+                "at 0; pass --sample-interval"
+            )
+    if not (0 < sample_interval <= t_end):
+        raise InvalidParameterError("sample_interval must lie in (0, t_end]")
+    ratio = t_end / sample_interval
+    if not ratio < 2.0**53:  # past 2^53 the indices i are not exact doubles
+        raise InvalidParameterError(
+            f"t_end / sample_interval = {ratio!r} samples are too many; "
+            "pass a larger --sample-interval"
+        )
+    last = math.ceil(ratio)
+    while (last - 1) * sample_interval >= t_end:
+        last -= 1
+    while last * sample_interval < t_end:
+        last += 1
+    return sample_interval, last
 
 
 def _initial_step(f, y0, f0, t_end, rel_tol, abs_tol) -> float:
@@ -106,22 +132,6 @@ def _initial_step(f, y0, f0, t_end, rel_tol, abs_tol) -> float:
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100 * h0, h1, t_end)
-
-
-def _last_grid_index(t_end: float, sample_interval: float) -> int:
-    """The first i with i * sample_interval >= t_end, in the grid's own float products."""
-    ratio = t_end / sample_interval
-    if not ratio < 2.0**53:  # past 2^53 the indices i are not exact doubles
-        raise InvalidParameterError(
-            f"t_end / sample_interval = {ratio!r} samples are too many; "
-            "pass a larger --sample-interval"
-        )
-    last = math.ceil(ratio)
-    while (last - 1) * sample_interval >= t_end:
-        last -= 1
-    while last * sample_interval < t_end:
-        last += 1
-    return last
 
 
 def finite_vector(x0: Sequence[float]) -> np.ndarray:
@@ -154,20 +164,12 @@ def adaptive_rk(
     accepted state itself; the points strictly inside an accepted step come
     from one batched evaluation of the dense-output interpolant.
     """
-    check_tolerances(rel_tol, abs_tol)
-    if not (t_end > 0.0) or not math.isfinite(t_end):
-        raise InvalidParameterError(f"t_end must be finite and > 0.0, got {t_end!r}")
-    if sample_interval is None:
-        sample_interval = t_end / 256
-    if not (0 < sample_interval <= t_end):
-        raise InvalidParameterError("sample_interval must lie in (0, t_end]")
-
+    sample_interval, last = check_run(t_end, rel_tol, abs_tol, sample_interval)
     y = finite_vector(x0)
     y_abs = np.abs(y)
 
     # times holds the whole grid up front, plus one spare slot for an
     # off-grid last state; rows [0, count) of times and states are output.
-    last = _last_grid_index(t_end, sample_interval)
     try:
         times = np.empty(last + 2)
         states = np.empty((last + 2, y.size))

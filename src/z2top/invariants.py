@@ -79,13 +79,13 @@ def _gamma(a: np.ndarray, pair_cols: np.ndarray) -> np.ndarray:
 
 def big_T(system: TopSystem, a: Sequence[float]) -> float:
     """(prod a_k)^(1 / (2^(n-1) - 1)), real branch; requires a > 0."""
-    return float(_product_root(_positive_a(system, a), 2 ** (system.n - 1) - 1))
+    return float(_product_root(_positive_a(system, a), system.terms))
 
 
 def n_matrix(system: TopSystem, a: Sequence[float]) -> np.ndarray:
     """Antisymmetric matrix N_ij = T (a_i - a_j) / (a_i a_j); requires a > 0."""
     a = _positive_a(system, a)
-    return _n_entries(_product_root(a, 2 ** (system.n - 1) - 1), a[:, None], a)
+    return _n_entries(_product_root(a, system.terms), a[:, None], a)
 
 
 def gamma(system: TopSystem, a: Sequence[float]) -> np.ndarray:
@@ -181,7 +181,7 @@ def drift_report(system: TopSystem, trajectory: Trajectory) -> DriftReport:
     positive = np.all(a_samples > 0.0, axis=1)
     keep = slice(None) if positive.all() else positive  # a slice takes views, not copies
     # T sums each sample's logs along a contiguous (samples, d) row, in numpy's order.
-    t = _product_root(a_samples[keep], 2 ** (system.n - 1) - 1) if positive[0] else None
+    t = _product_root(a_samples[keep], system.terms) if positive[0] else None
     a = np.ascontiguousarray(a_samples.T)  # (d, samples): each gather takes whole rows
     del a_samples  # the transform's (samples, d) result is not needed past here
     names = [f"gamma_{i + 1}" for i in range(d)]
@@ -204,7 +204,7 @@ def independent_count(system: TopSystem, a: Sequence[float]) -> int:
     dN_1j/da_l = N_1j / (k a_l) + T (delta_1l / a_1^2 - delta_jl / a_j^2).
     """
     a = _positive_a(system, a)
-    k = 2 ** (system.n - 1) - 1
+    k = system.terms
     t = _product_root(a, k)
     jac = np.outer(_n_entries(t, a[0], a[1:]), 1.0 / (k * a))
     jac[:, 0] += t / a[0] ** 2

@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import TopSystem, Trajectory, a_transform, integrate
+from .dynamics import TopSystem, Trajectory, _json_text, a_transform, integrate
 from .errors import BranchError, DegenerateOrbitError, InvalidParameterError
-from .integrate import adaptive_rk, finite_vector
+from .integrate import adaptive_rk, check_run, finite_vector
 from .invariants import _product_root
 
 _IDENTITY_TOL = 1e-10
@@ -50,7 +50,7 @@ def compute_reduction(system: TopSystem, a0: Sequence[float]) -> ReductionData:
         raise DegenerateOrbitError("a0 must be strictly positive")
     if len(np.unique(a0)) != system.d:
         raise DegenerateOrbitError("a0 entries must be pairwise distinct")
-    t0 = float(_product_root(a0, 2 ** (system.n - 1) - 1))
+    t0 = float(_product_root(a0, system.terms))
     inverse = 1.0 / a0
     u0 = float(np.mean(inverse))
     m = t0 * (inverse - u0)
@@ -133,13 +133,12 @@ class RouteComparison:
     omega_termination: str
     scalar_termination: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            **vars(self),
-            "schema_version": 1,
-            "t_grid": self.t_grid.tolist(),
-            "per_component_err": self.per_component_err.tolist(),
-        }
+    def json_text(self) -> str:
+        """The reduce report as text, json.dumps(doc, sort_keys=True, indent=1) + "\\n";
+        json.loads gives its dict.  t_grid and per_component_err go to json's C
+        encoder as lists, which beats the text kernel below a few hundred values."""
+        return _json_text({**vars(self), "schema_version": 1, "t_grid": self.t_grid.tolist(),
+                           "per_component_err": self.per_component_err.tolist()})
 
 
 def compare_routes(
@@ -154,13 +153,12 @@ def compare_routes(
     """Integrate the full flow and the scalar reduction; compare a(t) pointwise.
 
     The two routes share one output grid.  Error is relative to the
-    full-flow values, reported per component and as an overall max.
+    full-flow values, reported per component and as an overall max.  Every
+    argument is checked before the orbit, so a usage error comes first.
     """
     omega0 = finite_vector(system.check_state(omega0))  # the transform would make inf nan
-    a0 = a_transform(system, omega0)
-    data = compute_reduction(system, a0)
-    if sample_interval is None:
-        sample_interval = t_end / 128
+    sample_interval, _ = check_run(t_end, rel_tol, abs_tol, sample_interval, samples=128)
+    data = compute_reduction(system, a_transform(system, omega0))
 
     full = integrate(
         system, "omega", omega0, t_end, rel_tol, abs_tol, sample_interval=sample_interval

@@ -377,6 +377,34 @@ def test_reduce_degenerate_exit(capsys):
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        ("--n 2 --omega0 1,1,1 --rel-tol 1", "rel_tol"),
+        ("--n 2 --omega0 1,1,1 --t-end nan", "t_end"),
+        ("--n 2 --omega0 1,1,1 --t-end 1 --sample-interval 2", "sample_interval"),
+        ("--n 3 --seed 1 --random-range=-0.5,0.5 --abs-tol 0", "abs_tol"),
+    ],
+)
+def test_reduce_usage_error_comes_before_the_orbit_check(args, message, tmp_path, capsys):
+    # Each state is a degenerate orbit (exit 5), but the bad flag exits 2 first.
+    out = tmp_path / "c.json"
+    code, stdout, err = run_cli(["reduce", *args.split(), "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["run --n 2", "reduce --n 2", "zk --k 3"])
+def test_horizon_too_small_for_the_default_grid(cmd, capsys):
+    # t_end / 256 (t_end / 128 for reduce) underflows to 0: the message names
+    # --t-end and asks for --sample-interval, which was never given.
+    code, out, err = run_cli([*cmd.split(), "--seed", "1", "--t-end", "5e-324"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --t-end 5e-324 ") and err.count("\n") == 1
+    assert err.rstrip().endswith("pass --sample-interval")
+
+
+@pytest.mark.parametrize(
     "state", ["--n 3 --seed 1 --random-range=1e-160,2e-160", "--n 2 --omega0=1e-200,2e-200,3e-200"]
 )
 def test_reduce_underflowing_t0_is_degenerate_without_warning(state, capsys):

@@ -15,7 +15,12 @@ within a second rather than grinding for tens of seconds.  The draws that
 did, with --rel-tol below eps, now exit 2 before the flow runs; at the full
 budget, 15 runs of 500 draws took 3-6 s each, no draw over a second.
 
-Whatever the flags, main must return a documented code (0..6; an argparse
+A second property draws run, reduce and zk alike, then appends one
+out-of-range --rel-tol, --abs-tol or --t-end, or a --t-end with a
+--sample-interval above it: whatever the state, even a degenerate orbit of
+reduce, main exits 2 and writes no file.
+
+Whatever the flags, the first property's main must return a documented code (0..6; an argparse
 SystemExit counts as its code), raise nothing, warn nothing, exit 1 only
 under a drift threshold from argv or the file, write no file on exit 2
 (the config file aside), and on exit 0 write a
@@ -82,8 +87,8 @@ def _value(draw, values: tuple) -> str:
 
 
 @st.composite
-def _argv(draw) -> list[str]:
-    sub = draw(st.sampled_from(["run", "reduce", "zk", "geometry", "equations"]))
+def _argv(draw, subcommands=("run", "reduce", "zk", "geometry", "equations")) -> list[str]:
+    sub = draw(st.sampled_from(subcommands))
     sizes = [str(size) for size in range(2, 13 if sub == "zk" else 6)]
     size = int(_value(draw, (sizes, ["-1", "0", "1"])))
     argv = [sub, f"--{'k' if sub == 'zk' else 'n'}={size}"]
@@ -203,3 +208,40 @@ def test_every_flag_draw_exits_with_a_documented_code(argv, config, to_file):
                 text = stdout.getvalue()
                 fmt = "json" if text.startswith("{") else "csv"
             _check_finite_trajectory(text, fmt)
+
+
+#: Out-of-range values of the integrator's flags; 1e-300 and 1e-320 are
+#: valid values of --abs-tol and --t-end.
+_OUT_OF_RANGE = {
+    "rel-tol": _TOL[1],
+    "abs-tol": [v for v in _TOL[1] if v not in ("1e-300", "1e-320")],
+    "t-end": [v for v in _T_END[1] if v not in ("1e-300", "1e-320")],
+}
+
+
+@st.composite
+def _usage_argv(draw) -> list[str]:
+    """An argv of run, reduce or zk with one bad integrator flag at its end."""
+    argv = draw(_argv(("run", "reduce", "zk")))
+    flag = draw(st.sampled_from([*_OUT_OF_RANGE, "sample-interval"]))
+    if flag == "sample-interval":
+        t_end, interval = draw(st.sampled_from(_T_END[0])), draw(st.sampled_from(["5", "1e300"]))
+        return argv + [f"--t-end={t_end}", f"--sample-interval={interval}"]
+    return argv + [f"--{flag}={draw(st.sampled_from(_OUT_OF_RANGE[flag]))}"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_usage_argv())
+def test_out_of_range_integrator_flag_exits_2(argv):
+    with tempfile.TemporaryDirectory() as work:
+        out = os.path.join(work, "o.json" if argv[0] == "reduce" else "o")
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    code = main([*argv, f"--out={out}"])
+                except SystemExit as exc:  # argparse
+                    code = exc.code
+        assert code == 2, stderr.getvalue()
+        assert not os.listdir(work)

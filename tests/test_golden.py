@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from z2top.cli import _json_text, main
+from z2top.cli import main
 from z2top.dynamics import Trajectory, trajectory_json
 from z2top.invariants import DriftReport
 from z2top.reduction import RouteComparison
@@ -76,7 +76,7 @@ def _writer_outputs() -> dict[str, str]:
         "trajectory.json": trajectory_json(trajectory, **meta, omega0=[0.1, 0.2, 0.3]),
         "drift.json": drift.json_text(),
         "drift table": drift.table(),
-        "comparison.json": _json_text(comparison.to_json_dict()),
+        "comparison.json": comparison.json_text(),
     }
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -195,7 +196,7 @@ def test_compare_routes_n2_worked(systems):
     assert rep.genus == 1
     assert rep.omega_termination == "completed"
     assert rep.scalar_termination == "completed"
-    doc = rep.to_json_dict()
+    doc = json.loads(rep.json_text())
     assert doc["schema_version"] == 1
     assert set(doc) >= {"n", "genus", "t_grid", "max_rel_err", "per_component_err"}
 

@@ -86,6 +86,14 @@ COMMANDS = (
     ]
     # A horizon below 1e-14: the integrator's step floor scales with t_end.
     + ["run --n 2 --omega0 0.1,0.2,0.3 --t-end 1e-15 --out a"]
+    # Usage errors exit 2 before reduce checks its degenerate orbit (exit 5),
+    # and a horizon whose default sample interval underflows to 0 asks for
+    # --sample-interval.
+    + [
+        "reduce --n 2 --omega0 1,1,1 --rel-tol 1",
+        "reduce --n 2 --omega0 1,1,1 --t-end nan",
+        "run --n 2 --seed 1 --t-end 5e-324",
+    ]
     # The drift gate: within (exit 0), exceeded (exit 1) and a NaN threshold
     # refused before the flow runs (exit 2).
     + [
