@@ -458,10 +458,10 @@ def _json_text(doc: dict) -> str:
     """json.dumps(doc, sort_keys=True, indent=1) + "\\n" for the documents the CLI
     writes, without json's pure-Python encoder, which indent selects.
 
-    doc maps str keys to JSON scalars, to flat lists of them, or to a float64
-    vector or (rows, width >= 1) array; an array of another dtype, or an
-    empty one, stands for its .tolist().  A scalar is json.dumps(value).  A
-    flat list is one call of json's C encoder, whose item separator lays it
+    doc maps str keys to JSON scalars, to flat lists of them, or to a
+    non-empty float64 vector or (rows, width >= 1) array; json.dumps refuses
+    any other array with TypeError.  A scalar is json.dumps(value).  A flat
+    list is one call of json's C encoder, whose item separator lays it
     out as indent=1 does; a list that holds a list or a dict raises
     TypeError.  A non-empty float64 array goes through _format_g17's
     shortest mode in blocks of about 2 * _BLOCK_VALUES values.  Every piece
@@ -472,9 +472,7 @@ def _json_text(doc: dict) -> str:
     for key in sorted(doc):
         value = doc[key]
         parts += [",\n " if parts else "{\n ", _json_str(key), ": "]
-        if isinstance(value, np.ndarray) and (value.dtype != np.float64 or not value.size):
-            value = value.tolist()
-        if isinstance(value, np.ndarray):
+        if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.size:
             _json_array(parts, value)
         elif not isinstance(value, list) or not value:
             parts.append(json.dumps(value))

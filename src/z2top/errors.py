@@ -8,13 +8,13 @@ class InvalidParameterError(ValueError):
 class DegenerateOrbitError(ValueError):
     """Initial data on which the scalar reduction is singular.
 
-    Raised for non-positive entries or coincident entries, where the
-    constants of the reduction divide by zero.
+    Raised for zero or coincident entries, where the constants of the
+    reduction divide by zero.
     """
 
 
 class BranchError(ArithmeticError):
     """The real principal branch of a fractional power is undefined.
 
-    Raised when a product that must stay positive is zero or negative.
+    Raised when an entry that must be nonzero is 0, or a factor leaves its sign.
     """

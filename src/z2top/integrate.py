@@ -79,9 +79,9 @@ _POWERS = np.arange(1, 5)
 BLOW_UP_THRESHOLD = 1e9
 
 
-def check_run(t_end, rel_tol, abs_tol, sample_interval=None, samples=256) -> tuple[float, int]:
-    """Check a run's arguments before any flow is evaluated.  Returns the sample
-    interval, t_end / samples by default, and the grid's last index: the first
+def check_run(d, t_end, rel_tol, abs_tol, sample_interval=None, samples=256) -> tuple[float, int]:
+    """Check a run of a d-value state before any flow is evaluated, its memory too.  Returns
+    the sample interval, t_end / samples by default, and the grid's last index: the first
     i with i * sample_interval >= t_end, in the grid's own float products."""
     # No double resolves a relative tolerance below eps; with |x| >> abs_tol
     # past a pole, the steps would shrink to the roundoff floor.
@@ -111,6 +111,11 @@ def check_run(t_end, rel_tol, abs_tol, sample_interval=None, samples=256) -> tup
         last -= 1
     while last * sample_interval < t_end:
         last += 1
+    try:  # the size of adaptive_rk's times and states, in one block that is freed at once
+        np.empty((last + 2, d + 1))
+    except (MemoryError, ValueError):
+        message = f"{last + 1} samples of {d} values do not fit in memory"
+        raise InvalidParameterError(f"{message}; pass a larger --sample-interval") from None
     return sample_interval, last
 
 
@@ -164,20 +169,14 @@ def adaptive_rk(
     accepted state itself; the points strictly inside an accepted step come
     from one batched evaluation of the dense-output interpolant.
     """
-    sample_interval, last = check_run(t_end, rel_tol, abs_tol, sample_interval)
     y = finite_vector(x0)
+    sample_interval, last = check_run(y.size, t_end, rel_tol, abs_tol, sample_interval)
     y_abs = np.abs(y)
 
     # times holds the whole grid up front, plus one spare slot for an
     # off-grid last state; rows [0, count) of times and states are output.
-    try:
-        times = np.empty(last + 2)
-        states = np.empty((last + 2, y.size))
-    except (MemoryError, ValueError):
-        raise InvalidParameterError(
-            f"{last + 1} samples of {y.size} values do not fit in memory; "
-            "pass a larger --sample-interval"
-        ) from None
+    times = np.empty(last + 2)
+    states = np.empty((last + 2, y.size))
     grid = times[: last + 1]
     grid[:] = np.minimum(np.arange(last + 1) * sample_interval, t_end)
     states[0] = y

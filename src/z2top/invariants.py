@@ -4,11 +4,10 @@ With T the (2^(n-1) - 1)-th root of the product of the a's, the quantities
 N_ij = T (a_i - a_j) / (a_i a_j) are conserved, antisymmetric, and satisfy
 N_ij = N_1j - N_1i, so the N_1j form a basis of 2^n - 2 independent
 integrals.  The products of the N's over the lines through a point collapse
-to the polynomial integrals gamma_i = a_i * prod (a_j - a_k), which stay
-defined outside the positive orthant where T does not.
+to the polynomial integrals gamma_i = a_i * prod (a_j - a_k), defined at a_j = 0 too.
 
-T is computed in the log domain, exp(sum(log a) / (2^(n-1) - 1)), so no
-product of 2^n - 1 entries is ever formed and T and the N_ij stay finite up
+2^(n-1) - 1 is odd, so T is real for every a with nonzero entries, with the sign of
+prod a, which the flow keeps, and the size _product_root computes in logs, finite up
 to MAX_N_SYSTEM; the reduction takes its 2^(n-1)-th root the same way.
 """
 
@@ -30,20 +29,23 @@ ABS_DRIFT_FLOOR = 1e-12
 _GAMMA_BUFFER_BYTES = 512 * 1024
 
 
-def _positive_a(system: TopSystem, a: Sequence[float]) -> np.ndarray:
+def _nonzero_a(system: TopSystem, a: Sequence[float]) -> np.ndarray:
     a = system.check_state(a)
-    if np.any(a <= 0.0):
-        raise BranchError("all a entries must be positive for the real root branch")
+    if not np.all(a):
+        raise BranchError("all a entries must be nonzero for the real root branch")
     return a
 
 
 def _product_root(x: np.ndarray, k: int) -> np.ndarray:
-    """(prod x)^(1/k) over the last axis of a positive (..., d) array.
-
-    Summed in logs, exp(sum(log x) / k), so no product is formed: a plain
-    product of 2^n - 1 entries leaves the double range from n = 8 on.
-    """
+    """(prod x)^(1/k) over the last axis of a positive (..., d) array, as exp(sum(log x) / k):
+    a plain product of 2^n - 1 entries leaves the double range from n = 8 on."""
     return np.exp(np.add.reduce(np.log(x), axis=-1) / k)
+
+
+def _big_t(a: np.ndarray, k: int) -> np.ndarray:
+    """T = |prod a|^(1/k) with the sign of prod a, over the last axis of a (d,) state or a
+    (samples, d) stack, which takes the sign of its first row: a flow keeps every sign."""
+    return np.copysign(_product_root(np.abs(a), k), np.sign(a.reshape(-1, a.shape[-1])[0]).prod())
 
 
 def _n_entries(t, ai, aj) -> np.ndarray:
@@ -78,14 +80,14 @@ def _gamma(a: np.ndarray, pair_cols: np.ndarray) -> np.ndarray:
 
 
 def big_T(system: TopSystem, a: Sequence[float]) -> float:
-    """(prod a_k)^(1 / (2^(n-1) - 1)), real branch; requires a > 0."""
-    return float(_product_root(_positive_a(system, a), system.terms))
+    """(prod a_k)^(1 / (2^(n-1) - 1)), the real root; requires every a_k != 0."""
+    return float(_big_t(_nonzero_a(system, a), system.terms))
 
 
 def n_matrix(system: TopSystem, a: Sequence[float]) -> np.ndarray:
-    """Antisymmetric matrix N_ij = T (a_i - a_j) / (a_i a_j); requires a > 0."""
-    a = _positive_a(system, a)
-    return _n_entries(_product_root(a, system.terms), a[:, None], a)
+    """Antisymmetric matrix N_ij = T (a_i - a_j) / (a_i a_j); requires every a_k != 0."""
+    a = _nonzero_a(system, a)
+    return _n_entries(_big_t(a, system.terms), a[:, None], a)
 
 
 def gamma(system: TopSystem, a: Sequence[float]) -> np.ndarray:
@@ -98,7 +100,7 @@ def gamma(system: TopSystem, a: Sequence[float]) -> np.ndarray:
 
 #: drift.json as json.dumps(doc, sort_keys=True, indent=1) lays out the document and one entry.
 _DRIFT_DOC = (
-    '{\n "invariants": [%s],\n "max_drift": %s,\n "schema_version": 1,\n "skipped_samples": %d\n}\n'
+    '{\n "invariants": [%s],\n "max_drift": %s,\n "schema_version": 1\n}\n'
 )
 _DRIFT_ENTRY = "\n  {%s\n  }," % ",".join(
     f'\n   "{key}": %s' for key in ("initial", "max_drift", "mode", "name", "t_at_max")
@@ -117,7 +119,6 @@ class DriftReport:
     max_drift: np.ndarray
     t_at_max: np.ndarray
     relative: np.ndarray  # bool
-    skipped_samples: int  # samples where positivity failed for the N row
 
     @property
     def worst_drift(self) -> float:
@@ -134,7 +135,7 @@ class DriftReport:
         modes = np.where(self.relative, '"relative"', '"absolute"').tolist()
         rows = zip(num[:k], num[k : 2 * k], modes, map(_json_str, self.names), times)
         entries = (_DRIFT_ENTRY * k)[:-1] % tuple(chain.from_iterable(rows)) + "\n " if k else ""
-        return _DRIFT_DOC % (entries, num[-1], self.skipped_samples)
+        return _DRIFT_DOC % (entries, num[-1])
 
     def table(self) -> str:
         times = _each_time_once(self.t_at_max, lambda ts: ["%10.6f" % t for t in ts])
@@ -160,13 +161,13 @@ def _series_drift(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ..
     return v0, drift[np.arange(len(worst)), worst], times[worst], relative
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a NaN drift fails the gate
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a NaN drift fails the gate
 def drift_report(system: TopSystem, trajectory: Trajectory) -> DriftReport:
     """Max drift of the N_1j and gamma_i along a trajectory, against t = 0.
 
-    Accepts omega- or a-coordinate trajectories.  Samples where positivity
-    fails are skipped for the N_1j series (counted, not fatal); the gamma_i
-    are polynomial and always evaluated.
+    Accepts omega- or a-coordinate trajectories.  The gamma_i are polynomial and always
+    evaluated; the N_1j when every a_j(0) != 0, with T's sign from sample 0, so an a_j
+    that later reaches 0 or changes sign shows up as their drift.
     """
     if trajectory.states.shape[1] != system.d:
         raise InvalidParameterError("trajectory dimension does not match the system")
@@ -178,18 +179,16 @@ def drift_report(system: TopSystem, trajectory: Trajectory) -> DriftReport:
         raise InvalidParameterError(f"unsupported trajectory kind {trajectory.kind!r}")
 
     times, d = trajectory.times, system.d
-    positive = np.all(a_samples > 0.0, axis=1)
-    keep = slice(None) if positive.all() else positive  # a slice takes views, not copies
     # T sums each sample's logs along a contiguous (samples, d) row, in numpy's order.
-    t = _product_root(a_samples[keep], system.terms) if positive[0] else None
+    t = _big_t(a_samples, system.terms) if np.all(a_samples[0] != 0.0) else None
     a = np.ascontiguousarray(a_samples.T)  # (d, samples): each gather takes whole rows
     del a_samples  # the transform's (samples, d) result is not needed past here
     names = [f"gamma_{i + 1}" for i in range(d)]
     columns = [_series_drift(times, _gamma(a, system.pair_cols))]
-    if positive[0]:
+    if t is not None:
         names += [f"N_1_{j + 2}" for j in range(d - 1)]
-        columns.append(_series_drift(times[keep], _n_entries(t, a[0, keep], a[1:, keep])))
-    return DriftReport(tuple(names), *map(np.concatenate, zip(*columns)), int((~positive).sum()))
+        columns.append(_series_drift(times, _n_entries(t, a[0], a[1:])))
+    return DriftReport(tuple(names), *map(np.concatenate, zip(*columns)))
 
 
 def _rank(jacobian: np.ndarray) -> int:
@@ -198,14 +197,14 @@ def _rank(jacobian: np.ndarray) -> int:
 
 
 def independent_count(system: TopSystem, a: Sequence[float]) -> int:
-    """Rank of the Jacobian of the basis integrals {N_1j} at a > 0.
+    """Rank of the Jacobian of the basis integrals {N_1j} at a with every a_l != 0.
 
     With k = 2^(n-1) - 1 and T = (prod a)^(1/k), the Jacobian is exact:
     dN_1j/da_l = N_1j / (k a_l) + T (delta_1l / a_1^2 - delta_jl / a_j^2).
     """
-    a = _positive_a(system, a)
+    a = _nonzero_a(system, a)
     k = system.terms
-    t = _product_root(a, k)
+    t = _big_t(a, k)
     jac = np.outer(_n_entries(t, a[0], a[1:]), 1.0 / (k * a))
     jac[:, 0] += t / a[0] ** 2
     jac[:, 1:] -= np.diag(t / a[1:] ** 2)

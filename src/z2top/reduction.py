@@ -1,20 +1,22 @@
 """Reduction of the a-flow to one scalar quadrature, and the route comparison.
 
-With T the product root of the a's and U the mean of their inverses, the
+With T the real product root of the a's and U the mean of their inverses, the
 column means of the conserved N_ij are the constants M_j = T (1/a_j - U),
 computed in that closed form in O(d).  So every a_j is a function of the
 two symmetric variables T and U alone, and R = T U obeys the scalar equation
 
-    dR/dt = (prod_j (R + M_j))^(1 / 2^(n-1)) = T,
+    dR/dt = sign(T0) |prod_j (R + M_j)|^(1 / 2^(n-1)) = T,
 
-and the full state is recovered as a_j = T / (R + M_j).  The closure
-identity prod_j (R0 + M_j) = T0^(2^(n-1)), checked in logs, is the one gate
-on the constants.  The integrand of the associated quadrature lives on a
-surface of genus (2^(n-1) - 1)^2.
+and the full state is recovered as a_j = T / (R + M_j).  T and the a_j keep their signs, so
+each R + M_j keeps that of R0 + M_j = T0 / a0_j: the branch.  The closure identity
+|prod_j (R0 + M_j)| = |T0|^(2^(n-1)) in logs, with those signs, is the one gate on the
+constants.  The quadrature's integrand lives on a surface of genus (2^(n-1) - 1)^2.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,7 +25,7 @@ import numpy as np
 from .dynamics import TopSystem, Trajectory, _json_text, a_transform, integrate
 from .errors import BranchError, DegenerateOrbitError, InvalidParameterError
 from .integrate import adaptive_rk, check_run, finite_vector
-from .invariants import _product_root
+from .invariants import _big_t, _product_root
 
 _IDENTITY_TOL = 1e-10
 
@@ -39,24 +41,27 @@ class ReductionData:
     t0: float
     u0: float
     r0: float
-    closure_residual: float  # |prod(R0 + M_j) / T0^(2^(n-1)) - 1|, evaluated in logs
+    closure_residual: float  # |prod |R0 + M_j| / |T0|^(2^(n-1)) - 1|, evaluated in logs
+
+    @functools.cached_property
+    def _signs(self) -> np.ndarray:  # of R0 + M_j = T0 / a0_j, which R + M_j keeps on the branch
+        return np.sign(self.r0 + self.M)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a NaN closure raises
 def compute_reduction(system: TopSystem, a0: Sequence[float]) -> ReductionData:
-    """Constants M_j, T0, U0, R0 for strictly positive, pairwise distinct a0."""
+    """Constants M_j, T0, U0, R0 for nonzero, pairwise distinct a0."""
     a0 = system.check_state(a0)
-    if np.any(a0 <= 0.0):
-        raise DegenerateOrbitError("a0 must be strictly positive")
-    if len(np.unique(a0)) != system.d:
-        raise DegenerateOrbitError("a0 entries must be pairwise distinct")
-    t0 = float(_product_root(a0, system.terms))
+    if not np.all(a0) or len(np.unique(a0)) != system.d:
+        raise DegenerateOrbitError("a0 entries must be nonzero and pairwise distinct")
+    t0 = float(_big_t(a0, system.terms))
     inverse = 1.0 / a0
     u0 = float(np.mean(inverse))
     m = t0 * (inverse - u0)
     r0 = t0 * u0
 
-    closure = abs(np.expm1(np.log(r0 + m).sum() - 2 ** (system.n - 1) * np.log(t0)))
+    factors = (r0 + m) * np.sign(t0 * inverse)  # an R0 + M_j off the sign of T0 / a0_j logs NaN
+    closure = abs(np.expm1(np.log(factors).sum() - 2 ** (system.n - 1) * np.log(abs(t0))))
     if not closure <= _IDENTITY_TOL:  # NaN fails too
         raise DegenerateOrbitError(
             f"reduction constants fail their closure identity "
@@ -67,19 +72,19 @@ def compute_reduction(system: TopSystem, a0: Sequence[float]) -> ReductionData:
     )
 
 
-def _branch_factors(r, m: np.ndarray) -> np.ndarray:
-    """The factors R + M_j, each positive on the real branch (R + M_j = T / a_j);
+def _branch_factors(r, data: ReductionData) -> np.ndarray:
+    """|R + M_j|, each R + M_j keeping the sign of R0 + M_j on the branch;
     r is a float, or an (..., 1) array of values of R."""
-    factors = r + m
+    aligned = (r + data.M) * data._signs
     # argmin: cheaper than min(), and it picks a NaN; its index is into the flat array.
-    if not factors.ravel()[factors.argmin()] > 0.0:
-        raise BranchError(f"R + M_j must stay positive, got min {float(factors.min())!r}")
-    return factors
+    if not aligned.ravel()[aligned.argmin()] > 0.0:
+        raise BranchError(f"an R + M_j left its sign at R0: got {float(aligned.min())!r}")
+    return aligned
 
 
-def scalar_rhs(r: float, m: Sequence[float], n: int) -> float:
-    """dR/dt = (prod_j (R + M_j))^(1 / 2^(n-1)), real branch only."""
-    return float(_product_root(_branch_factors(r, np.asarray(m, dtype=float)), 2 ** (n - 1)))
+def scalar_rhs(r: float, data: ReductionData) -> float:
+    """dR/dt = sign(T0) |prod_j (R + M_j)|^(1 / 2^(n-1)), on the branch only."""
+    return math.copysign(float(_product_root(_branch_factors(r, data), 2 ** (data.n - 1))), data.t0)
 
 
 def integrate_R(
@@ -91,10 +96,8 @@ def integrate_R(
     sample_interval: Optional[float] = None,
 ) -> Trajectory:
     """Integrate the scalar R equation from R0; halts on branch failure."""
-    m = data.M
-
     def rhs(t: float, x: np.ndarray) -> np.ndarray:
-        return np.array([scalar_rhs(float(x[0]), m, data.n)])
+        return np.array([scalar_rhs(float(x[0]), data)])
 
     x0 = np.array([data.r0])
     return Trajectory(
@@ -105,8 +108,9 @@ def integrate_R(
 def reconstruct_a(r, data: ReductionData) -> np.ndarray:
     """a_j = T / (R + M_j) with T the product root at this R: a (d,) state for
     one R, an (s, d) stack with one row per R for an array of s values."""
-    factors = _branch_factors(np.asarray(r, dtype=float)[..., None], data.M)
-    return _product_root(factors, 2 ** (data.n - 1))[..., None] / factors
+    aligned = _branch_factors(np.asarray(r, dtype=float)[..., None], data)
+    t = np.copysign(_product_root(aligned, 2 ** (data.n - 1)), data.t0)
+    return t[..., None] / (aligned * data._signs)
 
 
 def genus(n: int) -> int:
@@ -157,7 +161,7 @@ def compare_routes(
     argument is checked before the orbit, so a usage error comes first.
     """
     omega0 = finite_vector(system.check_state(omega0))  # the transform would make inf nan
-    sample_interval, _ = check_run(t_end, rel_tol, abs_tol, sample_interval, samples=128)
+    sample_interval, _ = check_run(system.d, t_end, rel_tol, abs_tol, sample_interval, samples=128)
     data = compute_reduction(system, a_transform(system, omega0))
 
     full = integrate(

@@ -104,4 +104,4 @@ def zk_drift_report(system: ZkSystem, trajectory: Trajectory) -> DriftReport:
         raise InvalidParameterError("trajectory dimension does not match the system")
     names = tuple(f"D_{i + 1}_{i + 2}" for i in range(system.k))
     values = _square_differences(trajectory.states).T  # (k, samples)
-    return DriftReport(names, *_series_drift(trajectory.times, values), skipped_samples=0)
+    return DriftReport(names, *_series_drift(trajectory.times, values))

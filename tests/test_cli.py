@@ -20,7 +20,7 @@ from classic_fixtures import CLASSIC_15_PAIRS, CLASSIC_7_PAIRS
 
 #: A one-entry drift report whose drift is NaN.
 _NAN_REPORT = DriftReport(
-    ("N_1_2",), np.ones(1), np.full(1, np.nan), np.zeros(1), np.ones(1, dtype=bool), 0
+    ("N_1_2",), np.ones(1), np.full(1, np.nan), np.zeros(1), np.ones(1, dtype=bool)
 )
 
 
@@ -383,10 +383,11 @@ def test_reduce_degenerate_exit(capsys):
         ("--n 2 --omega0 1,1,1 --t-end nan", "t_end"),
         ("--n 2 --omega0 1,1,1 --t-end 1 --sample-interval 2", "sample_interval"),
         ("--n 3 --seed 1 --random-range=-0.5,0.5 --abs-tol 0", "abs_tol"),
+        ("--n 2 --omega0 1,1,1 --t-end 1 --sample-interval 1e-15", "do not fit in memory"),
     ],
 )
 def test_reduce_usage_error_comes_before_the_orbit_check(args, message, tmp_path, capsys):
-    # Each state is a degenerate orbit (exit 5), but the bad flag exits 2 first.
+    # The bad flag exits 2 first; every 1,1,1 state is a degenerate orbit (exit 5).
     out = tmp_path / "c.json"
     code, stdout, err = run_cli(["reduce", *args.split(), "--out", str(out)], capsys)
     assert (code, stdout) == (2, "")

@@ -59,7 +59,6 @@ def _writer_outputs() -> dict[str, str]:
         max_drift=np.array([3.1e-12, 4e-17, 5e-324, np.inf, np.nan]),
         t_at_max=np.array([0.5, 1 / 3, 0.0, -np.inf, np.nan]),
         relative=np.array([True, False, True, True, True]),
-        skipped_samples=3,
     )
     comparison = RouteComparison(
         n=2,
@@ -83,7 +82,7 @@ def _writer_outputs() -> dict[str, str]:
 WRITER_GOLDEN = {
     "comparison.json": "52bc1a984db0b1314fb8bec3fab1b1ddc1342c5f64307ba6c4259311938801aa",
     "drift table": "6ca7e5193679f68a9d54259550f266c3eb5b28f30fa7d0780dfb507156444a16",
-    "drift.json": "0a8667efceb73320ef9b137206bc578010e49dae0cee57d9663b63946f9ddcbf",
+    "drift.json": "a78d9921b12202c2b010f0eb4a1850f964515f402dfab75a9c01d57176925550",
     "trajectory.csv": "4a2aa82233eb549088691e5d41ea45d85debdcfe0b385defce590022193e3d1b",
     "trajectory.json": "000deb2c602e651488c69d9261588e6c8170624624302f04e224c5d92f62b4dc",
 }

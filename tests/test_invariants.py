@@ -30,11 +30,17 @@ def test_big_t_large_n_does_not_overflow():
     assert big_T(system, np.full(255, 40.0)) == pytest.approx(40.0 ** (255 / 127), rel=1e-13)
 
 
-def test_big_t_rejects_nonpositive(systems):
-    with pytest.raises(BranchError):
-        big_T(systems[2], [1.0, -1.0, 2.0])
+def test_big_t_signed_and_rejects_zero(systems):
+    # 2^(n-1) - 1 is odd, so T is the real root with the sign of prod a.
+    assert big_T(systems[2], [1.0, -1.0, 2.0]) == -2.0
+    assert big_T(systems[3], [-1.0, -2.0, 1.0, 1.0, 1.0, 1.0, 4.0]) == pytest.approx(2.0)
+    assert big_T(systems[3], [-1.0, -2.0, -1.0, 1.0, 1.0, 1.0, 4.0]) == pytest.approx(-2.0)
     with pytest.raises(BranchError):
         big_T(systems[2], [1.0, 0.0, 2.0])
+    with pytest.raises(BranchError):
+        n_matrix(systems[2], [1.0, -0.0, 2.0])
+    with pytest.raises(BranchError):
+        independent_count(systems[2], [0.0, -1.0, 2.0])
 
 
 def test_n_matrix_examples(systems):
@@ -323,7 +329,6 @@ def test_drift_random_positive(systems):
     traj = integrate(systems[3], "omega", w0, t_end, 1e-10, 1e-12)
     assert traj.completed
     report = drift_report(systems[3], traj)
-    assert report.skipped_samples == 0
     names = [f"gamma_{i}" for i in range(1, 8)] + [f"N_1_{j}" for j in range(2, 8)]
     assert report.names == tuple(names)
     assert np.all(report.max_drift < 1e-8)
@@ -339,13 +344,29 @@ def test_drift_symmetric_state_n_vanishes(systems):
     assert np.all(report.max_drift[3:] < 1e-12)
 
 
-def test_drift_positivity_failure_counted(systems):
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_drift_mixed_sign_orbit_reports_every_n(n, seed, systems):
+    # The run CLI's state for --random-range=-0.5,0.5: a has entries of both signs.
+    system = systems[n]
+    w0 = np.random.default_rng(seed).uniform(-0.5, 0.5, system.d)
+    traj = integrate(system, "omega", w0, guarded_horizon(system, w0), 1e-10, 1e-12)
+    assert traj.completed
+    report = drift_report(system, traj)
+    assert report.names[system.d :] == tuple(f"N_1_{j}" for j in range(2, system.d + 1))
+    assert report.worst_drift <= 1e-8
+
+
+def test_drift_sign_flip_shows_as_n_drift(systems):
+    # T takes its sign from the first sample, so an a_2 that flips sign at one
+    # sample (which no flow does) moves N_1_2 = T (a_1 - a_2) / (a_1 a_2) from -3 to -9.
     times = np.array([0.0, 0.1, 0.2])
     states = np.array([[1.0, 2.0, 3.0], [1.0, -2.0, 3.0], [1.0, 2.0, 3.0]])
     traj = Trajectory(kind="a", times=times, states=states, termination="completed")
     report = drift_report(systems[2], traj)
-    assert report.skipped_samples == 1
     assert report.names == ("gamma_1", "gamma_2", "gamma_3", "N_1_2", "N_1_3")
+    assert report.max_drift[3] == pytest.approx(2.0) and report.t_at_max[3] == 0.1
+    assert report.max_drift[4] == 0.0
 
 
 def test_drift_report_json_and_table(systems):

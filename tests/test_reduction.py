@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from z2top.dynamics import HORIZON_BUDGET, a_transform, guarded_horizon, integrate
 from z2top.errors import BranchError, DegenerateOrbitError, InvalidParameterError
@@ -61,32 +62,52 @@ def test_compute_reduction_rejects_degenerate(systems):
     with pytest.raises(DegenerateOrbitError):
         compute_reduction(systems[2], np.full(3, 2.0))
     with pytest.raises(DegenerateOrbitError):
-        compute_reduction(systems[2], np.array([1.0, -2.0, 3.0]))
+        compute_reduction(systems[2], np.array([1.0, -2.0, -2.0]))
     with pytest.raises(DegenerateOrbitError):
         compute_reduction(systems[2], np.array([1.0, 0.0, 3.0]))
+    with pytest.raises(DegenerateOrbitError):
+        compute_reduction(systems[2], np.array([-1.0, -0.0, 3.0]))
+
+
+def test_compute_reduction_signed_example(systems):
+    # a0 = (1, -2, 3): T0 = -6, U0 = 5/18, R0 = -5/3, and R0 + M_j = T0 / a0_j.
+    a0 = np.array([1.0, -2.0, 3.0])
+    data = compute_reduction(systems[2], a0)
+    assert data.t0 == -6.0
+    assert data.r0 == pytest.approx(-5.0 / 3.0)
+    np.testing.assert_allclose(data.M, [-13.0 / 3.0, 14.0 / 3.0, -1.0 / 3.0], rtol=1e-15)
+    np.testing.assert_allclose(data.r0 + data.M, [-6.0, 3.0, -2.0], rtol=1e-15)
+
+
+def _data(m, r0: float, t0: float) -> ReductionData:
+    return ReductionData(n=int(np.log2(len(m) + 1)), M=np.asarray(m, dtype=float), t0=t0,
+                         u0=r0 / t0, r0=r0, closure_residual=0.0)
 
 
 def test_scalar_rhs_closed_form():
     # With all M_j = 0 and n = 2 the velocity is R^(3/2).
     for r in (0.5, 1.0, 2.0, 7.3):
-        assert scalar_rhs(r, np.zeros(3), 2) == pytest.approx(r**1.5, rel=1e-14)
+        assert scalar_rhs(r, _data(np.zeros(3), 1.0, 1.0)) == pytest.approx(r**1.5, rel=1e-14)
 
 
 def test_scalar_rhs_large_n_does_not_overflow():
     # prod(R + M_j) = 1e3^255 overflows a double; its 128th root does not.
-    assert scalar_rhs(1e3, np.zeros(255), 8) == pytest.approx(1e3 ** (255 / 128), rel=1e-13)
+    data = _data(np.zeros(255), 1.0, 1.0)
+    assert scalar_rhs(1e3, data) == pytest.approx(1e3 ** (255 / 128), rel=1e-13)
 
 
 def test_scalar_rhs_branch_error():
     with pytest.raises(BranchError):
-        scalar_rhs(0.0, np.zeros(3), 2)
+        scalar_rhs(0.0, _data(np.zeros(3), 1.0, 1.0))
     with pytest.raises(BranchError):
-        scalar_rhs(1.0, np.array([-2.0, 0.5, 0.5]), 2)
-    # A positive product is not enough: every factor R + M_j must be positive.
+        scalar_rhs(1.0, _data([-2.0, 0.5, 0.5], 3.0, 1.0))
+    # A positive product is not enough: every factor R + M_j keeps its sign at R0.
     with pytest.raises(BranchError):
-        scalar_rhs(1.0, np.array([-2.0, -3.0, 0.5]), 2)
+        scalar_rhs(1.0, _data([-2.0, -3.0, 0.5], 4.0, 1.0))
     with pytest.raises(BranchError):
-        scalar_rhs(math.nan, np.zeros(3), 2)
+        scalar_rhs(math.nan, _data(np.zeros(3), 1.0, 1.0))
+    # The same factors with the signs they had at R0 are on the branch; T0 gives the sign.
+    assert scalar_rhs(1.0, _data([-2.0, -3.0, 0.5], 1.5, -1.0)) == pytest.approx(-(3.0**0.5))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -94,7 +115,45 @@ def test_scalar_rhs_equals_t0(n, systems):
     rng = np.random.default_rng(53 + n)
     a0 = rng.uniform(0.2, 1.5, systems[n].d)
     data = compute_reduction(systems[n], a0)
-    assert scalar_rhs(data.r0, data.M, n) == pytest.approx(data.t0, rel=1e-10)
+    assert scalar_rhs(data.r0, data) == pytest.approx(data.t0, rel=1e-10)
+
+
+@st.composite
+def _signed_states(draw):
+    """(n, a) with n in 2..6 and a nonzero, pairwise distinct, of mixed signs, |a_j| in [0.1, 2]."""
+    n = draw(st.integers(2, 6))
+    d = 2**n - 1
+    size = st.floats(0.1, 2.0)
+    magnitudes = draw(st.lists(size, min_size=d, max_size=d, unique=True))
+    signs = draw(st.lists(st.booleans(), min_size=d, max_size=d).filter(lambda s: 0 < sum(s) < d))
+    return n, np.where(signs, -1.0, 1.0) * magnitudes
+
+
+@settings(max_examples=60, deadline=None)
+@given(_signed_states())
+def test_signed_identities(systems, state):
+    n, a = state
+    system = systems[n]
+    t_val = big_T(system, a)
+    # T^(m - 1) = prod a, with m - 1 = 2^(n-1) - 1 odd: compared by sign and in logs.
+    assert np.sign(t_val) == np.sign(np.prod(a))
+    assert system.terms * math.log(abs(t_val)) == pytest.approx(
+        np.log(np.abs(a)).sum(), rel=1e-12, abs=1e-12
+    )
+    mat = n_matrix(system, a)
+    scale = np.abs(mat).max()
+    assert np.max(np.abs(mat + mat.T)) <= 1e-12 * scale
+    assert np.max(np.abs(mat - (mat[0][None, :] - mat[0][:, None]))) <= 1e-12 * scale
+    data = compute_reduction(system, a)
+    np.testing.assert_allclose(reconstruct_a(data.r0, data), a, rtol=1e-12, atol=0.0)
+    assert scalar_rhs(data.r0, data) == pytest.approx(data.t0, rel=1e-12)
+    # R just past a root -M_j, on the far side from R0, leaves the branch.
+    for j in (int(np.argmin(data.M)), int(np.argmax(data.M))):
+        past = np.nextafter(-data.M[j], -np.sign(data.r0 + data.M[j]) * np.inf)
+        with pytest.raises(BranchError):
+            scalar_rhs(float(past), data)
+        with pytest.raises(BranchError):
+            reconstruct_a(past, data)
 
 
 def test_reconstruct_round_trip(systems):
@@ -118,17 +177,13 @@ def test_reconstruct_equal_m_gives_equal_a():
     assert a[0] == a[1]
 
 
-def test_reconstruct_branch_error():
-    data = ReductionData(
-        n=2,
-        M=np.array([-3.0, 1.0, 2.0]),
-        t0=1.0,
-        u0=1.0,
-        r0=1.0,
-        closure_residual=0.0,
-    )
+def test_reconstruct_branch_error(systems):
+    # a0 = (1, -2, 3): the roots -M_j are 13/3, -14/3 and 1/3, and R0 = -5/3
+    # lies between -14/3 and 1/3; R = 0.5 is past the root 1/3.
+    data = compute_reduction(systems[2], np.array([1.0, -2.0, 3.0]))
+    assert np.all(reconstruct_a(np.array([-4.5, data.r0, 0.3]), data))
     with pytest.raises(BranchError):
-        reconstruct_a(1.0, data)
+        reconstruct_a(0.5, data)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -199,6 +254,16 @@ def test_compare_routes_n2_worked(systems):
     doc = json.loads(rep.json_text())
     assert doc["schema_version"] == 1
     assert set(doc) >= {"n", "genus", "t_grid", "max_rel_err", "per_component_err"}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_compare_routes_mixed_signs(n, seed, systems):
+    # The reduce CLI's state for --random-range=-0.5,0.5: a has entries of both signs.
+    w0 = np.random.default_rng(seed).uniform(-0.5, 0.5, systems[n].d)
+    rep = compare_routes(systems[n], w0, guarded_horizon(systems[n], w0))
+    assert rep.omega_termination == rep.scalar_termination == "completed"
+    assert rep.max_rel_err <= 1e-8
 
 
 @pytest.mark.parametrize("n", [3, 4])

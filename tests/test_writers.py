@@ -51,7 +51,7 @@ scalars = st.none() | st.booleans() | ints | floats | text | floats.map(np.float
 _SEAM_TEXT = text | st.sampled_from(['"', "\\", "\n", "],", "}", ",\n  [", "],\n   [", '"},\n {"'])
 flat_lists = st.lists(scalars, max_size=12) | st.lists(floats, max_size=12)
 float_arrays = hnp.arrays(
-    np.float64, st.tuples(st.integers(0, 12)) | st.tuples(st.integers(0, 6), st.integers(1, 4)),
+    np.float64, st.tuples(st.integers(1, 12)) | st.tuples(st.integers(1, 6), st.integers(1, 4)),
     elements=floats,
 )
 documents = st.dictionaries(_SEAM_TEXT, scalars | flat_lists | float_arrays, max_size=6)
@@ -125,8 +125,8 @@ _SHORTEST = _SHORTEST | _SHORTEST.map(operator.neg)
 
 @settings(max_examples=300, deadline=None)
 @given(
-    hnp.arrays(np.float64, st.integers(0, 30), elements=_SHORTEST),
-    hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(1, 6)), elements=_SHORTEST),
+    hnp.arrays(np.float64, st.integers(1, 30), elements=_SHORTEST),
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 6)), elements=_SHORTEST),
     st.integers(1, 40) | st.just(dynamics._BLOCK_VALUES),
 )
 def test_json_writer_writes_arrays_as_their_lists(t, x, block_values):
@@ -139,15 +139,13 @@ def test_json_writer_writes_arrays_as_their_lists(t, x, block_values):
 @pytest.mark.parametrize(
     "values",
     [np.arange(3), np.array([[1, -2]], dtype=np.int32), np.array([0.1], dtype=np.float32),
-     np.array([True]), np.empty((0, 3))],
-    ids=["int64", "int32-rows", "float32", "bool", "float64-empty"],
+     np.array([True]), np.empty((0, 3)), np.empty(0)],
+    ids=["int64", "int32-rows", "float32", "bool", "float64-empty", "float64-empty-vector"],
 )
-def test_json_writer_writes_other_arrays_as_their_lists(values):
-    if values.size and values.ndim > 1:  # a list of rows, which the writer refuses
-        with pytest.raises(TypeError):
-            _json_text({"x": values})
-    else:
-        assert _json_text({"x": values}) == _reference_json({"x": values.tolist()})
+def test_json_writer_refuses_other_arrays(values):
+    # No document the CLI writes holds one: the writer takes non-empty float64 arrays.
+    with pytest.raises(TypeError):
+        _json_text({"x": values})
 
 
 def test_json_writer_writes_every_power_of_two_in_the_kernel_range():
@@ -182,7 +180,6 @@ def _reference_drift_json(report: DriftReport) -> str:
     ]
     doc = {
         "schema_version": 1,
-        "skipped_samples": report.skipped_samples,
         "max_drift": float(np.max([e["max_drift"] for e in entries], initial=0.0)),
         "invariants": entries,
     }
@@ -207,7 +204,6 @@ def drift_reports(draw):
         max_drift=draw(column),
         t_at_max=draw(column),
         relative=np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)), dtype=bool),
-        skipped_samples=draw(st.integers(0, 10**6)),
     )
 
 
@@ -216,7 +212,7 @@ _EMPTY = np.empty(0)
 
 @settings(max_examples=300, deadline=None)
 @given(drift_reports())
-@example(DriftReport((), _EMPTY, _EMPTY, _EMPTY, _EMPTY.astype(bool), 0))
+@example(DriftReport((), _EMPTY, _EMPTY, _EMPTY, _EMPTY.astype(bool)))
 def test_drift_writers_match_per_entry_references(report):
     assert report.json_text() == _reference_drift_json(report)
     assert report.table() == _reference_drift_table(report)

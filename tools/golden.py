@@ -16,8 +16,10 @@ text.  So the diff can say which fields of a report changed, and by how
 much.
 
 Only the standard library is used, so the script runs against any checkout.
-Commands run one at a time; the whole list takes about 20 s on a 2-vCPU host,
-of which `run --n 9` and `run --n 10` take about 2 s.
+Commands run one at a time; the whole list takes about 60 s on a 2-vCPU host,
+of which `run --n 9` and `run --n 10` take about 2 s and the signed `reduce`
+past its pole (`--t-end 20`) about 30 s: its scalar route stalls next to the
+root -M_j of the a_j that blows up, until the integrator's step budget runs out.
 """
 
 from __future__ import annotations
@@ -87,12 +89,22 @@ COMMANDS = (
     # A horizon below 1e-14: the integrator's step floor scales with t_end.
     + ["run --n 2 --omega0 0.1,0.2,0.3 --t-end 1e-15 --out a"]
     # Usage errors exit 2 before reduce checks its degenerate orbit (exit 5),
-    # and a horizon whose default sample interval underflows to 0 asks for
-    # --sample-interval.
+    # a grid too large for memory among them, and a horizon whose default
+    # sample interval underflows to 0 asks for --sample-interval.
     + [
         "reduce --n 2 --omega0 1,1,1 --rel-tol 1",
         "reduce --n 2 --omega0 1,1,1 --t-end nan",
+        "reduce --n 2 --omega0 1,1,1 --t-end 1 --sample-interval 1e-15",
         "run --n 2 --seed 1 --t-end 5e-324",
+    ]
+    # Orbits whose a has entries of both signs: reduce within its horizon
+    # (exit 0) and past the pole (exit 3: the full flow blows up, the scalar
+    # route ends as step_failure), and run within the drift gate.
+    + [
+        "reduce --n 3 --seed 1 --random-range=-0.5,0.5 --out c.json",
+        "reduce --n 6 --seed 2 --random-range=-0.5,0.5 --out c.json",
+        "reduce --n 3 --seed 1 --random-range=-0.5,0.5 --t-end 20 --out c.json",
+        "run --n 5 --seed 2 --random-range=-0.5,0.5 --drift-threshold 1e-8 --out r",
     ]
     # The drift gate: within (exit 0), exceeded (exit 1) and a NaN threshold
     # refused before the flow runs (exit 2).
@@ -202,7 +214,9 @@ def diff_lines(a: dict, b: dict) -> list[str]:
                 continue
             fields_a, fields_b = fa.get("fields", {}), fb.get("fields", {})
             keys = sorted(set(fields_a) | set(fields_b))
-            changed = [k for k in keys if fields_a.get(k) != fields_b.get(k)]
+            changed = [  # compared by JSON text, in which a NaN equals itself
+                k for k in keys if json.dumps(fields_a.get(k)) != json.dumps(fields_b.get(k))
+            ]
             if not changed:
                 lines.append(f"{command}: file {name} bytes differ")
             for field in changed:
