@@ -25,6 +25,15 @@ d eps / 4 sum_{j,k} |omega_j omega_k| of the exact line sum (0.021 d eps at
 worst on random states) and is exact on small integer states, so from n = 8 up
 the trajectories differ from the pair table's in their last bits.  Below n = 8
 the bytes are unchanged.
+
+From the same n up, a_transform and a_inverse run on that transform too:
+a = (z_0 - z[rev]) / 2 and omega = -z[rev] / 2^(n-1) with z = H [0, x], as
+A = (J - H[rev, 1:]) / 2.  Neither calls BLAS, each sums in one fixed order,
+and each row of a stack comes out as it does alone.  Below n = 8 they stay the
+products with A, whose bytes on a stack can follow the BLAS build and threads.  So
+from n = 8 up, cli's run integrates the diagonal a-flow, O(d) per RHS call, and
+writes its omega samples through a_inverse; reduce keeps the omega flow as the
+independent route it compares the scalar quadrature with.
 """
 
 from __future__ import annotations
@@ -90,6 +99,8 @@ class TopSystem:
     # The same pairs as an (m - 1, 2, d) array, m = (d + 1) / 2: pair_cols[p]
     # holds the p-th j and k of every point, the layout invariants._gamma takes.
     pair_cols: np.ndarray = field(repr=False)
+    # rev[v - 1] is v with its n bits reversed: a_v reads row rev(v) of H.
+    rev: np.ndarray = field(repr=False)
 
     @classmethod
     def create(cls, n: int) -> "TopSystem":
@@ -114,21 +125,22 @@ class TopSystem:
 
 
 @functools.cache
-def _tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only (a_matrix, pair_idx, pair_cols) of n; those of n = 2..10
+def _tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only (a_matrix, pair_idx, pair_cols, rev) of n; those of n = 2..10
     take about 34 MB."""
     d = geometry.num_points(n)
     pts = np.arange(1, d + 1, dtype=np.int64)
-    rev = np.array(geometry.Collineation.from_matrix([1 << k for k in range(n)], n).perm)
+    rev = np.array(geometry.Collineation.from_matrix([1 << k for k in range(n)], n).perm,
+                   dtype=np.intp)
     a = (np.kron(_sylvester(n // 2), _sylvester(n - n // 2))[rev, 1:] < 0).astype(np.int64)
     # The line through i and q is {i, q, q ^ i}; take each pair once, q < q ^ i.
     i = pts[:, None]
     q = np.broadcast_to(pts, (d, d))[pts < (pts ^ i)].reshape(d, -1)
     planes = np.stack([q - 1, (q ^ i) - 1]).astype(np.intp, copy=False)
     cols = np.ascontiguousarray(planes.transpose(2, 0, 1))
-    for table in (a, planes, cols):
+    for table in (a, planes, cols, rev):
         table.flags.writeable = False  # views taken after inherit it
-    return a, planes.transpose(1, 2, 0), cols
+    return a, planes.transpose(1, 2, 0), cols, rev
 
 
 @functools.cache
@@ -139,12 +151,19 @@ def _sylvester(k: int) -> np.ndarray:
 
 
 def _hadamard(x: np.ndarray, n: int) -> np.ndarray:
-    """H @ x for a length-2^n vector: H = H_P (x) H_Q, so on the (2^P, 2^Q)
-    reshape X, P = n // 2, it is H_P X H_Q.  einsum without optimize never
-    calls BLAS, so the bytes do not depend on the BLAS build or threads."""
+    """H @ x over the last axis of a (..., 2^n) array: H = H_P (x) H_Q, so on the
+    (..., 2^P, 2^Q) reshape X, P = n // 2, it is H_P X H_Q.  einsum without
+    optimize never calls BLAS and sums each entry in one fixed order, so the
+    bytes follow neither the BLAS build nor its threads, and a row of a stack
+    comes out as it does alone."""
     hp, hq = _sylvester(n // 2), _sylvester(n - n // 2)
-    y = np.einsum("ij,jk->ik", hp, x.reshape(len(hp), len(hq)))
-    return np.einsum("ij,jk->ik", y, hq).ravel()
+    y = np.einsum("ij,...jk->...ik", hp, x.reshape(*x.shape[:-1], len(hp), len(hq)))
+    return np.einsum("...ij,jk->...ik", y, hq).reshape(x.shape)
+
+
+def _bordered_hadamard(system: TopSystem, x: np.ndarray) -> np.ndarray:
+    """H [0, x] of each state of a (..., d) array; entry 0 is the sum of x."""
+    return _hadamard(np.concatenate((np.zeros(x.shape[:-1] + (1,)), x), axis=-1), system.n)
 
 
 def omega_rhs(system: TopSystem, omega: Sequence[float]) -> np.ndarray:
@@ -153,23 +172,38 @@ def omega_rhs(system: TopSystem, omega: Sequence[float]) -> np.ndarray:
     n = system.n
     if n < _HADAMARD_MIN_N:
         return (w[system.pair_idx[:, :, 0]] * w[system.pair_idx[:, :, 1]]).sum(axis=1)
-    z = _hadamard(np.concatenate(([0.0], w)), n)
+    z = _bordered_hadamard(system, w)
     return _hadamard(z * z, n)[1:] / 2 ** (n + 1)
+
+
+def _check_states(system: TopSystem, x) -> np.ndarray:
+    """x as a float array of one state or a (..., d) stack of them."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (system.d,):
+        raise InvalidParameterError(f"states must have length {system.d}, got shape {x.shape}")
+    return x
 
 
 def a_transform(system: TopSystem, omega) -> np.ndarray:
     """a = A @ omega, each a summing omega over one hyperplane complement, for one
-    state or a (..., d) stack of them; the only product of A with a state."""
-    x = np.asarray(omega, dtype=float)
-    if x.shape[-1:] != (system.d,):
-        raise InvalidParameterError(f"states must have length {system.d}, got shape {x.shape}")
-    return x @ system.a_matrix.T
+    state or a (..., d) stack of them.  From _HADAMARD_MIN_N up it is
+    (z_0 - z[rev]) / 2 with z = H [0, omega], as A = (J - H[rev, 1:]) / 2."""
+    x = _check_states(system, omega)
+    if system.n < _HADAMARD_MIN_N:
+        return x @ system.a_matrix.T
+    z = _bordered_hadamard(system, x)
+    return (z[..., :1] - z[..., system.rev]) / 2
 
 
-def a_inverse(system: TopSystem, a: Sequence[float]) -> np.ndarray:
-    """Solve A @ omega = a using A^-1 = (A - J/2) / 2^(n-2)."""
-    a = system.check_state(a)
-    return (a_transform(system, a) - a.sum() / 2.0) / 2 ** (system.n - 2)
+def a_inverse(system: TopSystem, a) -> np.ndarray:
+    """Solve A @ omega = a, for one state or a (..., d) stack of them, using
+    A^-1 = (A - J/2) / 2^(n-2); from _HADAMARD_MIN_N up that is
+    -H[rev, 1:] a / 2^(n-1), with 0.0 - z keeping a zero unsigned."""
+    a = _check_states(system, a)
+    n = system.n
+    if n < _HADAMARD_MIN_N:
+        return (a_transform(system, a) - a.sum(axis=-1, keepdims=True) / 2.0) / 2 ** (n - 2)
+    return (0.0 - _bordered_hadamard(system, a)[..., system.rev]) / 2 ** (n - 1)
 
 
 def a_rhs(system: TopSystem, a: Sequence[float]) -> np.ndarray:

@@ -13,6 +13,7 @@ import pytest
 
 from z2top import cli
 from z2top.cli import main
+from z2top.dynamics import TopSystem, guarded_horizon, integrate
 from z2top.invariants import DriftReport
 
 from classic_fixtures import CLASSIC_15_PAIRS, CLASSIC_7_PAIRS
@@ -276,6 +277,23 @@ def test_overflowing_initial_rhs_is_step_failure(tmp_path, capsys):
     assert (tmp_path / "big.drift.json").exists()
 
 
+def test_large_n_overflowing_a0_is_step_failure(tmp_path, capsys):
+    # Each a_j sums 128 of these finite values and overflows; run stays on the
+    # omega route, whose velocity overflows at t = 0, and writes omega0.
+    omega0 = ",".join(["1.5e306"] * 255)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(
+            ["run", "--n", "8", "--omega0", omega0, "--t-end", "1", "--out", str(tmp_path / "big")],
+            capsys,
+        )
+    assert code == 4
+    assert "termination: step_failure" in err
+    rows = (tmp_path / "big.trajectory.csv").read_text().splitlines()
+    assert rows[1:] == ["0" + ",%.17g" % 1.5e306 * 255]
+    assert (tmp_path / "big.drift.json").exists()
+
+
 def test_horizon_below_old_step_floor_completes(tmp_path, capsys):
     # The step floor scales with --t-end; an absolute 1e-14 floor ended
     # this run as step_failure (exit 4) before its first step.
@@ -535,6 +553,50 @@ def test_large_n_run_and_reduce_are_finite(n, tmp_path, capsys):
     code, _, _ = run_cli(["reduce", "--n", str(n), "--seed", "1", "--out", str(report)], capsys)
     assert code == 0
     assert json.loads(report.read_text())["max_rel_err"] < 1e-6
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_large_n_run_matches_the_omega_flow(n, tmp_path, capsys):
+    # From n = 8 run integrates the a-flow and writes its inverse transform; the
+    # omega flow, integrated on its own, is the independent check.  The bound
+    # is DOPRI5's tolerance proportionality, an estimate rather than a proof:
+    # the error test holds each step near rel_tol |x|, so each route lands
+    # within about rel_tol max|omega| times the growth exp(sum|omega(t_end)|
+    # t_end) of a perturbation over the horizon (about 1.9 here), and the two
+    # may differ by twice that.  The measured gap is 0.63-0.66 rel_tol max|omega|.
+    system, rel_tol = TopSystem.create(n), 1e-10
+    for seed in (1, 2, 3):
+        w0 = np.random.default_rng(seed).uniform(0.1, 0.5, system.d)
+        t_end = guarded_horizon(system, w0)
+        ref = integrate(system, "omega", w0, t_end, rel_tol, 1e-12)
+        base = tmp_path / f"s{seed}"
+        args = ["--seed", str(seed), "--rel-tol", str(rel_tol), "--format", "json"]
+        code, _, _ = run_cli(["run", "--n", str(n), *args, "--out", str(base)], capsys)
+        doc = json.loads((tmp_path / f"s{seed}.trajectory.json").read_text())
+        x = np.array(doc["x"])
+        assert code == cli._TERMINATION_EXIT.get(ref.termination, cli.EXIT_OK)
+        assert doc["termination"] == ref.termination
+        assert np.array_equal(doc["t"], ref.times)
+        assert x[0].tobytes() == w0.tobytes()
+        peak = np.abs(ref.states).max()
+        growth = math.exp(np.abs(ref.states[-1]).sum() * t_end)
+        assert np.abs(x - ref.states).max() <= 2 * rel_tol * peak * growth
+
+
+def test_large_n_drift_has_no_noise_floor(tmp_path, capsys):
+    # Steps of 1e-300 leave the state as it is, so all 257 samples are one
+    # state: the drift report must read exactly 0.  A stack product whose
+    # rounding varies from row to row reported 261 drifting invariants here.
+    base = tmp_path / "still"
+    code, _, _ = run_cli(
+        ["run", "--n", "8", "--seed", "1", "--t-end", "1e-300", "--out", str(base)], capsys
+    )
+    assert code == 0
+    doc = json.loads((tmp_path / "still.drift.json").read_text())
+    assert doc["max_drift"] == 0.0
+    assert all(entry["max_drift"] == 0.0 for entry in doc["invariants"])
+    rows = (tmp_path / "still.trajectory.csv").read_text().splitlines()[2:]
+    assert len(rows) == 256 and len({row.split(",", 1)[1] for row in rows}) == 1
 
 
 def test_config_file_defaults_and_precedence(tmp_path, capsys):

@@ -185,7 +185,28 @@ def test_a_inverse_examples(systems):
     assert np.allclose(a_inverse(systems[2], np.zeros(3)), np.zeros(3))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", range(_HADAMARD_MIN_N, MAX_N_SYSTEM + 1))
+def test_hadamard_a_map_is_exact_and_row_by_row(n, systems):
+    # From _HADAMARD_MIN_N up both maps run on the fixed-order transform: exact
+    # on small integer states, and each row of a stack comes out as it does
+    # alone, so identical samples give identical images at any BLAS setting.
+    system = systems[n]
+    rng = np.random.default_rng(800 + n)
+    x = rng.integers(-1024, 1025, (6, system.d))
+    a = a_transform(system, x)
+    assert np.array_equal(a, x @ system.a_matrix.T)
+    assert np.array_equal(a_inverse(system, a), x)
+    w = rng.uniform(-1.0, 1.0, (2, 5, system.d))
+    for forward in (a_transform, a_inverse):
+        stack = forward(system, w)
+        assert stack.shape == w.shape
+        rows = np.array([[forward(system, row) for row in block] for block in w])
+        assert np.array_equal(stack, rows)
+    # The inverse keeps a zero unsigned: -H a / 2^(n-1) would write -0.
+    assert not np.signbit(a_inverse(system, np.zeros(system.d))).any()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 10])
 def test_a_round_trip(n, systems):
     rng = np.random.default_rng(42 + n)
     for _ in range(25):

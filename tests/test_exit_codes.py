@@ -1,6 +1,7 @@
 """Fuzz test of the CLI exit-code contract, in-process through cli.main.
 
-Each example draws a subcommand, n <= 5 or k <= 12, a --seed, an --omega0
+Each example draws a subcommand, n <= 5 (or n = 8 for run, which integrates
+the a-flow from there) or k <= 12, a --seed, an --omega0
 of the right or a wrong length or no state, and every numeric flag from
 valid, edge and invalid values.  --t-end is capped at 4 and
 --sample-interval is only drawn with it, at 0.001 or more when valid, so a
@@ -89,8 +90,8 @@ def _value(draw, values: tuple) -> str:
 @st.composite
 def _argv(draw, subcommands=("run", "reduce", "zk", "geometry", "equations")) -> list[str]:
     sub = draw(st.sampled_from(subcommands))
-    sizes = [str(size) for size in range(2, 13 if sub == "zk" else 6)]
-    size = int(_value(draw, (sizes, ["-1", "0", "1"])))
+    sizes = range(2, 13) if sub == "zk" else [2, 3, 4, 5, 8] if sub == "run" else range(2, 6)
+    size = int(_value(draw, ([str(size) for size in sizes], ["-1", "0", "1"])))
     argv = [sub, f"--{'k' if sub == 'zk' else 'n'}={size}"]
     if sub == "geometry":
         return argv + [f"--format={draw(st.sampled_from(['json', 'dot']))}"]

@@ -5,9 +5,10 @@
 
 Each command runs in a fresh interpreter, with PYTHONPATH=SRC, COLUMNS=80
 (argparse wraps its help and usage text to that width) and
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1 (the
-drift reports and the reduce reports hold BLAS products, whose last bits
-follow the thread count), in an empty temporary directory.  The manifest
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1 (below
+n = 8 the drift reports and the reduce reports hold BLAS products, whose last
+bits can follow the thread count; from n = 8 up the a map is the fixed-order
+Walsh-Hadamard transform), in an empty temporary directory.  The manifest
 records, per command, the exit code, the sha256 of stdout, the stderr text,
 and for every file the command wrote its sha256.  A JSON object file also
 gets one record per top-level key: its value when that is a number, a
@@ -36,7 +37,8 @@ COMMANDS = (
     [f"run --n {n} --seed 1 --format {fmt} --out r" for n in range(2, 9) for fmt in ("csv", "json")]
     + [f"reduce --n {n} --seed {seed} --out c.json" for n in range(3, 10) for seed in (1, 2, 3)]
     + ["reduce --n 3 --seed 1"]
-    # omega_rhs's Walsh-Hadamard route serves n = 8..10; n = 8 is above.
+    # From n = 8 up run integrates the a-flow and reduce the Walsh-Hadamard
+    # omega_rhs; n = 8 is above.
     + [f"run --n {n} --seed 1 --out r" for n in (9, 10)]
     + [f"zk --k {k} --seed 1 --out z" for k in (3, 6, 12)]
     + [
