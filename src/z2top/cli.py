@@ -54,8 +54,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import geometry
-from .dynamics import (_HADAMARD_MIN_N, TopSystem, Trajectory, a_inverse, a_transform,
-                       guarded_horizon, integrate, trajectory_json)
+from .dynamics import (TopSystem, Trajectory, a_inverse, a_transform, guarded_horizon,
+                       integrate, trajectory_json)
 from .errors import BranchError, DegenerateOrbitError, InvalidParameterError
 from .integrate import BLOW_UP, BRANCH_FAILURE, COMPLETED, STEP_FAILURE
 from .invariants import drift_report
@@ -305,24 +305,22 @@ def _exit_code(*terminations: str) -> int:
 
 
 def _top_flow(system: TopSystem, omega0: np.ndarray, *flow_args, sample_interval) -> tuple:
-    """run's omega trajectory and its drift report.  From _HADAMARD_MIN_N up the
-    flow runs in the diagonal a coordinates, O(d) per RHS call against the omega
-    route's O(d sqrt(d)), and the drift report takes its a samples as they are; the
-    omega samples are their inverse transform, with row 0 omega0 bit for bit.  A
-    finite omega0 whose a overflows stays on the omega route, whose velocity
-    overflows at once: a step_failure, as below _HADAMARD_MIN_N."""
-    if system.n >= _HADAMARD_MIN_N:
-        with np.errstate(over="ignore", invalid="ignore"):
-            a0 = a_transform(system, omega0)
-        if np.isfinite(a0).all():
-            flow = integrate(system, "a", a0, *flow_args, sample_interval=sample_interval)
-            omega = np.empty_like(flow.states)
-            omega[0] = omega0
-            omega[1:] = a_inverse(system, flow.states[1:])
-            trajectory = Trajectory("omega", flow.times, omega, flow.termination)
-            return trajectory, drift_report(system, flow)
-    trajectory = integrate(system, "omega", omega0, *flow_args, sample_interval=sample_interval)
-    return trajectory, drift_report(system, trajectory)
+    """run's omega trajectory and its drift report.  At every n the flow runs in
+    the diagonal a coordinates, O(d) per RHS call, and the blow-up guard reads
+    max|a|.  The drift report takes the a samples as they are; the omega samples
+    are their inverse transform, with row 0 omega0 bit for bit.  A finite omega0
+    whose a overflows stays on the omega route, whose velocity overflows at
+    once: a step_failure."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a0 = a_transform(system, omega0)
+    if not np.isfinite(a0).all():
+        flow = integrate(system, "omega", omega0, *flow_args, sample_interval=sample_interval)
+        return flow, drift_report(system, flow)
+    flow = integrate(system, "a", a0, *flow_args, sample_interval=sample_interval)
+    omega = np.empty_like(flow.states)
+    omega[0] = omega0
+    omega[1:] = a_inverse(system, flow.states[1:])
+    return Trajectory("omega", flow.times, omega, flow.termination), drift_report(system, flow)
 
 
 def _cmd_flow(args: argparse.Namespace) -> int:

@@ -11,29 +11,28 @@ bit-reversed pairing makes the 3-variable case read a_1 = omega_2 + omega_3
 (and cyclically), and satisfies A @ A = 2^(n-2) (I + J) exactly, which gives
 the closed-form inverse used by a_inverse.
 
-omega_rhs has two routes.  Below n = _HADAMARD_MIN_N it gathers the pair
-products of each line sum through the pair_idx table.  From there up, where
-that gather of (d - 1) d / 2 products dominates, it uses that a line is a
-triple {i, j, k} with i ^ j ^ k = 0: omega' is half the XOR self-convolution
-of x = [0, omega], which the Walsh-Hadamard transform H turns into a square,
+cli's run integrates the diagonal a-flow at every n, O(d) per RHS call, and
+writes its omega samples through a_inverse; its blow-up guard reads max|a|.
+a_transform and a_inverse run on one Walsh-Hadamard butterfly H at every n:
+a = (z_0 - z[rev]) / 2 and omega = -z[rev] / 2^(n-1) with z = H [0, x], as
+A = (J - H[rev, 1:]) / 2.  Neither calls BLAS, each sums in one fixed order,
+and each row of a stack comes out as it does alone, so the bytes follow neither
+the BLAS build nor its threads.  TopSystem.a_matrix is A as a dense table, a
+reference for tests; nothing here computes with it.
+
+omega_rhs serves reduce, whose omega flow is the independent route it compares
+the scalar quadrature with, and run's fallback for an omega0 whose a overflows.
+Below n = _HADAMARD_MIN_N it gathers the pair products of each line sum through
+the pair_idx table.  From there up, where that gather of (d - 1) d / 2 products
+dominates, it uses that a line is a triple {i, j, k} with i ^ j ^ k = 0: omega'
+is half the XOR self-convolution of x = [0, omega], which H turns into a square,
 
     omega' = H (H x)^2 [1:] / 2^(n+1),
 
-two O(d sqrt(d)) products, about 4 times faster than the gather at n = 8
-and 20 times at n = 10 on a 2-vCPU x86 host.  Each component lies within
-d eps / 4 sum_{j,k} |omega_j omega_k| of the exact line sum (0.021 d eps at
-worst on random states) and is exact on small integer states, so from n = 8 up
-the trajectories differ from the pair table's in their last bits.  Below n = 8
-the bytes are unchanged.
-
-From the same n up, a_transform and a_inverse run on that transform too:
-a = (z_0 - z[rev]) / 2 and omega = -z[rev] / 2^(n-1) with z = H [0, x], as
-A = (J - H[rev, 1:]) / 2.  Neither calls BLAS, each sums in one fixed order,
-and each row of a stack comes out as it does alone.  Below n = 8 they stay the
-products with A, whose bytes on a stack can follow the BLAS build and threads.  So
-from n = 8 up, cli's run integrates the diagonal a-flow, O(d) per RHS call, and
-writes its omega samples through a_inverse; reduce keeps the omega flow as the
-independent route it compares the scalar quadrature with.
+two O(d log d) butterflies, about 1.5 times faster than the gather at n = 8 and
+18 times at n = 10 on a 2-vCPU x86 host.  Each component lies within
+d eps / 4 sum_{j,k} |omega_j omega_k| of the exact line sum (4 eps times that
+sum at worst on random states) and is exact on small integer states.
 """
 
 from __future__ import annotations
@@ -53,11 +52,10 @@ from .integrate import COMPLETED, adaptive_rk
 #: Largest n for which the dense RHS index tables are built.
 MAX_N_SYSTEM = 10
 
-#: Smallest n whose omega_rhs runs through the Walsh-Hadamard transform.  On a
-#: 2-vCPU x86 host the squared form wins from n = 7 (15-19 us against 23-24 us
-#: for the gather) and loses at n = 6 (13 us against 8 us), so n = 6, which
-#: reduce runs, stays on the gather; n = 7 is in no benchmark workload, and the
-#: threshold stays at 8 so that the n <= 7 bytes stay pinned.
+#: Smallest n whose omega_rhs runs through the Walsh-Hadamard butterfly, which
+#: only reduce and run's overflow fallback call.  On a 2-vCPU x86 host the
+#: butterfly form wins from n = 8 (53 us against 72-87 us for the gather) and
+#: loses at n = 7 (45-79 us against 23-37 us).
 _HADAMARD_MIN_N = 8
 
 #: Fraction of the majorant's earliest pole time that the default horizon spans.
@@ -86,7 +84,7 @@ class TopSystem:
     """Immutable bundle of the transform matrix and the RHS index tables.
 
     The tables depend on n alone: each is built once per n per process and is
-    read-only, so every system of that n shares the same three arrays.
+    read-only, so every system of that n shares the same four arrays.
     """
 
     n: int
@@ -132,7 +130,7 @@ def _tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     pts = np.arange(1, d + 1, dtype=np.int64)
     rev = np.array(geometry.Collineation.from_matrix([1 << k for k in range(n)], n).perm,
                    dtype=np.intp)
-    a = (np.kron(_sylvester(n // 2), _sylvester(n - n // 2))[rev, 1:] < 0).astype(np.int64)
+    a = geometry.parity(rev[:, None] & pts, n)
     # The line through i and q is {i, q, q ^ i}; take each pair once, q < q ^ i.
     i = pts[:, None]
     q = np.broadcast_to(pts, (d, d))[pts < (pts ^ i)].reshape(d, -1)
@@ -143,27 +141,33 @@ def _tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return a, planes.transpose(1, 2, 0), cols, rev
 
 
-@functools.cache
-def _sylvester(k: int) -> np.ndarray:
-    """The 2^k x 2^k Sylvester-Hadamard matrix H[u, v] = (-1)^<u, v>, as floats."""
-    u = np.arange(2**k)
-    return 1.0 - 2.0 * geometry.parity(u[:, None] & u, k)
+def _hadamard(x: np.ndarray) -> np.ndarray:
+    """H x for each column of a float (2^n, columns) array, H[u, v] = (-1)^<u, v>.
 
-
-def _hadamard(x: np.ndarray, n: int) -> np.ndarray:
-    """H @ x over the last axis of a (..., 2^n) array: H = H_P (x) H_Q, so on the
-    (..., 2^P, 2^Q) reshape X, P = n // 2, it is H_P X H_Q.  einsum without
-    optimize never calls BLAS and sums each entry in one fixed order, so the
-    bytes follow neither the BLAS build nor its threads, and a row of a stack
-    comes out as it does alone."""
-    hp, hq = _sylvester(n // 2), _sylvester(n - n // 2)
-    y = np.einsum("ij,...jk->...ik", hp, x.reshape(*x.shape[:-1], len(hp), len(hq)))
-    return np.einsum("...ij,jk->...ik", y, hq).reshape(x.shape)
+    n add/subtract stages; each writes the sum and the difference of entry u
+    of the two halves to entries 2u and 2u + 1, which moves the top index bit
+    to the bottom, so after n stages every bit is back in place.  No BLAS is
+    called and every entry is summed in one fixed order, so the bytes follow
+    neither the BLAS build nor its threads, and a column comes out as it does
+    alone.  x is not written to.
+    """
+    size, columns = x.shape
+    half = size // 2
+    for _ in range(size.bit_length() - 1):
+        y = np.empty((half, 2, columns))
+        np.add(x[:half], x[half:], out=y[:, 0])
+        np.subtract(x[:half], x[half:], out=y[:, 1])
+        x = y.reshape(size, columns)
+    return x
 
 
 def _bordered_hadamard(system: TopSystem, x: np.ndarray) -> np.ndarray:
-    """H [0, x] of each state of a (..., d) array; entry 0 is the sum of x."""
-    return _hadamard(np.concatenate((np.zeros(x.shape[:-1] + (1,)), x), axis=-1), system.n)
+    """H [0, x] of each state of a (rows, d) array, as a (2^n, rows) array;
+    row 0 holds the sums of the states."""
+    z = np.empty((system.d + 1, len(x)))
+    z[0] = 0.0
+    z[1:] = x.T
+    return _hadamard(z)
 
 
 def omega_rhs(system: TopSystem, omega: Sequence[float]) -> np.ndarray:
@@ -172,38 +176,34 @@ def omega_rhs(system: TopSystem, omega: Sequence[float]) -> np.ndarray:
     n = system.n
     if n < _HADAMARD_MIN_N:
         return (w[system.pair_idx[:, :, 0]] * w[system.pair_idx[:, :, 1]]).sum(axis=1)
-    z = _bordered_hadamard(system, w)
-    return _hadamard(z * z, n)[1:] / 2 ** (n + 1)
+    z = _bordered_hadamard(system, w[None])
+    return _hadamard(z * z)[1:, 0] / 2 ** (n + 1)
 
 
-def _check_states(system: TopSystem, x) -> np.ndarray:
-    """x as a float array of one state or a (..., d) stack of them."""
+def _a_map(system: TopSystem, x, head, scale: float) -> np.ndarray:
+    """(head(z) - z[rev]) * scale with z = H [0, x], for one state or a (..., d)
+    stack of them; scale is a power of two, so its product is exact.  The rows
+    come out C-contiguous, as a row alone does, so a reduction along them sums
+    in the same order."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (system.d,):
         raise InvalidParameterError(f"states must have length {system.d}, got shape {x.shape}")
-    return x
+    z = _bordered_hadamard(system, x.reshape(-1, system.d))
+    return np.ascontiguousarray(((head(z) - z[system.rev]) * scale).T).reshape(x.shape)
 
 
 def a_transform(system: TopSystem, omega) -> np.ndarray:
     """a = A @ omega, each a summing omega over one hyperplane complement, for one
-    state or a (..., d) stack of them.  From _HADAMARD_MIN_N up it is
-    (z_0 - z[rev]) / 2 with z = H [0, omega], as A = (J - H[rev, 1:]) / 2."""
-    x = _check_states(system, omega)
-    if system.n < _HADAMARD_MIN_N:
-        return x @ system.a_matrix.T
-    z = _bordered_hadamard(system, x)
-    return (z[..., :1] - z[..., system.rev]) / 2
+    state or a (..., d) stack of them: (z_0 - z[rev]) / 2 with z = H [0, omega],
+    as A = (J - H[rev, 1:]) / 2."""
+    return _a_map(system, omega, lambda z: z[:1], 0.5)
 
 
 def a_inverse(system: TopSystem, a) -> np.ndarray:
-    """Solve A @ omega = a, for one state or a (..., d) stack of them, using
-    A^-1 = (A - J/2) / 2^(n-2); from _HADAMARD_MIN_N up that is
-    -H[rev, 1:] a / 2^(n-1), with 0.0 - z keeping a zero unsigned."""
-    a = _check_states(system, a)
-    n = system.n
-    if n < _HADAMARD_MIN_N:
-        return (a_transform(system, a) - a.sum(axis=-1, keepdims=True) / 2.0) / 2 ** (n - 2)
-    return (0.0 - _bordered_hadamard(system, a)[..., system.rev]) / 2 ** (n - 1)
+    """Solve A @ omega = a, for one state or a (..., d) stack of them:
+    A^-1 = (A - J/2) / 2^(n-2) is -H[rev, 1:] / 2^(n-1), and 0.0 - z keeps a
+    zero unsigned."""
+    return _a_map(system, a, lambda z: 0.0, 0.5 ** (system.n - 1))
 
 
 def a_rhs(system: TopSystem, a: Sequence[float]) -> np.ndarray:

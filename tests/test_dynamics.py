@@ -185,11 +185,11 @@ def test_a_inverse_examples(systems):
     assert np.allclose(a_inverse(systems[2], np.zeros(3)), np.zeros(3))
 
 
-@pytest.mark.parametrize("n", range(_HADAMARD_MIN_N, MAX_N_SYSTEM + 1))
+@pytest.mark.parametrize("n", range(2, MAX_N_SYSTEM + 1))
 def test_hadamard_a_map_is_exact_and_row_by_row(n, systems):
-    # From _HADAMARD_MIN_N up both maps run on the fixed-order transform: exact
-    # on small integer states, and each row of a stack comes out as it does
-    # alone, so identical samples give identical images at any BLAS setting.
+    # Both maps run on the fixed-order transform: exact on small integer
+    # states, and each row of a stack comes out as it does alone, so identical
+    # samples give identical images at any BLAS setting.
     system = systems[n]
     rng = np.random.default_rng(800 + n)
     x = rng.integers(-1024, 1025, (6, system.d))
@@ -202,6 +202,10 @@ def test_hadamard_a_map_is_exact_and_row_by_row(n, systems):
         assert stack.shape == w.shape
         rows = np.array([[forward(system, row) for row in block] for block in w])
         assert np.array_equal(stack, rows)
+        # Laid out as the rows alone are, so a sum along them rounds the same.
+        assert np.array_equal(stack.sum(axis=-1), rows.sum(axis=-1))
+        # run maps the samples after row 0, none when the first step fails.
+        assert forward(system, np.empty((0, system.d))).shape == (0, system.d)
     # The inverse keeps a zero unsigned: -H a / 2^(n-1) would write -0.
     assert not np.signbit(a_inverse(system, np.zeros(system.d))).any()
 
@@ -277,7 +281,7 @@ def _pair_sums(system, w):
 def test_omega_rhs_hadamard_route_matches_pair_sums(n, systems):
     # Positive states, as the flow has them, and mixed-sign ones, where the
     # transform's sums cancel: each component lies within d eps / 4 of the sum
-    # of |w_j w_k| over its pairs (0.021 d eps at worst on these seeds).
+    # of |w_j w_k| over its pairs (0.015 d eps, or 4 eps, at worst on these seeds).
     system = systems[n]
     rng = np.random.default_rng(500 + n)
     eps = np.finfo(float).eps
@@ -310,7 +314,7 @@ def test_omega_rhs_hadamard_route_has_no_negative_zero(systems):
 @pytest.mark.parametrize("n", range(2, _HADAMARD_MIN_N))
 def test_omega_rhs_below_hadamard_threshold_is_the_pair_sum(n, systems):
     # Below the threshold the bytes are the pair table's, which the seeded
-    # trajectory files of n <= 7 pin.
+    # reduce reports of n <= 7 pin; run integrates the a-flow at every n.
     system = systems[n]
     rng = np.random.default_rng(600 + n)
     for low, high in [(0.1, 0.5)] * 10 + [(-1.0, 1.0)] * 10:
@@ -329,10 +333,10 @@ def test_hadamard_is_exact_on_integers(n, systems):
     rng = np.random.default_rng(700 + n)
     for _ in range(5):
         x = rng.integers(-1024, 1025, 2**n)
-        z = _hadamard(x.astype(float), n)
+        z = _hadamard(x.astype(float)[:, None])[:, 0]
         assert np.array_equal(z, sylvester @ x)
         x[0] = 0
-        z = _hadamard(x.astype(float), n)
+        z = _hadamard(x.astype(float)[:, None])[:, 0]
         assert np.array_equal((z[0] - z[rev]) / 2, systems[n].a_matrix @ x[1:])
 
 

@@ -3,12 +3,13 @@
     python tools/golden.py SRC MANIFEST       run every command against SRC/z2top
     python tools/golden.py --diff A B         list the entries where A and B differ
 
-Each command runs in a fresh interpreter, with PYTHONPATH=SRC, COLUMNS=80
-(argparse wraps its help and usage text to that width) and
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1 (below
-n = 8 the drift reports and the reduce reports hold BLAS products, whose last
-bits can follow the thread count; from n = 8 up the a map is the fixed-order
-Walsh-Hadamard transform), in an empty temporary directory.  The manifest
+Each command runs in a fresh interpreter, with PYTHONPATH=SRC and COLUMNS=80
+(argparse wraps its help and usage text to that width), in an empty temporary
+directory.  The BLAS thread variables (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS,
+MKL_NUM_THREADS) are the caller's: no seeded output goes through a BLAS
+product, since the a <-> omega maps are the fixed-order Walsh-Hadamard
+butterfly at every n, so manifests built at two thread counts should diff
+identical.  The manifest
 records, per command, the exit code, the sha256 of stdout, the stderr text,
 and for every file the command wrote its sha256.  A JSON object file also
 gets one record per top-level key: its value when that is a number, a
@@ -37,8 +38,8 @@ COMMANDS = (
     [f"run --n {n} --seed 1 --format {fmt} --out r" for n in range(2, 9) for fmt in ("csv", "json")]
     + [f"reduce --n {n} --seed {seed} --out c.json" for n in range(3, 10) for seed in (1, 2, 3)]
     + ["reduce --n 3 --seed 1"]
-    # From n = 8 up run integrates the a-flow and reduce the Walsh-Hadamard
-    # omega_rhs; n = 8 is above.
+    # From n = 8 up reduce integrates the Walsh-Hadamard omega_rhs; run's
+    # n = 8 is above.
     + [f"run --n {n} --seed 1 --out r" for n in (9, 10)]
     + [f"zk --k {k} --seed 1 --out z" for k in (3, 6, 12)]
     + [
@@ -126,9 +127,6 @@ COMMANDS = (
 )
 
 
-_ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-
-
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -157,7 +155,7 @@ def _file_record(path: str) -> dict:
 
 
 def run_command(src: str, command: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), COLUMNS="80", **_ONE_THREAD)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), COLUMNS="80")
     with tempfile.TemporaryDirectory() as work:
         proc = subprocess.run(
             [sys.executable, "-m", "z2top", *command.split()],
