@@ -13,12 +13,10 @@ the closed-form inverse used by a_inverse.
 
 cli's run integrates the diagonal a-flow at every n, O(d) per RHS call, and
 writes its omega samples through a_inverse; its blow-up guard reads max|a|.
-a_transform and a_inverse run on one Walsh-Hadamard butterfly H at every n:
-a = (z_0 - z[rev]) / 2 and omega = -z[rev] / 2^(n-1) with z = H [0, x], as
-A = (J - H[rev, 1:]) / 2.  Neither calls BLAS, each sums in one fixed order,
-and each row of a stack comes out as it does alone, so the bytes follow neither
-the BLAS build nor its threads.  TopSystem.a_matrix is A as a dense table, a
-reference for tests; nothing here computes with it.
+a_transform and a_inverse run on one BLAS-free Walsh-Hadamard butterfly at
+every n, so their bytes follow neither the BLAS build nor its threads.
+TopSystem.a_matrix is A as a dense table, a reference for tests; nothing here
+computes with it.
 
 omega_rhs serves reduce, whose omega flow is the independent route it compares
 the scalar quadrature with, and run's fallback for an omega0 whose a overflows.
@@ -29,8 +27,8 @@ is half the XOR self-convolution of x = [0, omega], which H turns into a square,
 
     omega' = H (H x)^2 [1:] / 2^(n+1),
 
-two O(d log d) butterflies, about 1.5 times faster than the gather at n = 8 and
-18 times at n = 10 on a 2-vCPU x86 host.  Each component lies within
+two O(d log d) butterflies, about 3 times faster than the gather at n = 8 and
+30 times at n = 10 on a 2-vCPU x86 host.  Each component lies within
 d eps / 4 sum_{j,k} |omega_j omega_k| of the exact line sum (4 eps times that
 sum at worst on random states) and is exact on small integer states.
 """
@@ -54,8 +52,8 @@ MAX_N_SYSTEM = 10
 
 #: Smallest n whose omega_rhs runs through the Walsh-Hadamard butterfly, which
 #: only reduce and run's overflow fallback call.  On a 2-vCPU x86 host the
-#: butterfly form wins from n = 8 (53 us against 72-87 us for the gather) and
-#: loses at n = 7 (45-79 us against 23-37 us).
+#: butterfly form wins from n = 8 (27-30 us against 81-87 us for the gather)
+#: and loses at n = 7 (24-26 us against 21-22 us).
 _HADAMARD_MIN_N = 8
 
 #: Fraction of the majorant's earliest pole time that the default horizon spans.
@@ -141,69 +139,72 @@ def _tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return a, planes.transpose(1, 2, 0), cols, rev
 
 
+def _butterfly(x: np.ndarray, odd) -> np.ndarray:
+    """A Walsh-Hadamard butterfly over axis 0 of a float (2^n, ...) array: each
+    of the n stages writes np.add(L, R) and odd(L, R, out) of entry u of the
+    halves L and R to entries 2u and 2u + 1, which moves the top index bit to
+    the bottom, so every bit ends in place.  The stages alternate between two
+    buffers whose views are made once.  Every entry is summed in one fixed
+    order, so a column comes out as it does alone."""
+    half = len(x) // 2
+    buffers = np.empty((2, *x.shape))
+    halves = [(b[:half], b[half:]) for b in buffers]
+    outs = [(s[:, 0], s[:, 1]) for s in buffers.reshape(2, half, 2, *x.shape[1:])]
+    left, right = x[:half], x[half:]
+    for stage in range(half.bit_length()):
+        np.add(left, right, outs[stage & 1][0])
+        odd(left, right, outs[stage & 1][1])
+        left, right = halves[stage & 1]
+    return buffers[stage & 1]
+
+
 def _hadamard(x: np.ndarray) -> np.ndarray:
-    """H x for each column of a float (2^n, columns) array, H[u, v] = (-1)^<u, v>.
-
-    n add/subtract stages; each writes the sum and the difference of entry u
-    of the two halves to entries 2u and 2u + 1, which moves the top index bit
-    to the bottom, so after n stages every bit is back in place.  No BLAS is
-    called and every entry is summed in one fixed order, so the bytes follow
-    neither the BLAS build nor its threads, and a column comes out as it does
-    alone.  x is not written to.
-    """
-    size, columns = x.shape
-    half = size // 2
-    for _ in range(size.bit_length() - 1):
-        y = np.empty((half, 2, columns))
-        np.add(x[:half], x[half:], out=y[:, 0])
-        np.subtract(x[:half], x[half:], out=y[:, 1])
-        x = y.reshape(size, columns)
-    return x
-
-
-def _bordered_hadamard(system: TopSystem, x: np.ndarray) -> np.ndarray:
-    """H [0, x] of each state of a (rows, d) array, as a (2^n, rows) array;
-    row 0 holds the sums of the states."""
-    z = np.empty((system.d + 1, len(x)))
-    z[0] = 0.0
-    z[1:] = x.T
-    return _hadamard(z)
+    """H x along axis 0 of a float (2^n, ...) array, H[u, v] = (-1)^<u, v>."""
+    return _butterfly(x, np.subtract)
 
 
 def omega_rhs(system: TopSystem, omega: Sequence[float]) -> np.ndarray:
     """Velocity in omega coordinates: sum of omega_j omega_k over lines through i."""
     w = system.check_state(omega)
-    n = system.n
-    if n < _HADAMARD_MIN_N:
+    if system.n < _HADAMARD_MIN_N:
         return (w[system.pair_idx[:, :, 0]] * w[system.pair_idx[:, :, 1]]).sum(axis=1)
-    z = _bordered_hadamard(system, w[None])
-    return _hadamard(z * z)[1:, 0] / 2 ** (n + 1)
+    z = _hadamard(np.concatenate(([0.0], w)))
+    return _hadamard(z * z)[1:] / 2 ** (system.n + 1)
 
 
-def _a_map(system: TopSystem, x, head, scale: float) -> np.ndarray:
-    """(head(z) - z[rev]) * scale with z = H [0, x], for one state or a (..., d)
-    stack of them; scale is a power of two, so its product is exact.  The rows
-    come out C-contiguous, as a row alone does, so a reduction along them sums
-    in the same order."""
+def _a_map(system: TopSystem, x, image) -> np.ndarray:
+    """image(z) for z = [0, x] as (2^n, states) columns, of one state or a
+    (..., d) stack of them, as C-contiguous rows: each comes out as it does
+    alone, and a reduction along it sums in the same order."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (system.d,):
         raise InvalidParameterError(f"states must have length {system.d}, got shape {x.shape}")
-    z = _bordered_hadamard(system, x.reshape(-1, system.d))
-    return np.ascontiguousarray(((head(z) - z[system.rev]) * scale).T).reshape(x.shape)
+    z = np.zeros((system.d + 1, x.size // system.d))
+    z[1:] = x.reshape(-1, system.d).T
+    return np.ascontiguousarray(image(z).T).reshape(x.shape)
 
 
 def a_transform(system: TopSystem, omega) -> np.ndarray:
-    """a = A @ omega, each a summing omega over one hyperplane complement, for one
-    state or a (..., d) stack of them: (z_0 - z[rev]) / 2 with z = H [0, omega],
-    as A = (J - H[rev, 1:]) / 2."""
-    return _a_map(system, omega, lambda z: z[:1], 0.5)
+    """a = A @ omega, each a_v summing omega over one hyperplane complement, for
+    one state or a (..., d) stack of them.  The butterfly carries the even and
+    the odd sum of each entry u of [0, omega] (over <u, p> = 0 and = 1), from
+    (omega_u, 0); entry 2u + 1 of a stage flips the parity of R's points, so R's
+    even sums join L's odd ones and the other way round.  a_v, the odd sum of
+    rev(v), adds only the omega of its complement and exact zeros: it lies
+    within n eps / 2 of their sum of |omega_p|, whatever the omega outside."""
+    def odd_sums(z):
+        even_odd = np.zeros((len(z), 2, z.shape[1]))
+        even_odd[:, 0] = z
+        cross = lambda left, right, out: np.add(left, right[:, ::-1], out)
+        return _butterfly(even_odd, cross)[system.rev, 1]
+    return _a_map(system, omega, odd_sums)
 
 
 def a_inverse(system: TopSystem, a) -> np.ndarray:
     """Solve A @ omega = a, for one state or a (..., d) stack of them:
-    A^-1 = (A - J/2) / 2^(n-2) is -H[rev, 1:] / 2^(n-1), and 0.0 - z keeps a
-    zero unsigned."""
-    return _a_map(system, a, lambda z: 0.0, 0.5 ** (system.n - 1))
+    A^-1 = (A - J/2) / 2^(n-2) is -H[rev, 1:] / 2^(n-1), an exact power-of-two
+    scale, and 0.0 - z keeps a zero unsigned."""
+    return _a_map(system, a, lambda z: (0.0 - _hadamard(z)[system.rev]) * 0.5 ** (system.n - 1))
 
 
 def a_rhs(system: TopSystem, a: Sequence[float]) -> np.ndarray:

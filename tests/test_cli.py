@@ -619,6 +619,43 @@ def test_large_n_drift_has_no_noise_floor(tmp_path, capsys, monkeypatch):
         assert len(rows) == 256 and len({row.split(",", 1)[1] for row in rows}) == 1
 
 
+def test_run_keys_n_rows_on_the_exact_a0(tmp_path, capsys):
+    # The drift report lists the N_1j whenever every a_j(0) != 0.  a_3 =
+    # omega_1 + omega_2 is exactly 0 on (0.1, -0.1, 0.3), an orbit on a_3 = 0,
+    # and exactly 1 next to omega_3 = 1e154.
+    base = tmp_path / "a0"
+    for omega0, n_rows in (("0.1,-0.1,0.3", []), ("1e-160,1,1e154", ["N_1_2", "N_1_3"])):
+        run_cli(["run", "--n", "2", f"--omega0={omega0}", "--t-end", "0.01", "--out", str(base)],
+                capsys)
+        doc = json.loads((tmp_path / "a0.drift.json").read_text())
+        assert [entry["name"] for entry in doc["invariants"]] == [
+            "gamma_1", "gamma_2", "gamma_3", *n_rows]
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_run_keeps_a_line_state_on_its_line(n, tmp_path, capsys):
+    # A state on a line {x, y, x ^ y} stays on it.  The a-flow keeps the
+    # line's zero and repeated a_j exact, and the butterfly meets those equal
+    # values in mirrored pairs, whose sums and differences cancel exactly
+    # (fl(u - v) = -fl(v - u)), so every off-line component is 0.0.
+    rng = np.random.default_rng(1000 + n)
+    d = 2**n - 1
+    base = tmp_path / "line"
+    for trial in range(4):
+        x, y = rng.choice(np.arange(1, d + 1), 2, replace=False)
+        line = np.array([x, y, x ^ y]) - 1
+        w0 = np.zeros(d)
+        w0[line] = rng.uniform(-0.5, 0.5, 3) if trial % 2 else rng.uniform(0.1, 0.5, 3)
+        omega0 = ",".join(map(repr, w0.tolist()))
+        code, _, _ = run_cli(["run", "--n", str(n), f"--omega0={omega0}", "--out", str(base)],
+                             capsys)
+        assert code == 0
+        states = np.loadtxt(tmp_path / "line.trajectory.csv", delimiter=",", skiprows=1)[:, 1:]
+        off = np.delete(states, line, axis=1)
+        assert np.all(off == 0.0) and not np.signbit(off).any()
+        assert np.abs(states[:, line]).min() > 0.0
+
+
 def test_config_file_defaults_and_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 5, "t-end": 0.2}))

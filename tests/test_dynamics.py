@@ -210,6 +210,35 @@ def test_hadamard_a_map_is_exact_and_row_by_row(n, systems):
     assert not np.signbit(a_inverse(system, np.zeros(system.d))).any()
 
 
+@pytest.mark.parametrize("n", range(2, MAX_N_SYSTEM + 1))
+def test_a_transform_sums_each_complement_alone(n, systems):
+    # Each a_v is a plain sum of the omega over its complement, so its error
+    # scales with those omega alone: within n eps / 2 of the sum of their
+    # magnitudes, on states whose entries span 1e-150..1e150.  A difference of
+    # two sums over every omega would be off by eps max|omega|.
+    system = systems[n]
+    a_matrix = system.a_matrix.astype(bool)
+    rng = np.random.default_rng(900 + n)
+    eps = np.finfo(float).eps
+    for _ in range(5):
+        w = rng.uniform(-1.0, 1.0, system.d) * 10.0 ** rng.integers(-150, 151, system.d)
+        a = a_transform(system, w)
+        exact = np.array([math.fsum(w[row]) for row in a_matrix])
+        scale = np.array([np.abs(w[row]).sum() for row in a_matrix])
+        assert np.all(np.abs(a - exact) <= n * eps / 2 * scale)
+
+
+def test_a_transform_keeps_small_and_zero_sums(systems):
+    # a_3 = omega_1 + omega_2 cancels exactly, and a small hyperplane sum next
+    # to a huge omega keeps its own rounding; run keys its N_1j rows on
+    # a_j(0) != 0.
+    assert a_transform(systems[2], [0.1, -0.1, 0.3])[2] == 0.0
+    assert np.array_equal(a_transform(systems[2], [1e-160, 1.0, 1e154]), [1e154, 1e154, 1.0])
+    # The three complements that miss omega_1 = 1e16 sum four ones.
+    a = a_transform(systems[3], [1e16, 1, 1, 1, 1, 1, 1.0])
+    assert np.array_equal(a[systems[3].a_matrix[:, 0] == 0], [4.0, 4.0, 4.0])
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 10])
 def test_a_round_trip(n, systems):
     rng = np.random.default_rng(42 + n)
@@ -325,7 +354,8 @@ def test_omega_rhs_below_hadamard_threshold_is_the_pair_sum(n, systems):
 @pytest.mark.parametrize("n", range(2, MAX_N_SYSTEM + 1))
 def test_hadamard_is_exact_on_integers(n, systems):
     # _hadamard is the dense Sylvester product, and (z_0 - z[rev]) / 2 with
-    # z = H [0, x] is a_matrix @ x, the transform form of A.
+    # z = H [0, x] is a_matrix @ x: A = (J - H[rev, 1:]) / 2, the identity
+    # behind a_inverse's closed form.
     sylvester = np.ones((1, 1), dtype=np.int64)
     for _ in range(n):
         sylvester = np.kron(np.array([[1, 1], [1, -1]]), sylvester)
@@ -333,10 +363,11 @@ def test_hadamard_is_exact_on_integers(n, systems):
     rng = np.random.default_rng(700 + n)
     for _ in range(5):
         x = rng.integers(-1024, 1025, 2**n)
-        z = _hadamard(x.astype(float)[:, None])[:, 0]
+        z = _hadamard(x.astype(float))
         assert np.array_equal(z, sylvester @ x)
+        assert np.array_equal(_hadamard(x.astype(float)[:, None])[:, 0], z)
         x[0] = 0
-        z = _hadamard(x.astype(float)[:, None])[:, 0]
+        z = _hadamard(x.astype(float))
         assert np.array_equal((z[0] - z[rev]) / 2, systems[n].a_matrix @ x[1:])
 
 
