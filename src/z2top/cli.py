@@ -54,8 +54,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import geometry
-from .dynamics import (TopSystem, Trajectory, a_inverse, a_transform, guarded_horizon,
-                       integrate, trajectory_json)
+from .dynamics import (TopSystem, guarded_horizon, initial_a, integrate, omega_trajectory,
+                       trajectory_json)
 from .errors import BranchError, DegenerateOrbitError, InvalidParameterError
 from .integrate import BLOW_UP, BRANCH_FAILURE, COMPLETED, STEP_FAILURE
 from .invariants import drift_report
@@ -305,22 +305,12 @@ def _exit_code(*terminations: str) -> int:
 
 
 def _top_flow(system: TopSystem, omega0: np.ndarray, *flow_args, sample_interval) -> tuple:
-    """run's omega trajectory and its drift report.  At every n the flow runs in
-    the diagonal a coordinates, O(d) per RHS call, and the blow-up guard reads
-    max|a|.  The drift report takes the a samples as they are; the omega samples
-    are their inverse transform, with row 0 omega0 bit for bit.  A finite omega0
-    whose a overflows stays on the omega route, whose velocity overflows at
-    once: a step_failure."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        a0 = a_transform(system, omega0)
-    if not np.isfinite(a0).all():
-        flow = integrate(system, "omega", omega0, *flow_args, sample_interval=sample_interval)
-        return flow, drift_report(system, flow)
+    """run's omega trajectory and its drift report: at every n the flow runs in
+    the diagonal a coordinates from initial_a's a0, O(d) per RHS call, with its
+    blow-up guard on max|a|, and the drift report reads the a samples as they are."""
+    a0 = initial_a(system, omega0)
     flow = integrate(system, "a", a0, *flow_args, sample_interval=sample_interval)
-    omega = np.empty_like(flow.states)
-    omega[0] = omega0
-    omega[1:] = a_inverse(system, flow.states[1:])
-    return Trajectory("omega", flow.times, omega, flow.termination), drift_report(system, flow)
+    return omega_trajectory(system, omega0, flow), drift_report(system, flow)
 
 
 def _cmd_flow(args: argparse.Namespace) -> int:

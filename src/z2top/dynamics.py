@@ -11,19 +11,19 @@ bit-reversed pairing makes the 3-variable case read a_1 = omega_2 + omega_3
 (and cyclically), and satisfies A @ A = 2^(n-2) (I + J) exactly, which gives
 the closed-form inverse used by a_inverse.
 
-cli's run integrates the diagonal a-flow at every n, O(d) per RHS call, and
-writes its omega samples through a_inverse; its blow-up guard reads max|a|.
+cli's run integrates the diagonal a-flow from initial_a's a0 at every n, O(d)
+per RHS call, and writes omega_trajectory's samples; its guard reads max|a|.
 a_transform and a_inverse run on one BLAS-free Walsh-Hadamard butterfly at
 every n, so their bytes follow neither the BLAS build nor its threads.
 TopSystem.a_matrix is A as a dense table, a reference for tests; nothing here
 computes with it.
 
-omega_rhs serves reduce, whose omega flow is the independent route it compares
-the scalar quadrature with, and run's fallback for an omega0 whose a overflows.
-Below n = _HADAMARD_MIN_N it gathers the pair products of each line sum through
-the pair_idx table.  From there up, where that gather of (d - 1) d / 2 products
-dominates, it uses that a line is a triple {i, j, k} with i ^ j ^ k = 0: omega'
-is half the XOR self-convolution of x = [0, omega], which H turns into a square,
+omega_rhs serves reduce alone, whose omega flow is the independent route it
+compares the scalar quadrature with.  Below n = _HADAMARD_MIN_N it gathers the
+pair products of each line sum through the pair_idx table.  From there up,
+where that gather of (d - 1) d / 2 products dominates, it uses that a line is
+a triple {i, j, k} with i ^ j ^ k = 0: omega' is half the XOR self-convolution
+of x = [0, omega], which H turns into a square,
 
     omega' = H (H x)^2 [1:] / 2^(n+1),
 
@@ -45,15 +45,15 @@ import numpy as np
 
 from . import geometry
 from .errors import InvalidParameterError
-from .integrate import COMPLETED, adaptive_rk
+from .integrate import COMPLETED, adaptive_rk, finite_vector
 
 #: Largest n for which the dense RHS index tables are built.
 MAX_N_SYSTEM = 10
 
-#: Smallest n whose omega_rhs runs through the Walsh-Hadamard butterfly, which
-#: only reduce and run's overflow fallback call.  On a 2-vCPU x86 host the
-#: butterfly form wins from n = 8 (27-30 us against 81-87 us for the gather)
-#: and loses at n = 7 (24-26 us against 21-22 us).
+#: Smallest n whose omega_rhs, which only reduce calls, runs through the
+#: Walsh-Hadamard butterfly.  On a 2-vCPU x86 host the butterfly form wins
+#: from n = 8 (27-30 us against 81-87 us for the gather) and loses at n = 7
+#: (24-26 us against 21-22 us).
 _HADAMARD_MIN_N = 8
 
 #: Fraction of the majorant's earliest pole time that the default horizon spans.
@@ -82,7 +82,7 @@ class TopSystem:
     """Immutable bundle of the transform matrix and the RHS index tables.
 
     The tables depend on n alone: each is built once per n per process and is
-    read-only, so every system of that n shares the same four arrays.
+    read-only, so every system of that n shares the same three arrays.
     """
 
     n: int
@@ -92,9 +92,6 @@ class TopSystem:
     # increasing) such that {i+1, j+1, k+1} is a line.  Its [:, :, 0] and
     # [:, :, 1] planes are contiguous, which keeps the gathers on them fast.
     pair_idx: np.ndarray = field(repr=False)
-    # The same pairs as an (m - 1, 2, d) array, m = (d + 1) / 2: pair_cols[p]
-    # holds the p-th j and k of every point, the layout invariants._gamma takes.
-    pair_cols: np.ndarray = field(repr=False)
     # rev[v - 1] is v with its n bits reversed: a_v reads row rev(v) of H.
     rev: np.ndarray = field(repr=False)
 
@@ -121,9 +118,8 @@ class TopSystem:
 
 
 @functools.cache
-def _tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only (a_matrix, pair_idx, pair_cols, rev) of n; those of n = 2..10
-    take about 34 MB."""
+def _tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only (a_matrix, pair_idx, rev) of n; those of n = 2..10 take about 22 MB."""
     d = geometry.num_points(n)
     pts = np.arange(1, d + 1, dtype=np.int64)
     rev = np.array(geometry.Collineation.from_matrix([1 << k for k in range(n)], n).perm,
@@ -133,10 +129,9 @@ def _tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     i = pts[:, None]
     q = np.broadcast_to(pts, (d, d))[pts < (pts ^ i)].reshape(d, -1)
     planes = np.stack([q - 1, (q ^ i) - 1]).astype(np.intp, copy=False)
-    cols = np.ascontiguousarray(planes.transpose(2, 0, 1))
-    for table in (a, planes, cols, rev):
+    for table in (a, planes, rev):
         table.flags.writeable = False  # views taken after inherit it
-    return a, planes.transpose(1, 2, 0), cols, rev
+    return a, planes.transpose(1, 2, 0), rev
 
 
 def _butterfly(x: np.ndarray, odd) -> np.ndarray:
@@ -200,6 +195,17 @@ def a_transform(system: TopSystem, omega) -> np.ndarray:
     return _a_map(system, omega, odd_sums)
 
 
+def initial_a(system: TopSystem, omega0) -> np.ndarray:
+    """a_transform of a finite omega0, the initial a of run and reduce; an omega0
+    whose hyperplane sums overflow a double is a usage error, before any flow."""
+    omega0 = finite_vector(system.check_state(omega0))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        a0 = a_transform(system, omega0)
+    if not np.isfinite(a0).all():
+        raise InvalidParameterError("the hyperplane sums of omega0 overflow a double")
+    return a0
+
+
 def a_inverse(system: TopSystem, a) -> np.ndarray:
     """Solve A @ omega = a, for one state or a (..., d) stack of them:
     A^-1 = (A - J/2) / 2^(n-2) is -H[rev, 1:] / 2^(n-1), an exact power-of-two
@@ -240,6 +246,13 @@ class Trajectory:
             values = np.column_stack((self.times[start:stop], self.states[start:stop]))
             blocks.append(_format_g17(values).decode("ascii"))
         return "".join(blocks)
+
+
+def omega_trajectory(system: TopSystem, omega0: np.ndarray, flow: Trajectory) -> Trajectory:
+    """The omega samples of an a-flow from initial_a(system, omega0): row 0 is
+    omega0 bit for bit, every other row a_inverse of its a sample."""
+    omega = np.vstack((omega0, a_inverse(system, flow.states[1:])))
+    return Trajectory("omega", flow.times, omega, flow.termination)
 
 
 def guarded_horizon(system, x0: Sequence[float]) -> float:

@@ -53,30 +53,28 @@ def _n_entries(t, ai, aj) -> np.ndarray:
     return t * (ai - aj) / (ai * aj)
 
 
-def _gamma(a: np.ndarray, pair_cols: np.ndarray) -> np.ndarray:
+def _gamma(a: np.ndarray, pair_idx: np.ndarray) -> np.ndarray:
     """gamma_i = a_i * prod over lines {i,j,k} of (a_j - a_k), over (d,) and
-    (d, samples) arrays, with the pairs as TopSystem.pair_cols lays them out.
-
-    The product runs over the pairs in order, one factor at a time.  Each
-    factor is one take of both pair columns into a (2, d, chunk) buffer, so on
-    a (d, samples) array it gathers whole rows; the samples go in chunks
-    whose buffer stays within _GAMMA_BUFFER_BYTES, which keeps it in cache.
-    """
+    (d, samples) arrays, one factor at a time over the pairs of pair_idx in
+    order.  They are laid out once per call as (m - 1, 2, d), m = (d + 1) / 2,
+    so that each factor is one take of both pair columns into a (2, d, chunk)
+    buffer, which gathers whole rows of a (d, samples) array.  The samples go
+    in chunks whose buffer stays within _GAMMA_BUFFER_BYTES, in cache."""
+    cols = np.ascontiguousarray(pair_idx.transpose(1, 2, 0))
+    stack = a.reshape(len(a), -1)
+    out = np.empty_like(stack)
     step = max(1, _GAMMA_BUFFER_BYTES // (2 * a.itemsize * len(a)))
-    if a.ndim == 2 and a.shape[1] > step:
-        out = np.empty_like(a)
-        for start in range(0, a.shape[1], step):
-            # np.take would copy a strided chunk on every call; copy it once.
-            chunk = np.ascontiguousarray(a[:, start : start + step])
-            out[:, start : start + step] = _gamma(chunk, pair_cols)
-        return out
-    prod = a[pair_cols[0, 0]] - a[pair_cols[0, 1]]
-    pair = np.empty((2,) + prod.shape, dtype=prod.dtype)
-    for col in pair_cols[1:]:
-        # mode="clip" changes no index here; it keeps take from buffering out.
-        np.take(a, col, axis=0, out=pair, mode="clip")
-        prod *= np.subtract(pair[0], pair[1], out=pair[0])
-    return np.multiply(prod, a, out=prod)  # a * prod in place: IEEE products commute
+    for start in range(0, stack.shape[1], step):
+        # np.take would copy a strided chunk on every call; copy it once.
+        chunk = np.ascontiguousarray(stack[:, start : start + step])
+        prod = chunk[cols[0, 0]] - chunk[cols[0, 1]]
+        pair = np.empty((2,) + prod.shape, dtype=prod.dtype)
+        for col in cols[1:]:
+            # mode="clip" changes no index here; it keeps take from buffering out.
+            np.take(chunk, col, axis=0, out=pair, mode="clip")
+            prod *= np.subtract(pair[0], pair[1], out=pair[0])
+        out[:, start : start + step] = np.multiply(prod, chunk, out=prod)  # IEEE products commute
+    return out.reshape(a.shape)
 
 
 def big_T(system: TopSystem, a: Sequence[float]) -> float:
@@ -95,7 +93,7 @@ def gamma(system: TopSystem, a: Sequence[float]) -> np.ndarray:
 
     Pairs are ordered j < k by canonical index, which fixes the overall sign.
     """
-    return _gamma(system.check_state(a), system.pair_cols)
+    return _gamma(system.check_state(a), system.pair_idx)
 
 
 #: drift.json as json.dumps(doc, sort_keys=True, indent=1) lays out the document and one entry.
@@ -184,7 +182,7 @@ def drift_report(system: TopSystem, trajectory: Trajectory) -> DriftReport:
     a = np.ascontiguousarray(a_samples.T)  # (d, samples): each gather takes whole rows
     del a_samples  # the transform's (samples, d) result is not needed past here
     names = [f"gamma_{i + 1}" for i in range(d)]
-    columns = [_series_drift(times, _gamma(a, system.pair_cols))]
+    columns = [_series_drift(times, _gamma(a, system.pair_idx))]
     if t is not None:
         names += [f"N_1_{j + 2}" for j in range(d - 1)]
         columns.append(_series_drift(times, _n_entries(t, a[0], a[1:])))

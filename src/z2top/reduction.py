@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import TopSystem, Trajectory, _json_text, a_transform, integrate
+from .dynamics import TopSystem, Trajectory, _json_text, a_transform, initial_a, integrate
 from .errors import BranchError, DegenerateOrbitError, InvalidParameterError
-from .integrate import adaptive_rk, check_run, finite_vector
+from .integrate import adaptive_rk, check_run
 from .invariants import _big_t, _product_root
 
 _IDENTITY_TOL = 1e-10
@@ -160,16 +160,13 @@ def compare_routes(
     full-flow values, reported per component and as an overall max.  Every
     argument is checked before the orbit, so a usage error comes first.
     """
-    omega0 = finite_vector(system.check_state(omega0))  # the transform would make inf nan
+    a0 = initial_a(system, omega0)
     sample_interval, _ = check_run(system.d, t_end, rel_tol, abs_tol, sample_interval, samples=128)
-    data = compute_reduction(system, a_transform(system, omega0))
+    data = compute_reduction(system, a0)
 
-    full = integrate(
-        system, "omega", omega0, t_end, rel_tol, abs_tol, sample_interval=sample_interval
-    )
-    scalar = integrate_R(
-        data, t_end, rel_tol, abs_tol, sample_interval=sample_interval
-    )
+    flow_args = (t_end, rel_tol, abs_tol)
+    full = integrate(system, "omega", omega0, *flow_args, sample_interval=sample_interval)
+    scalar = integrate_R(data, *flow_args, sample_interval=sample_interval)
 
     # Early-terminated trajectories end with an off-grid sample; compare the
     # common grid-aligned prefix, which holds t = 0 at least.

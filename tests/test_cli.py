@@ -280,21 +280,26 @@ def test_overflowing_initial_rhs_is_step_failure(tmp_path, capsys):
     assert (tmp_path / "big.drift.json").exists()
 
 
-def test_large_n_overflowing_a0_is_step_failure(tmp_path, capsys):
-    # Each a_j sums 128 of these finite values and overflows; run stays on the
-    # omega route, whose velocity overflows at t = 0, and writes omega0.
-    omega0 = ",".join(["1.5e306"] * 255)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, _, err = run_cli(
-            ["run", "--n", "8", "--omega0", omega0, "--t-end", "1", "--out", str(tmp_path / "big")],
-            capsys,
-        )
-    assert code == 4
-    assert "termination: step_failure" in err
-    rows = (tmp_path / "big.trajectory.csv").read_text().splitlines()
-    assert rows[1:] == ["0" + ",%.17g" % 1.5e306 * 255]
-    assert (tmp_path / "big.drift.json").exists()
+def test_overflowing_a0_is_usage_error(tmp_path, capsys):
+    # Each a_j sums 4 (n = 3) or 128 (n = 8) of these finite values and
+    # overflows: run and reduce refuse the state before any flow runs, with
+    # one error line, no file and no numpy warning.
+    states = (
+        ["--n", "3", "--omega0", ",".join(["1e308"] * 7)],
+        ["--n", "8", "--seed", "1", "--random-range=1.5e306,1.7e306"],
+        ["--n", "8", "--omega0", ",".join(["1.5e306"] * 255)],
+    )
+    for state in states:
+        for sub, out in (("run", "o"), ("reduce", "o.json")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, stdout, err = run_cli(
+                    [sub, *state, "--t-end", "1", "--out", str(tmp_path / out)], capsys
+                )
+            assert (code, stdout) == (2, ""), err
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: the hyperplane sums of omega0 overflow a double")
+            assert not list(tmp_path.iterdir())
 
 
 def test_horizon_below_old_step_floor_completes(tmp_path, capsys):
@@ -599,12 +604,16 @@ def test_large_n_drift_has_no_noise_floor(tmp_path, capsys, monkeypatch):
     # Steps of 1e-300 leave the state as it is, so all 257 samples are one
     # state: the drift report must read exactly 0 at every n.  A stack product
     # whose rounding varies from row to row reported 261 drifting invariants at
-    # n = 8.  run takes the a route at every n: only its fallback for an
-    # overflowing a0, and reduce, evaluate the omega velocity.
+    # n = 8.  run takes the a route at every n, and refuses an omega0 whose a
+    # overflows: only reduce evaluates the omega velocity.
     def no_omega_rhs(*_):
         raise AssertionError("run evaluated omega_rhs")
 
     monkeypatch.setattr(z2top.dynamics, "omega_rhs", no_omega_rhs)
+    for n, size in ((3, "1e308"), (8, "1.5e306")):
+        omega0 = ",".join([size] * (2**n - 1))
+        code, _, err = run_cli(["run", "--n", str(n), f"--omega0={omega0}", "--t-end", "1"], capsys)
+        assert code == 2 and err.startswith("error: "), err
     base = tmp_path / "still"
     for n in range(2, 11):
         code, _, _ = run_cli(

@@ -1,9 +1,10 @@
 """Fuzz test of the CLI exit-code contract, in-process through cli.main.
 
-Each example draws a subcommand, n <= 5 (or n = 8 for run, which integrates
-the a-flow from there) or k <= 12, a --seed, an --omega0
-of the right or a wrong length or no state, and every numeric flag from
-valid, edge and invalid values.  --t-end is capped at 4 and
+Each example draws a subcommand, n <= 5 (or n = 8 for run, whose a-flow has
+255 variables there) or k <= 12, a --seed, an --omega0 of the right or a
+wrong length or no state, and every numeric flag from valid, edge and invalid
+values.  The edge state 1.7e306 makes the hyperplane sums of an n = 8 state
+overflow, which run refuses with exit 2.  --t-end is capped at 4 and
 --sample-interval is only drawn with it, at 0.001 or more when valid, so a
 run writes at most about 4,000 samples.  Half the examples also pass a
 --config file: raw bytes, or a JSON object whose keys are this
@@ -55,7 +56,7 @@ _T_END = (["0.5", "1", "4", "1e-15"], [v for v in _EDGE if v != "1e300"])
 _TOL = (["1e-10", "1e-6", "1e-2"], ["0.1", *_EDGE])
 _SAMPLE = (["0.001", "0.01", "0.5"], _EDGE)
 _THRESHOLD = (["0", "1e-8", "1"], _EDGE)
-_STATE = (["0.1", "0.3", "0.5", "1", "-0.5"], _EDGE)
+_STATE = (["0.1", "0.3", "0.5", "1", "-0.5"], [*_EDGE, "1.7e306"])
 _RANGE = (
     ["0.1,0.5", "0.5,2", "-0.5,0.5", "1e-300,2e-300", "0.5,1e300", "-1e300,1e300"],
     ["0.5,0.1", "1,1", "nan,1", "0,inf", "-inf,0", "1e-320,-0.0"],

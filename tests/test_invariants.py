@@ -99,8 +99,8 @@ def test_gamma_batch_matches_reference_product(n, systems):
         [row[i] * math.prod(row[j] - row[k] for j, k in system.pair_idx[i]) for i in range(system.d)]
         for row in a.tolist()
     ]
-    assert np.array_equal(_gamma(np.ascontiguousarray(a.T), system.pair_cols).T, expected)
-    assert _gamma(a[0], system.pair_cols)[0] == 0.0
+    assert np.array_equal(_gamma(np.ascontiguousarray(a.T), system.pair_idx).T, expected)
+    assert _gamma(a[0], system.pair_idx)[0] == 0.0
 
 
 def _gamma_four_calls(a, pair_idx):
@@ -127,7 +127,7 @@ def test_gamma_matches_four_call_loop_bit_for_bit(n, systems):
         a = rng.uniform(-2.0, 2.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
         a[system.pair_idx[0, -1, 1]] = a[system.pair_idx[0, -1, 0]]  # some factors are 0
         expected = _gamma_four_calls(a, system.pair_idx)
-        assert np.array_equal(_gamma(a, system.pair_cols).view(np.int64), expected.view(np.int64))
+        assert np.array_equal(_gamma(a, system.pair_idx).view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
@@ -138,9 +138,9 @@ def test_gamma_chunks_match_one_pass_bit_for_bit(n, systems, monkeypatch):
     rng = np.random.default_rng(200 + n)
     a = rng.uniform(-2.0, 2.0, (system.d, 11)) * 10.0 ** rng.integers(-3, 4, (system.d, 11))
     a[system.pair_idx[0, -1, 1]] = a[system.pair_idx[0, -1, 0]]  # some factors are 0
-    whole = _gamma(a, system.pair_cols)
+    whole = _gamma(a, system.pair_idx)
     monkeypatch.setattr(invariants, "_GAMMA_BUFFER_BYTES", 2 * a.itemsize * system.d * 4)
-    chunked = _gamma(a, system.pair_cols)
+    chunked = _gamma(a, system.pair_idx)
     assert np.array_equal(chunked.view(np.int64), whole.view(np.int64))
     assert np.array_equal(chunked.view(np.int64), _gamma_four_calls(a, system.pair_idx).view(np.int64))
 
@@ -276,7 +276,7 @@ def test_rank_jacobians_match_central_differences(n, systems, monkeypatch):
     gamma_jacobian_rank(system, a)
     integrals = (
         lambda x: n_matrix(system, x)[0, 1:],
-        lambda x: np.log(np.abs(_gamma(x, system.pair_cols))),
+        lambda x: np.log(np.abs(_gamma(x, system.pair_idx))),
     )
     h = 1e-6
     for jac, f in zip(captured, integrals):

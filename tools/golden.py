@@ -76,6 +76,12 @@ COMMANDS = (
         "reduce --n 2 --seed 1 --random-range=0.5,1e300 --t-end 1 --out o.json",
         "reduce --n 3 --seed 1 --random-range=1e-160,2e-160 --out u.json",
     ]
+    # A state whose hyperplane sums a overflow a double: run and reduce refuse
+    # it before any flow runs (exit 2), with one error line and no warning.
+    + [
+        "run --n 8 --seed 1 --random-range=1.5e306,1.7e306 --t-end 1 --out o",
+        "reduce --n 8 --seed 1 --random-range=1.5e306,1.7e306 --t-end 1 --out o.json",
+    ]
     # Runs that stop after stepping: zk stalls at its pole (exit 4) and
     # reduce blows up (exit 3).  Each trajectory ends at its last accepted state.
     + [
