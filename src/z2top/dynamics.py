@@ -70,8 +70,9 @@ _json_dumps = functools.partial(json.dumps, sort_keys=True, check_circular=False
 
 
 def _json_floats(values: list) -> list[str]:
-    """Each float of values as json's C encoder writes it, in one call."""
-    return _json_dumps(values)[1:-1].split(", ")
+    """Each float of values as json's C encoder writes it, in one call of
+    json.dumps without options, which reuses json's default encoder."""
+    return json.dumps(values)[1:-1].split(", ")
 
 
 RhsKind = Literal["omega", "a"]
@@ -297,42 +298,83 @@ def integrate(
     )
 
 
-# '%.17g' % x for a block of doubles, byte for byte.  For 1e-6 < |x| < 1e17
-# the 17 digits are N = round(|x| * 10^(16 - X)), X = floor(log10 |x|):
-# 10^0..10^22 are exact doubles, Dekker's two-product gives the product
-# exactly as hi + lo, and hi is an even integer (the product is above 2^53),
-# so N = hi + rint(lo) rounds half to even, as dtoa does.  Each value's text
-# is gathered into a 25-byte slot from a 24-byte row of its own through a
-# template chosen by (X, significant digits, sign).  The row is six '<u4'
-# words: [lead digit, space, '.', '-'], the four 4-digit groups of N and
-# ['0', 'e', '5', '6'].  The space pads every text to the slot, whose last
+# The text kernel writes a block of doubles byte for byte as Python does, in
+# four layouts: '%.17g' % x (the CSV), json's float text, which is repr's
+# shortest digits (the JSON documents), and the drift table's '%24.16e' and
+# '%13.3e'.
+#
+# Decimal step.  Each finite nonzero |x| has 17 digits N = round(|x| 10^(16 - X)),
+# X = floor(log10 |x|), and rest = |x| 10^(16 - X) - N, |rest| <= 1/2.  For
+# 1e-6 < |x| < 1e17, 10^(16 - X) <= 10^22 is an exact double, Dekker's
+# two-product gives the product exactly as hi + lo, and hi is an even integer
+# (the product is above 2^53), so N = hi + rint(lo) rounds half to even, as
+# dtoa does, and rest is exact.  Every other finite |x| = m 2^e (np.frexp)
+# takes 10^(16 - X) = (t + t_lo) 2^c, 1 <= t < 2, from a double-double table
+# built once from Python ints: Dekker's product of m and t, plus m t_lo,
+# shifted by e + c, lies within about 1e-14 of the scaled value.  Such a value
+# is written one at a time (it is slow) when _TOL, far above that error,
+# cannot certify it: rest within _TOL of +-1/2, N = 10^17, or N = 10^16 with
+# |rest| < _TOL, where X itself is in doubt.  tol is that bound per value, 0
+# where the product is exact.  A block of mostly such values takes the table
+# for all of its values, exact (tol 0) where t_lo = 0.
+#
+# Shortest mode.  The candidates D16 and D15, |x| rounded to 16 and 15 digits,
+# come from N by int64 division; the sign of (N mod 10 - 5) + rest is certain
+# unless it lies within tol of 0 (a tie, written one at a time).  A text of at
+# most 15 digits that reads back as |x| lies within half an ulp of it, less
+# than half a unit in the 15th digit, so it is D15: when D15 reads back, it is
+# repr's text.  Otherwise repr writes 16 digits, the nearest of them, when
+# D16 reads back, and N when not; N becomes 100 D15 or 10 D16, or stays.  An
+# exact value below 10^16 whose D16 is below 2^53 reads back when one
+# division by an exact power of ten gives |x| (Clinger's fast path).  Every
+# other candidate reads back when it lies inside |x|'s rounding interval
+# scaled by 10^(16 - X): half an ulp on each side, but a quarter below a
+# power of two, whose interval is lopsided; there the 16-digit value above |x|
+# can read back when D16 below it does not.  A candidate within _TOL of an
+# interval end is slow, and so are the subnormals below 1e-309, whose ulp
+# reaches a unit in the 15th digit.  A block of mostly such values takes the
+# interval for all of its values.
+#
+# '%24.16e' writes N; '%13.3e' writes N rounded to 4 digits from N and rest
+# in the same way, ties slow.  A rounding that carries to 10^17 moves X up.
+#
+# Text step.  Each value's text is gathered into a 25-byte slot from a 32-byte
+# row of its own through a template chosen by (class of X, significant digits,
+# sign).  The row is eight '<u4' words: [lead digit, NUL, '.', '-'], the four
+# 4-digit groups of N, ['0', ' ', NUL, NUL] and X's exponent text ('e', the
+# sign and two or three digits, NUL-padded), which only blocks that need it
+# fill.  A class is one X of fixed notation, or the exponent notation with
+# two or three exponent digits.  NULs pad every text to the slot, whose last
 # column no text reaches (the longest, '%.17g' % -5e-324, has 24 bytes); the
 # separator goes there after the gather, and the pads are deleted at the
-# end.  ±0.0 are kernel values too; nan, ±inf, 0 < |x| <= 1e-6 and
-# |x| >= 1e17 go through '%.17g' one value at a time.
-#
-# The shortest mode writes json's float text, repr's shortest digits, for
-# 1e-6 < |x| < 1e16, with '.0' after an integral value.  Let rest = hi + lo - N,
-# |rest| <= 1/2.  The candidates D16 and D15, |x| rounded to 16 and 15 digits,
-# come from N by int64 division; the sign of (N mod 10 - 5) + rest is exact,
-# so they are correctly rounded.  A candidate below 2^53 reads back as |x|
-# when one division by an exact power of ten gives |x| (Clinger's fast path).
-# A text of at most 15 digits that reads back as |x| lies within half an ulp
-# of it, less than half a unit in the 15th digit, so it is D15: when D15 reads
-# back, it is repr's text.  Otherwise repr writes 16 digits, the nearest of
-# them, when D16 reads back, and N when not; N becomes 100 D15 or 10 D16, or
-# stays.  Where D15 does not read back, ties between two 16- or 17-digit
-# candidates and D16 >= 2^53 go through json one value at a time.  A power of
-# two has a lopsided rounding interval, which the argument for D16 does not
-# cover; the tests check every one in the range.
+# end.  nan, +-inf and the slow values go through Python's own formatting of
+# the layout one at a time.
 
-_X_MIN, _X_MAX = -6, 16
+_X_MIN, _X_MAX = -6, 16  # the exact route's exponents
+_E_MIN, _E_MAX = -325, 309  # the tables' exponents: every finite double's X, and one more
+_TOL = 1e-9  # the bound on a double-double rest's error, in units of N
 #: Text columns per value: the longest '%.17g' or json float text (24 bytes)
 #: and a separator.
 _G17_WIDTH = 25
-_G17_ROW = 24
+_ROW_BYTES = 32
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
 _POW10 = np.array([float(10**k) for k in range(_X_MAX - _X_MIN + 1)], dtype=np.float64)
+#: Values per run of the byte index: the rows' offsets go in by two adds
+#: over whole runs (numpy adds a run of 6,400 entries at full speed, a
+#: 25-entry row not), and a block's index is allocated in whole runs.
+_RUN = 256
+#: Row word 5: '0' and ' ', which some templates write.
+_ZERO_SPACE = np.frombuffer(b"0 \0\0", dtype="<u4")[0]
+
+#: Each layout's largest X in fixed notation (from X = -4), whether an integral
+#: value gets '.0', the significant digits it always writes, and the width it
+#: right-aligns a text to (0: none).
+_LAYOUTS = {
+    "%.17g": (16, False, 1, 0),
+    "repr": (15, True, 1, 0),
+    "%24.16e": (-5, False, 17, 24),
+    "%13.3e": (-5, False, 4, 13),
+}
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -353,15 +395,172 @@ def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
 
 
-# The kernel's tables are built by array arithmetic on first use and cached,
-# so a process that writes no CSV neither builds nor holds them.
+# The kernel's tables are built on first use and cached, so a process that
+# writes no text neither builds nor holds them.
+
+
+@functools.cache
+def _pow10_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows t, t's split halves and t_lo of 10^(16 - X) = (t + t_lo) 2^c,
+    1 <= t < 2, t_lo the rounded rest, for X = _E_MIN.._E_MAX, the c, and the
+    bound on a rest's error from each row: _TOL, or 0 where t_lo = 0."""
+    rows, shifts = [], []
+    for k in range(16 - _E_MIN, 15 - _E_MAX, -1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        c = num.bit_length() - den.bit_length()
+        num, den = (num, den << c) if c >= 0 else (num << -c, den)
+        if num < den:
+            num, c = num << 1, c - 1
+        t = num / den  # int / int rounds correctly
+        rows.append((t, (num * 2**52 - int(t * 2**52) * den) / (den << 52)))
+        shifts.append(c)
+    t, t_lo = np.array(rows).T
+    return np.stack([t, *_split(t), t_lo]), np.array(shifts), np.where(t_lo == 0.0, 0.0, _TOL)
+
+
+def _scaled_dd(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi + lo within about 2^-103 hi of a * 10^(16 - x), for any finite a > 0."""
+    table, shifts, _ = _pow10_table()
+    t, t_hi, t_lo, t_rest = np.take(table, x - _E_MIN, axis=1)
+    m, e = np.frexp(a)
+    m_hi, m_lo = _split(m)
+    hi = m * t
+    lo = (((m_hi * t_hi - hi) + m_hi * t_lo + m_lo * t_hi) + m_lo * t_lo) + m * t_rest
+    e += shifts[x - _E_MIN]
+    return np.ldexp(hi, e), np.ldexp(lo, e)
+
+
+def _digits(a: np.ndarray, x_min: int, x_max: int, scaled) -> tuple[np.ndarray, ...]:
+    """(N, X, rest) of each a > 0 from the product scaled(a, X), X in [x_min - 1, x_max + 1]."""
+    x = np.clip(np.floor(np.log10(a)), x_min, x_max).astype(np.int64)
+    hi, lo = scaled(a, x)
+    # floor(log10) can miss the exponent by one next to a power of ten.
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    miss = np.flatnonzero(low | high)
+    if miss.size:
+        x[miss] += np.where(high[miss], 1, -1)
+        hi[miss], lo[miss] = scaled(a[miss], x[miss])
+    step = np.rint(lo)
+    return hi.astype(np.int64) + step.astype(np.int64), x, lo - step  # lo - rint(lo) is exact
+
+
+def _decimal(v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(N, X, rest, tol, slow) of a flat float64 array: the 17 digits, the
+    decimal exponent and the rest of each |v| (N = 0 at ±0.0 and where slow,
+    X = rest = 0 at ±0.0), the bound on each rest's error, and the mask of the
+    values that must be written one at a time."""
+    a = np.abs(v)
+    zero = a == 0.0
+    fast = (a > 1e-6) & (a < 1e17)  # the double 1e-6 is below 10^-6
+    far = ~(fast | zero) & (a < np.inf)
+    slow = ~(fast | zero | far)  # nan and +-inf
+    if 2 * np.count_nonzero(far) > a.size:
+        # Mostly far values: one double-double pass over all, exact (tol 0)
+        # where 10^(16 - X) is a double.
+        n, x, rest = _digits(np.where(fast | far, a, 1.0), _E_MIN + 1, _E_MAX - 1, _scaled_dd)
+        tol = np.take(_pow10_table()[2], x - _E_MIN)
+        slow |= _unsure(n, rest, tol)
+    else:
+        # No double below 10^(X+1) rounds up to it at 17 digits here, so N < 10^17.
+        n, x, rest = _digits(np.where(fast, a, 1.0), _X_MIN, _X_MAX, _scaled)
+        tol, far = np.zeros(a.shape), np.flatnonzero(far)
+        if far.size:
+            n[far], x[far], rest[far] = _digits(a[far], _E_MIN + 1, _E_MAX - 1, _scaled_dd)
+            tol[far] = _TOL
+            slow[far] = _unsure(n[far], rest[far], _TOL)
+    n[slow | zero] = 0
+    return n, x, rest, tol, slow
+
+
+def _unsure(n, rest, tol) -> np.ndarray:
+    """Where tol cannot certify N's rounding (rest next to +-1/2) or X (the
+    scaled value next to 10^16 or 10^17)."""
+    return (
+        (np.abs(np.abs(rest) - 0.5) < tol) | (n == 10**17)
+        | ((n == 10**16) & (np.abs(rest) < tol))
+    )
+
+
+def _g17_decimal(v: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, X, slow) of a flat float64 array: the 17 digits N and the decimal
+    exponent X of each |v| (both 0 at ±0.0), or with shortest repr's digits,
+    and the indices of the values that '%.17g', or json, must write itself."""
+    n, x, rest, tol, slow = _decimal(v)
+    if shortest:
+        n, x, odd = _shortest(np.abs(v), n, x, rest, tol)
+        slow |= odd
+    return n, x, np.flatnonzero(slow)
+
+
+def _shortest(a, n, x, rest, tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(repr's digits as N, or N itself, and their X; the mask of the values
+    json must write) of each a = (N + rest) 10^(X - 16), rest within tol."""
+    # D16 = m16 and D15 = m15 / 10; m15 <= 10^16 < 2^54 is even, so it is an
+    # exact double, as m16 is below 2^53 where Clinger's path takes it.
+    q16 = n // 10
+    s16 = (n - q16 * 10 - 5) + rest
+    m16 = q16 + (s16 > 0)
+    q15 = q16 // 10
+    m15 = (q15 + ((n - q15 * 100 - 50) + rest > 0)) * 10
+    tie = (np.abs(s16) <= tol) | (0.5 - np.abs(rest) <= tol)  # |rest| <= 1/2
+    far = (x > 15) | (tol > 0.0) | (m16 >= 2**53)  # out of Clinger's reach
+    if 2 * np.count_nonzero(far) > a.size:  # mostly: the interval decides every value
+        return _read_back(a, n, x, rest, m15, m16, tie)
+    scale = np.take(_POW10, 15 - x, mode="clip")  # exact where Clinger's path applies
+    fits15 = m15 / scale == a
+    odd = ~fits15 & tie
+    digits = np.where(fits15, 10 * m15, np.where(m16 / scale == a, 10 * m16, n))
+    far = np.flatnonzero(far)
+    if far.size:
+        x = x.copy()
+        digits[far], x[far], odd[far] = _read_back(
+            a[far], n[far], x[far], rest[far], m15[far], m16[far], tie[far]
+        )
+    return digits, x, odd
+
+
+def _read_back(a, n, x, rest, m15, m16, tie) -> tuple[np.ndarray, ...]:
+    """_shortest's (N, X, odd) of each a = (N + rest) 10^(X - 16) whose
+    candidates read back by a's rounding interval; a candidate within _TOL of
+    an end of it is odd."""
+    table, shifts, _ = _pow10_table()
+    m, e = np.frexp(a)
+    # Half an ulp above a, and below it, in units of N; the ulp of a
+    # subnormal is 2^-1074.
+    row = x - _E_MIN
+    above = np.ldexp(table[0, row], shifts[row] + np.maximum(e, -1021) - 54)
+    below = np.where((m == 0.5) & (e > -1021), above / 2, above)
+    d15 = (10 * m15 - n) - rest
+    d16 = (10 * m16 - n) - rest
+    inside = lambda d: (d < above) & (d > -below)
+    edge = lambda d: (np.abs(d - above) <= _TOL) | (np.abs(d + below) <= _TOL)
+    fits15 = inside(d15)
+    # Below a power of two the 16-digit value above a can read back when D16 does not.
+    up = (d16 < 0) & ~inside(d16) & (below < above)
+    fits16 = inside(np.where(up, d16 + 10, d16))
+    doubt16 = edge(d16) | (up & edge(d16 + 10))
+    odd = edge(d15) | (x <= -310) | ~fits15 & (tie | doubt16)
+    n = np.where(fits15, 10 * m15, np.where(fits16, 10 * (m16 + up), n))
+    carry = n == 10**17  # '1e+23' for the double below 10^23
+    return np.where(carry, 10**16, n), x + carry, odd
+
+
+def _rounded(n, x, rest, tol, digits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N rounded to digits significant digits, its X, the ties) of N + rest, rest within tol."""
+    unit = 10 ** (17 - digits)
+    q = n // unit
+    s = (n - q * unit - unit // 2) + rest
+    q = q + (s > 0)
+    carry = q == 10**digits
+    return np.where(carry, 10**16, q * unit), x + carry, np.abs(s) <= tol
 
 
 @functools.cache
 def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The words of every 4-digit group, the significant-digit ends of every
     group at each of its four places, the head word of each lead digit and
-    the tail word of a row."""
+    the exponent words of each X."""
     g = np.arange(10_000, dtype=np.int16)  # small dtypes keep the build's peak low
     group_words = geometry._number_words()[10_000:20_000]  # g zero-padded to four digits
     # The significant digits of N through group j's last nonzero digit, or 1
@@ -369,96 +568,72 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     sig = 4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0)
     places = np.arange(1, 17, 4, dtype=np.uint8)[:, None]
     ends = np.where(g > 0, places + sig.astype(np.uint8), 1).astype(np.uint8, copy=False)
-    head = np.frombuffer(b"0 .-", dtype=np.uint8).reshape(1, 4).repeat(10, axis=0)
+    head = np.frombuffer(b"0\0.-", dtype=np.uint8).reshape(1, 4).repeat(10, axis=0)
     head[:, 0] += np.arange(10, dtype=np.uint8)
-    return group_words, ends, head.view("<u4").ravel(), np.frombuffer(b"0e56", dtype="<u4")
+    exponents = b"".join([(b"e%+03d" % x).ljust(8, b"\0") for x in range(_E_MIN, _E_MAX + 1)])
+    return group_words, ends, head.view("<u4").ravel(), np.frombuffer(exponents, dtype="<u8")
 
 
 @functools.cache
-def _text_templates(shortest: bool) -> np.ndarray:
-    """Row byte sources of the text of every key ((X + 6) * 17 + nd - 1) * 2 + sign.
+def _text_templates(layout: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """Row byte sources of the text of every key (class * 17 + nd - 1) * 2 + sign
+    in layout, the key of each X = _E_MIN.._E_MAX less 2 nd + sign, and the
+    first key of the exponent notation.
 
-    Fixed notation, X >= -4: the digits after -X leading zeros when X < 0,
-    the point after the whole part unless nothing follows it ('%.17g'), or
-    '.0' after an integral value (repr).  X = -5, -6: d.ddd, then e-05 or e-06.
+    Fixed notation: the digits after -X leading zeros when X < 0, the point
+    after the whole part unless nothing follows it ('%.17g'), or '.0' after an
+    integral value (repr).  Exponent notation: d.ddd, then 'e', the sign and
+    two or three digits.  The sign goes first; spaces align the text right.
     """
-    pad, dot, minus, zero, e, five, six = 1, 2, 3, 20, 21, 22, 23
-    x, nd = (m.reshape(-1, 1) for m in np.meshgrid(
-        np.arange(_X_MIN, _X_MAX + 1, dtype=np.int16), np.arange(1, 18, dtype=np.int16),
+    fixed_max, point_zero, shown, width = _LAYOUTS[layout]
+    pad, dot, minus, zero, space, e = 1, 2, 3, 20, 21, 24
+    fixed = fixed_max + 5  # classes X = -4..fixed_max; then two- and three-digit exponents
+    cls, nd = (m.reshape(-1, 1) for m in np.meshgrid(
+        np.arange(fixed + 2, dtype=np.int16), np.arange(1, 18, dtype=np.int16),
         indexing="ij"))
+    nd = np.maximum(nd, shown)
+    x = cls - 4
     c = np.arange(_G17_WIDTH, dtype=np.int16)
-    fixed = x >= -4
-    zeros = np.where(fixed, np.maximum(-x, 0), 0)
-    whole = np.where(fixed, np.maximum(x, 0) + 1, 1)
+    in_fixed = cls < fixed
+    zeros = np.where(in_fixed, np.maximum(-x, 0), 0)
+    whole = np.where(in_fixed, np.maximum(x, 0) + 1, 1)
     end = zeros + nd
     frac = end > whole
-    point = frac | (fixed & shortest)
+    point = frac | (in_fixed & point_zero)
     body = np.where(frac, end + 1, np.where(point, whole + 2, whole))
+    size = body + np.where(in_fixed, 0, 4 + (cls > fixed))
     k = np.where(c < whole, c, c - 1) - zeros  # digit index
     digit = np.where(k < 0, zero, np.where(k == 0, 0, k + 3))
-    t = c - body
-    exponent = np.select([t == 0, t == 1, t == 2], [e, minus, zero], np.where(x == -5, five, six))
-    tail = np.where(fixed, 0, 4)
     src = np.select(
         [(c < whole) | (frac & (c > whole) & (c < body)), point & (c == whole),
-         point & (c == whole + 1), (t >= 0) & (t < tail)],
-        [digit, dot, zero, exponent],
+         point & (c == whole + 1), c < size],
+        [digit, dot, zero, e + c - body],
         pad,
     )
-    negative = np.concatenate([np.full_like(src[:, :1], minus), src[:, :-1]], axis=1)
-    return np.stack([src, negative], axis=1).reshape(-1, _G17_WIDTH).astype(np.intp)
+    signed = np.concatenate([np.full_like(src[:, :1], minus), src], axis=1)
+    templates = []
+    for sign in (0, 1):
+        lead = np.maximum(width - size - sign, 0)  # spaces before the text
+        at = np.clip(c - lead + 1 - sign, 0, _G17_WIDTH)
+        templates.append(np.where(c < lead, space, np.take_along_axis(signed, at, axis=1)))
+    templates = np.stack(templates, axis=1).reshape(-1, _G17_WIDTH).astype(np.intp)
+    xs = np.arange(_E_MIN, _E_MAX + 1)
+    classes = np.where((xs >= -4) & (xs <= fixed_max), xs + 4, fixed + (np.abs(xs) >= 100))
+    return templates, classes * 34 - 2, fixed * 34
 
 
-def _g17_decimal(v: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(N, X, slow) of a flat float64 array: the 17 digits N and the decimal
-    exponent X of each |v| (both 0 at ±0.0), and the indices of the values
-    that '%.17g', or with shortest json, must write itself."""
-    a = np.abs(v)
-    fast = (a > 1e-6) & (a < (1e16 if shortest else 1e17))  # the double 1e-6 is below 10^-6
-    a = np.where(fast, a, 1.0)
-    x = np.clip(np.floor(np.log10(a)), _X_MIN, _X_MAX).astype(np.int64)
-    hi, lo = _scaled(a, x)
-    # floor(log10) can miss the exponent by one next to a power of ten.
-    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-    miss = np.flatnonzero(low | high)
-    if miss.size:
-        x[miss] += np.where(high[miss], 1, -1)
-        hi[miss], lo[miss] = _scaled(a[miss], x[miss])
-    # No double below 10^(X+1) rounds up to it at 17 digits, so N < 10^17.
-    step = np.rint(lo)
-    n = hi.astype(np.int64) + step.astype(np.int64)
-    if shortest:
-        n, odd = _shortest(a, x, n, lo - step)  # lo - rint(lo) is exact
-        fast &= ~odd
-    zero = v == 0.0
-    n[zero] = 0
-    x[zero] = 0
-    return n, x, np.flatnonzero(~(fast | zero))
+@functools.cache
+def _run_offsets() -> np.ndarray:
+    """The byte offsets of _RUN consecutive rows, each repeated for its slot."""
+    return np.repeat(np.arange(0, _RUN * _ROW_BYTES, _ROW_BYTES), _G17_WIDTH)
 
 
-def _shortest(a, x, n, rest) -> tuple[np.ndarray, np.ndarray]:
-    """(repr's digits as N, or N itself; the values json must write) of each
-    a = (N + rest) 10^(X - 16), |rest| <= 1/2."""
-    scale = _POW10[15 - x]
-    # D16 = m16 and D15 = m15 / 10; m15 <= 10^16 < 2^54 is even, so it is an
-    # exact double, as m16 is below 2^53.
-    q16 = n // 10
-    s16 = (n - q16 * 10 - 5) + rest
-    m16 = q16 + (s16 > 0)
-    q15 = q16 // 10
-    m15 = (q15 + ((n - q15 * 100 - 50) + rest > 0)) * 10
-    fits15 = m15 / scale == a
-    fits16 = m16 / scale == a
-    odd = ~fits15 & ((s16 == 0) | (np.abs(rest) == 0.5) | (m16 >= 2**53))
-    return np.where(fits15, 10 * m15, np.where(fits16, 10 * m16, n)), odd
-
-
-def _g17_rows(v: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 24-byte rows and template keys of a flat float64 array, and the
-    indices of the values that must be written one at a time."""
-    group_words, ends_table, head_words, tail_word = _digit_tables()
-    n, x, slow = _g17_decimal(v, shortest)
+def _gather(v, n, x, slow, layout: str) -> np.ndarray:
+    """The (values, _G17_WIDTH) uint8 text slots of a flat float64 array with
+    digits N and exponents X in layout, NUL-padded, the values at the indices
+    slow in Python's own text."""
+    group_words, ends_table, head_words, exp_words = _digit_tables()
+    templates, heads, exponents = _text_templates(layout)
     q = n // 10**8
     lead = q // 10**8
     hi8, lo8 = q - lead * 10**8, n - q * 10**8
@@ -466,14 +641,32 @@ def _g17_rows(v: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray, np
     groups = (g1, hi8 - g1 * 10**4, g3, lo8 - g3 * 10**4)
     e1, e2, e3, e4 = (ends[g] for ends, g in zip(ends_table, groups))
     nd = np.maximum(np.maximum(e1, e2), np.maximum(e3, e4))
-    key = ((x - _X_MIN) * 17 + nd - 1) * 2 + np.signbit(v)
+    key = np.take(heads, x - _E_MIN) + nd * 2 + np.signbit(v)
 
-    row = np.empty((v.size, _G17_ROW // 4), dtype="<u4")
+    row = np.empty((v.size, _ROW_BYTES // 8), dtype="<u8")
+    if v.size and key.max() >= exponents:  # some text has an exponent
+        row[:, 3] = np.take(exp_words, x - _E_MIN)
+    row = row.view("<u4")
     row[:, 0] = head_words[lead]
     for j, g in enumerate(groups):
         row[:, 1 + j] = group_words[g]
-    row[:, 5] = tail_word
-    return row, key, slow
+    row[:, 5] = _ZERO_SPACE
+    # The byte index holds 25 intp per value; the writers' blocks bound its
+    # size.  Row i's offset _ROW_BYTES i goes in by two adds over whole runs.
+    run = max(1, min(_RUN, v.size))
+    index = np.empty((-(-v.size // run) * run, _G17_WIDTH), dtype=np.intp)
+    np.take(templates, key, axis=0, out=index[: v.size], mode="clip")
+    runs = index.reshape(-1, run * _G17_WIDTH)
+    runs += _run_offsets()[: runs.shape[1]]
+    if len(runs) > 1:
+        runs += np.arange(0, len(runs) * run * _ROW_BYTES, run * _ROW_BYTES)[:, None]
+    text = np.take(row.view(np.uint8).ravel(), index[: v.size])
+    if slow.size:
+        y = v[slow].tolist()
+        cells = _json_floats(y) if layout == "repr" else [layout % value for value in y]
+        padded = "".join([cell.ljust(_G17_WIDTH, "\0") for cell in cells]).encode("ascii")
+        text[slow] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, _G17_WIDTH)
+    return text
 
 
 def _format_g17(values: np.ndarray, shortest: bool = False) -> bytes:
@@ -481,25 +674,15 @@ def _format_g17(values: np.ndarray, shortest: bool = False) -> bytes:
     '%.17g' % x, joined by ',' within a row, each row ended by a newline.
     With shortest, each value as json writes it (float.__repr__, NaN,
     Infinity, -Infinity) and each row ended by ']', which is in no JSON
-    number.  Each text is padded with spaces to _G17_WIDTH bytes, the last
+    number.  Each text is padded with NULs to _G17_WIDTH bytes, the last
     of which takes the separator; the pads are deleted at the end."""
     width = values.shape[1]
     v = np.asarray(values, dtype=np.float64).ravel()
-    row, key, slow = _g17_rows(v, shortest)
-    templates = _text_templates(shortest)
-    source = row.view(np.uint8).ravel()
-    # The byte index holds 25 intp per value; the writers' blocks bound its size.
-    index = np.take(templates, key, axis=0)
-    index += np.arange(0, v.size * _G17_ROW, _G17_ROW, dtype=np.intp)[:, None]
-    text = np.take(source, index)
-    if slow.size:
-        y = v[slow].tolist()
-        cells = _json_floats(y) if shortest else ["%.17g" % value for value in y]
-        padded = "".join([cell.ljust(_G17_WIDTH) for cell in cells]).encode("ascii")
-        text[slow] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, _G17_WIDTH)
+    n, x, slow = _g17_decimal(v, shortest)
+    text = _gather(v, n, x, slow, "repr" if shortest else "%.17g")
     text[:, -1] = ord(",")
     text[width - 1 :: width, -1] = ord("]" if shortest else "\n")
-    return text.tobytes().translate(None, b" ")
+    return text.tobytes().translate(None, b"\0")
 
 
 def _json_text(doc: dict) -> str:

@@ -40,6 +40,8 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
+# b, the 5th-order weights, is the last row of _A: stage 6 is evaluated at
+# the step's new state (FSAL).
 _B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 # b - b_hat: coefficients of the embedded 4th-order error estimate.
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
@@ -56,11 +58,9 @@ _P = np.array(
     ]
 )
 
-# The tableau rows as arrays, and the stages that _B and _E weight by
-# nonzero coefficients, for the stage sums over the (7, dim) stage array.
+# The tableau rows as arrays, and the stages that _E weights by nonzero
+# coefficients, for the stage sums over the (7, dim) stage array.
 _A_ROWS = tuple(np.array(row)[:, None] for row in _A)
-_B_IDX = np.flatnonzero(_B)
-_B_NZ = np.array(_B)[_B_IDX, None]
 _E_IDX = np.flatnonzero(_E)
 _E_NZ = np.array(_E)[_E_IDX, None]
 
@@ -210,7 +210,7 @@ def adaptive_rk(
             for s in range(1, 7):
                 ys = y + h_step * np.add.reduce(_A_ROWS[s] * K[:s], axis=0)
                 K[s] = f(t + _C[s] * h_step, ys)
-            y_new = y + h_step * np.add.reduce(_B_NZ * K[_B_IDX], axis=0)
+            y_new = ys  # stage 6 is evaluated at the new state
             err_vec = h_step * np.add.reduce(_E_NZ * K[_E_IDX], axis=0)
         except BranchError:
             branch_fail = True

@@ -13,13 +13,25 @@ to MAX_N_SYSTEM; the reduction takes its 2^(n-1)-th root the same way.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .dynamics import TopSystem, Trajectory, _json_floats, _json_str, a_transform
+from .dynamics import (
+    TopSystem,
+    Trajectory,
+    _decimal,
+    _gather,
+    _json_floats,
+    _json_str,
+    _rounded,
+    _shortest,
+    a_transform,
+)
 from .errors import BranchError, DegenerateOrbitError, InvalidParameterError
 
 #: Initial values smaller than this are tracked by absolute drift.
@@ -105,12 +117,65 @@ _DRIFT_ENTRY = "\n  {%s\n  }," % ",".join(
 )
 _TABLE_HEADER = f"{'invariant':<12} {'initial':>24} {'max drift':>13} {'t(max)':>10}"
 _TABLE_ROW = "\n%-12s %24.16e %13.3e %s"  # t(max) is written "%10.6f" beforehand
+#: _DRIFT_ENTRY's text around its five values.
+_ENTRY_PIECES = _DRIFT_ENTRY.split("%s")
+#: Fewest numbers (two per entry) that the drift writers send through the
+#: text kernel; below it json's encoder and '%' are faster.  On a 2-vCPU x86
+#: host json_text and table took 0.62 ms by either route for 300 numbers
+#: (150 entries of a run --n 8 report), and for all 1,018 0.81 ms through the
+#: kernel against 1.6 ms.
+_KERNEL_MIN_VALUES = 300
+
+
+def _padded(texts: list[str]) -> np.ndarray:
+    """The ASCII texts as the NUL-padded uint8 rows of one matrix."""
+    width = max(map(len, texts), default=0)
+    padded = "".join([text.ljust(width, "\0") for text in texts]).encode("ascii")
+    return np.frombuffer(padded, dtype=np.uint8).reshape(len(texts), width)
+
+
+def _ascii(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+
+
+def _byte_rows(k: int, parts) -> tuple[np.ndarray, list[slice]]:
+    """A (k, width) uint8 matrix of the parts side by side, a 1-d part in every
+    row and a (k, w) part row by row, and the columns of each part."""
+    rows = np.empty((k, sum(part.shape[-1] for part in parts)), dtype=np.uint8)
+    spans, start = [], 0
+    for part in parts:
+        spans.append(slice(start, start + part.shape[-1]))
+        rows[:, spans[-1]] = part
+        start = spans[-1].stop
+    return rows, spans
+
+
+@functools.lru_cache(maxsize=16)
+def _name_rows(names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The NUL-padded byte rows of each name's text in drift.json between
+    max_drift and the t_at_max value, relative then absolute, and of its table
+    row's head, a newline, the name padded to 12 and a space (None unless every
+    name is ASCII without a NUL)."""
+    _, _, mode_key, name_key, time_key, _ = _ENTRY_PIECES
+    json_names = [_json_str(name) for name in names]
+    between = [
+        _padded([f'{mode_key}"{mode}"{name_key}{name}{time_key}' for name in json_names])
+        for mode in ("relative", "absolute")
+    ]
+    heads = ["\n%-12s " % name for name in names]
+    plain = all(head.isascii() and "\0" not in head for head in heads)
+    return between[0], between[1], _padded(heads) if plain else None
 
 
 @dataclass(frozen=True, eq=False)
 class DriftReport:
     """One row per invariant in each column: name, initial value, largest drift, time of
-    that drift, and whether that drift is relative to |initial| (else absolute)."""
+    that drift, and whether that drift is relative to |initial| (else absolute).
+
+    Both writers write a report of at least _KERNEL_MIN_VALUES numbers through
+    the text kernel (dynamics._gather) from one decimal pass, shared and
+    cached: each entry becomes one NUL-padded byte row, and the pads go at the
+    end.  A smaller report goes through json's encoder and '%'."""
 
     names: tuple[str, ...]
     initial: np.ndarray
@@ -123,31 +188,64 @@ class DriftReport:
         """Largest drift of any entry; NaN when any entry is NaN, so a gate fails."""
         return float(np.max(self.max_drift, initial=0.0))
 
+    @cached_property
+    def _digits(self) -> tuple[np.ndarray, ...]:
+        """initial and max_drift as one array, then its N, X, rest, tol and slow
+        (dynamics._decimal)."""
+        values = np.concatenate((self.initial, self.max_drift))
+        return (values, *_decimal(values))
+
+    @cached_property
+    def _times(self) -> tuple[list[float], np.ndarray]:
+        """The distinct sample times of t_at_max and the index of each entry's:
+        each writer writes a time once, as a report repeats a few sample times
+        hundreds of times.  The values are told apart by their bits, so 0.0 and
+        -0.0 keep their own text."""
+        bits, inverse = np.unique(self.t_at_max.view(np.int64), return_inverse=True)
+        return bits.view(np.float64).tolist(), inverse
+
     def json_text(self) -> str:
         """drift.json: json.dumps(doc, sort_keys=True, indent=1) + "\\n", each float as
         json's C encoder writes it (float.__repr__, NaN, Infinity, -Infinity)."""
         k = len(self.names)
-        values = np.concatenate((self.initial, self.max_drift, [self.worst_drift]))
-        num = _json_floats(values.tolist())
-        times = _each_time_once(self.t_at_max, _json_floats)
-        modes = np.where(self.relative, '"relative"', '"absolute"').tolist()
-        rows = zip(num[:k], num[k : 2 * k], modes, map(_json_str, self.names), times)
-        entries = (_DRIFT_ENTRY * k)[:-1] % tuple(chain.from_iterable(rows)) + "\n " if k else ""
-        return _DRIFT_DOC % (entries, num[-1])
+        distinct, inverse = self._times
+        times = _json_floats(distinct)
+        worst = _json_floats([self.worst_drift])[0]
+        if 2 * k < _KERNEL_MIN_VALUES:
+            num = _json_floats(np.concatenate((self.initial, self.max_drift)).tolist())
+            modes = np.where(self.relative, '"relative"', '"absolute"').tolist()
+            rows = zip(num[:k], num[k:], modes, map(_json_str, self.names),
+                       [times[i] for i in inverse.tolist()])
+            entries = (_DRIFT_ENTRY * k)[:-1] % tuple(chain.from_iterable(rows)) + "\n " if k else ""
+            return _DRIFT_DOC % (entries, worst)
+        values, n, x, rest, tol, slow = self._digits
+        n, x, odd = _shortest(np.abs(values), n, x, rest, tol)
+        num = _gather(values, n, x, np.flatnonzero(slow | odd), "repr")
+        relative, absolute, _ = _name_rows(self.names)
+        head, middle, *_, tail = (_ascii(piece) for piece in _ENTRY_PIECES)
+        rows, spans = _byte_rows(
+            k, (head, num[:k], middle, num[k:], absolute, _padded(times)[inverse], tail)
+        )
+        np.copyto(rows[:, spans[4]], relative, where=self.relative[:, None])
+        entries = rows.tobytes().translate(None, b"\0").decode("ascii")
+        return _DRIFT_DOC % (entries[:-1] + "\n ", worst)
 
     def table(self) -> str:
-        times = _each_time_once(self.t_at_max, lambda ts: ["%10.6f" % t for t in ts])
-        rows = zip(self.names, self.initial.tolist(), self.max_drift.tolist(), times)
-        return (_TABLE_HEADER + _TABLE_ROW * len(self.names)) % tuple(chain.from_iterable(rows))
-
-
-def _each_time_once(t: np.ndarray, write) -> list[str]:
-    """write's text of each sample time in t, calling write once on the distinct
-    values: a report repeats a few sample times hundreds of times.  The values
-    are told apart by their bits, so 0.0 and -0.0 keep their own text."""
-    bits, inverse = np.unique(t.view(np.int64), return_inverse=True)
-    texts = write(bits.view(np.float64).tolist())
-    return [texts[i] for i in inverse.tolist()]
+        k = len(self.names)
+        distinct, inverse = self._times
+        times = ["%10.6f" % t for t in distinct]
+        heads = _name_rows(self.names)[2] if 2 * k >= _KERNEL_MIN_VALUES else None
+        if heads is None:
+            rows = zip(self.names, self.initial.tolist(), self.max_drift.tolist(),
+                       [times[i] for i in inverse.tolist()])
+            return (_TABLE_HEADER + _TABLE_ROW * k) % tuple(chain.from_iterable(rows))
+        values, n, x, rest, tol, slow = self._digits
+        n4, x4, tie = _rounded(n[k:], x[k:], rest[k:], tol[k:], 4)
+        first = _gather(values[:k], n[:k], x[:k], np.flatnonzero(slow[:k]), "%24.16e")
+        second = _gather(values[k:], n4, x4, np.flatnonzero(slow[k:] | tie), "%13.3e")
+        first[:, -1] = second[:, -1] = ord(" ")
+        rows, _ = _byte_rows(k, (heads, first, second, _padded(times)[inverse]))
+        return _TABLE_HEADER + rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _series_drift(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -181,12 +279,18 @@ def drift_report(system: TopSystem, trajectory: Trajectory) -> DriftReport:
     t = _big_t(a_samples, system.terms) if np.all(a_samples[0] != 0.0) else None
     a = np.ascontiguousarray(a_samples.T)  # (d, samples): each gather takes whole rows
     del a_samples  # the transform's (samples, d) result is not needed past here
-    names = [f"gamma_{i + 1}" for i in range(d)]
     columns = [_series_drift(times, _gamma(a, system.pair_idx))]
     if t is not None:
-        names += [f"N_1_{j + 2}" for j in range(d - 1)]
         columns.append(_series_drift(times, _n_entries(t, a[0], a[1:])))
-    return DriftReport(tuple(names), *map(np.concatenate, zip(*columns)))
+    return DriftReport(_names(d, t is not None), *map(np.concatenate, zip(*columns)))
+
+
+@functools.cache
+def _names(d: int, with_n: bool) -> tuple[str, ...]:
+    """The names of the gamma_i, then of the N_1j with with_n; one tuple per
+    (d, with_n), so that the writers' cache of their text finds it at once."""
+    gammas = tuple(f"gamma_{i + 1}" for i in range(d))
+    return gammas + tuple(f"N_1_{j + 2}" for j in range(d - 1)) if with_n else gammas
 
 
 def _rank(jacobian: np.ndarray) -> int:

@@ -9,9 +9,12 @@ any list that holds a list or a dict, is refused.
 Trajectory.to_csv must give exactly what csv.writer gives for
 format(x, ".17g") cells; _reference_csv is the csv.writer code that
 to_csv replaced.  The '%.17g' kernel under to_csv is held to '%.17g' % x,
-value by value.  The integer template kernel under the geometry JSON and
-DOT is held to str() and "".join, row by row.  The drift report's columnar
-writers are held to the per-entry dict and row loop that they replaced.
+value by value, and every layout of the text kernel ('%.17g', repr and the
+drift table's '%24.16e' and '%13.3e') to Python's own formatting on random
+bit patterns, powers of two, subnormals and rounding ties.  The integer
+template kernel under the geometry JSON and DOT is held to str() and
+"".join, row by row.  The drift report's columnar writers, on both routes,
+are held to the per-entry dict and row loop that they replaced.
 """
 
 import csv
@@ -32,9 +35,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from z2top import dynamics, geometry  # noqa: E402
+from z2top import dynamics, geometry, invariants  # noqa: E402
 from z2top.dynamics import (  # noqa: E402
     TopSystem,
+    guarded_horizon,
+    initial_a,
+    integrate,
     Trajectory,
     _format_g17,
     _json_text,
@@ -154,8 +160,9 @@ def test_json_writer_writes_every_power_of_two_in_the_kernel_range():
     powers = np.array([math.ldexp(1.0, e) for e in range(-19, 54)])
     assert powers[0] > 1e-6 > powers[0] / 2 and powers[-1] < 1e16 < powers[-1] * 2
     values = np.concatenate([powers, -powers])
-    # All but 2^53, whose D16 is not below 2^53, go through the kernel.
-    assert values[dynamics._g17_decimal(values, True)[2]].tolist() == [2.0**53, -(2.0**53)]
+    # All of them go through the kernel: a 16-digit candidate of 2^53 or more
+    # reads back by the rounding interval.
+    assert dynamics._g17_decimal(values, True)[2].size == 0
     assert _json_text({"x": values}) == _reference_json({"x": values.tolist()})
 
 
@@ -196,14 +203,25 @@ def _reference_drift_table(report: DriftReport) -> str:
 
 @st.composite
 def drift_reports(draw):
-    k = draw(st.integers(0, 12))
-    column = st.lists(floats | floats.map(np.float64), min_size=k, max_size=k).map(np.array)
+    # Past invariants._KERNEL_MIN_VALUES numbers (two per entry) the writers
+    # take the text kernel; a report that large takes its names, floats and
+    # flags from small drawn pools, in a drawn order.
+    k = draw(st.integers(0, 12) | st.integers(150, 160))
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def column(elements):
+        if k <= 12:
+            return draw(st.lists(elements, min_size=k, max_size=k))
+        pool = draw(st.lists(elements, min_size=1, max_size=12))
+        return [pool[i] for i in order.integers(0, len(pool), k)]
+
+    floats_column = lambda: np.array(column(floats | floats.map(np.float64)))
     return DriftReport(
-        names=tuple(draw(st.lists(_SEAM_TEXT, min_size=k, max_size=k))),
-        initial=draw(column),
-        max_drift=draw(column),
-        t_at_max=draw(column),
-        relative=np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)), dtype=bool),
+        names=tuple(column(_SEAM_TEXT)),
+        initial=floats_column(),
+        max_drift=floats_column(),
+        t_at_max=floats_column(),
+        relative=np.array(column(st.booleans()), dtype=bool),
     )
 
 
@@ -214,6 +232,7 @@ _EMPTY = np.empty(0)
 @given(drift_reports())
 @example(DriftReport((), _EMPTY, _EMPTY, _EMPTY, _EMPTY.astype(bool)))
 def test_drift_writers_match_per_entry_references(report):
+    assert invariants._KERNEL_MIN_VALUES <= 300  # the strategy's large reports reach it
     assert report.json_text() == _reference_drift_json(report)
     assert report.table() == _reference_drift_table(report)
 
@@ -344,6 +363,116 @@ def test_no_double_below_a_power_of_ten_rounds_up_to_it(k):
     # The kernel relies on this: N = round(|x| 10^(16 - X)) never reaches 10^17.
     p = Fraction(10) ** k
     assert Fraction("%.17g" % _below(p)) < p
+
+
+_LAYOUTS = tuple(dynamics._LAYOUTS)  # '%.17g', repr, '%24.16e' and '%13.3e'
+
+
+def _kernel_layout(values: np.ndarray, layout: str) -> tuple[list[str], np.ndarray]:
+    """Each value's text in layout through the text kernel, and the mask of
+    the values it wrote one at a time."""
+    n, x, rest, tol, slow = dynamics._decimal(values)
+    if layout == "repr":
+        n, x, odd = dynamics._shortest(np.abs(values), n, x, rest, tol)
+        slow = slow | odd
+    elif layout == "%13.3e":
+        n, x, tie = dynamics._rounded(n, x, rest, tol, 4)
+        slow = slow | tie
+    text = dynamics._gather(values, n, x, np.flatnonzero(slow), layout)
+    text[:, -1] = ord("|")
+    return text.tobytes().translate(None, b"\0").decode("ascii").split("|")[:-1], slow
+
+
+def _layout_mismatches(values: np.ndarray, layout: str, cells: list[str]) -> list[tuple]:
+    """(value, kernel text, Python's text) wherever the two differ."""
+    python = [json.dumps(x) if layout == "repr" else layout % x for x in values.tolist()]
+    return [m for m in zip(values.tolist(), cells, python) if m[1] != m[2]]
+
+
+def _scaled_fraction(x: float) -> Fraction:
+    """|x| 10^(16 - X) less its floor, X = floor(log10 |x|), exactly."""
+    exponent = int(("%.16e" % x).split("e")[1])
+    scaled = abs(Fraction(x)) * Fraction(10) ** (16 - exponent)
+    return scaled - math.floor(scaled)
+
+
+_POWERS = np.array([math.ldexp(m, e) for e in range(-1074, 1024) for m in (1.0, 1.5)
+                    if (m, e) != (1.5, -1074)])
+#: Doubles whose scaled value is N + 1/2 exactly: the 17-digit rounding ties
+#: outside the exact range, o 2^-24 (o odd, 10^-7 <= x < 10^-6) and o 2^-25.
+_TIES = np.array([o * 2.0**-24 for o in range(3, 17, 2)] + [2.0**-25, 3 * 2.0**-25])
+
+
+def _layout_cases(case: str) -> np.ndarray:
+    rng = np.random.default_rng(7)
+    if case == "bits":
+        return rng.integers(-(2**63), 2**63 - 1, 20_000, dtype=np.int64).view(np.float64)
+    if case == "powers":
+        return np.concatenate([_POWERS, -_POWERS])
+    if case == "subnormals":
+        return rng.integers(1, 2**52, 5_000, dtype=np.int64).view(np.float64)
+    # log-uniform over every decade, with the neighbours of the powers of ten
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    spread = rng.uniform(-1, 1, 20_000) * 10.0 ** rng.uniform(-324, 308.2, 20_000)
+    return np.concatenate([spread, tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)])
+
+
+@pytest.mark.parametrize("case", ["bits", "powers", "subnormals", "decades"])
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_kernel_layouts_match_python(layout, case):
+    values = _layout_cases(case)
+    cells, _ = _kernel_layout(values, layout)
+    assert _layout_mismatches(values, layout, cells) == []
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_kernel_writes_rounding_ties_one_at_a_time(layout):
+    # The double-double route cannot place a scaled fraction within its error
+    # bound of 1/2; such a value takes the fallback and still matches.
+    values = np.concatenate([_TIES, -_TIES])
+    assert all(abs(_scaled_fraction(x) - Fraction(1, 2)) <= 1e-9 for x in values.tolist())
+    cells, slow = _kernel_layout(values, layout)
+    assert slow.all()
+    assert _layout_mismatches(values, layout, cells) == []
+
+
+def test_shortest_mode_writes_16_digit_ties_one_at_a_time():
+    # o 2^-23 (o odd) and 2^-24 are exact 17-digit values ending in 5: two
+    # 16-digit candidates lie equally near, and the double-double rest cannot
+    # tell which side of the tie it is on.
+    values = np.array([o * 2.0**-23 for o in (1, 3, 5, 7)] + [2.0**-24])
+    values = np.concatenate([values, -values])
+    assert all(("%.16e" % x)[-5] == "5" and _scaled_fraction(x) == 0 for x in values.tolist())
+    cells, slow = _kernel_layout(values, "repr")
+    assert slow.all()
+    assert _layout_mismatches(values, "repr", cells) == []
+
+
+def test_kernel_falls_back_only_where_it_cannot_certify():
+    # A kernel that wrote every value outside its exact range one at a time
+    # would pass the tests above; on random bit patterns the 17-digit layouts
+    # fall back only for nan, +-inf and scaled fractions next to 1/2.
+    values = _layout_cases("bits")
+    slow = dynamics._decimal(values)[4]
+    finite_slow = values[slow & np.isfinite(values)].tolist()
+    assert all(abs(_scaled_fraction(x) - Fraction(1, 2)) <= 1e-9 for x in finite_slow)
+
+
+def test_run_n8_drift_report_takes_the_kernel_for_nearly_every_value():
+    # The report of run --n 8 --seed 1: 509 entries whose gamma_i(0) lie far
+    # below 1e-6, and max drifts down to 1e-33.
+    system = TopSystem.create(8)
+    omega0 = np.random.default_rng(1).uniform(0.1, 0.5, system.d)
+    t_end = guarded_horizon(system, omega0)
+    flow = integrate(system, "a", initial_a(system, omega0), t_end)
+    report = drift_report(system, flow)
+    values = np.concatenate((report.initial, report.max_drift))
+    assert len(values) >= invariants._KERNEL_MIN_VALUES
+    assert np.count_nonzero((np.abs(values) <= 1e-6) & (values != 0)) > len(values) // 2
+    for layout in _LAYOUTS:
+        cells, slow = _kernel_layout(values, layout)
+        assert _layout_mismatches(values, layout, cells) == []
+        assert np.count_nonzero(slow & np.isfinite(values)) <= 3, layout
 
 
 def test_json_array_document_peak_memory_is_about_twice_the_text():

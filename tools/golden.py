@@ -41,6 +41,10 @@ COMMANDS = (
     # From n = 8 up reduce integrates the Walsh-Hadamard omega_rhs; run's
     # n = 8 is above.
     + [f"run --n {n} --seed 1 --out r" for n in (9, 10)]
+    # A large drift report on the text kernel's fallback: its 2,045 entries
+    # hold 2,046 NaN or Infinity values (written one at a time) and 1,022
+    # values at or below 1e-6 (the double-double route).
+    + ["run --n 10 --seed 1 --random-range=1,5 --out r"]
     + [f"zk --k {k} --seed 1 --out z" for k in (3, 6, 12)]
     + [
         "run --n 2 --omega0 1,1,1 --t-end 2.0 --out b",
